@@ -50,8 +50,6 @@ from .dynamics import (
     HammersteinOperator,
     PointwiseOperator,
     TrajectorySegment,
-    apply,
-    apply_pointwise,
     build_hammerstein,
     build_pointwise,
     general_solution,
@@ -79,9 +77,7 @@ from .semilinear import (
     build_semilinear,
     contraction_product,
     gronwall_bound,
-    iterate,
     pullback_limit,
-    step_semilinear,
     transition,
     variation_of_constants,
 )

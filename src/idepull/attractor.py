@@ -28,7 +28,7 @@ from .exceptions import (
 )
 from .grid import GridFunction, sup_distance, sup_norm
 from .models import growth_curve, growth_sup_bound, kernel_bound, kernel_bound_numeric
-from .dynamics import HammersteinOperator
+from .dynamics import HammersteinOperator, general_solution, trajectory
 
 __all__ = [
     "ContractionCertificate",
@@ -103,21 +103,20 @@ def certify_contraction(
     return ContractionCertificate(int(window), lams, factor, periodic)
 
 
+def _kernel_bound_or_numeric(op: HammersteinOperator, r: int) -> float:
+    try:
+        return kernel_bound(op.kernel, r, op.grid.length)
+    except BoundFormulaOutOfRangeError:
+        return kernel_bound_numeric(op.kernel, r, op.grid)
+
+
 def step_constants_closed_form(op: HammersteinOperator) -> tuple[float, ...]:
     """Closed-form per-step Lipschitz constants over one period.
 
     Falls back to the quadrature bound for time classes where the closed
     form is out of range (tent kernels on wide supports).
     """
-    length = op.grid.length
-    out = []
-    for r in range(op.theta):
-        try:
-            kb = kernel_bound(op.kernel, r, length)
-        except BoundFormulaOutOfRangeError:
-            kb = kernel_bound_numeric(op.kernel, r, op.grid)
-        out.append(op.growth.beta(r) * kb)
-    return tuple(out)
+    return tuple(op.growth.beta(r) * _kernel_bound_or_numeric(op, r) for r in range(op.theta))
 
 
 def step_constants_numeric(op: HammersteinOperator) -> tuple[float, ...]:
@@ -140,13 +139,6 @@ def closed_form_fully_in_range(op: HammersteinOperator) -> bool:
         except BoundFormulaOutOfRangeError:
             return False
     return True
-
-
-def _kernel_bound_or_numeric(op: HammersteinOperator, r: int) -> float:
-    try:
-        return kernel_bound(op.kernel, r, op.grid.length)
-    except BoundFormulaOutOfRangeError:
-        return kernel_bound_numeric(op.kernel, r, op.grid)
 
 
 def apriori_distance_bound(
@@ -182,9 +174,7 @@ def apriori_distance_bound(
     elif mode == "trajectory":
         l1 = 0.0
         for s in range(theta):
-            state = u0
-            for step_time in range(s - window, s - 1):
-                state = op.step(step_time, state)
+            state = general_solution(op, s - 1, s - window, u0)
             r = (s - 1) % theta
             b = op.growth.scale_at(r) * op.profile_values
             g_sup = float(np.max(np.abs(growth_curve(op.growth.family, b, state.values))))
@@ -284,20 +274,15 @@ def pullback_fibers(
             f"certified sweep needs {total} steps, above the budget of {max_steps}"
         )
 
-    state = u0
-    for s in range(-budget.total_steps, 0):
-        state = op.step(s, state)
-    fibers = [state]
-    for k in range(1, theta):
-        state = op.step(k - 1, state)
-        fibers.append(state)
+    state = general_solution(op, 0, -budget.total_steps, u0)
+    fibers = trajectory(op, 0, theta - 1, state).states
 
     certified = (
         certificate.factor**budget.windows
         / (1.0 - certificate.factor)
         * budget.distance_bound
     )
-    return AttractorFibers(theta, tuple(fibers), certified, budget)
+    return AttractorFibers(theta, fibers, certified, budget)
 
 
 def attraction_rate(

@@ -7,6 +7,7 @@ documented schema and the shipped scenario files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -14,8 +15,10 @@ import numpy as np
 import yaml
 
 from .exceptions import ConfigError
-from .grid import Grid, GridFunction, build_grid
+from .grid import QUADRATURE_RULES, Grid, GridFunction, build_grid
 from .models import (
+    GROWTH_FAMILIES,
+    KERNEL_FAMILIES,
     InhomogeneitySpec,
     KernelSpec,
     SEASON_PATTERNS,
@@ -116,14 +119,29 @@ def _reject_unknown(mapping: Mapping, allowed, path: str) -> None:
         raise _err(path, f"unknown keys {unknown}; allowed keys are {sorted(allowed)}")
 
 
+def _require_known(value: str, known, path: str, what: str) -> None:
+    if value not in known:
+        raise _err(path, f"unknown {what} {value!r}; known {what}s are {sorted(known)}")
+
+
+def _is_number(value) -> bool:
+    """A finite int or float (YAML's .nan and .inf are floats, bools are not numbers)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _get_number(mapping: Mapping, key: str, path: str, *, required=True, default=None):
     if key not in mapping:
         if required:
             raise _err(path, f"missing required key '{key}'")
         return default
     value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _err(f"{path}.{key}", f"expected a number, got {value!r}")
+    if not _is_number(value):
+        raise _err(f"{path}.{key}", f"expected a finite number, got {value!r}")
     return value
 
 
@@ -152,8 +170,8 @@ def _number_list(value, path: str) -> tuple[float, ...]:
         raise _err(path, f"expected a nonempty list of numbers, got {value!r}")
     out = []
     for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise _err(f"{path}[{i}]", f"expected a number, got {v!r}")
+        if not _is_number(v):
+            raise _err(f"{path}[{i}]", f"expected a finite number, got {v!r}")
         out.append(float(v))
     return tuple(out)
 
@@ -192,6 +210,11 @@ def _parse_semilinear(raw, path: str) -> SemilinearConfig:
     if name not in ("zero", "constant", "bounded-sigmoid"):
         raise _err(f"{path}.nonlinearity.name", f"unknown nonlinearity {name!r}")
     params = {k: v for k, v in nl_raw.items() if k != "name"}
+    for key, value in params.items():
+        if isinstance(value, list):
+            _number_list(value, f"{path}.nonlinearity.{key}")
+        else:
+            _get_number(params, key, f"{path}.nonlinearity")
 
     kappas = _number_list(raw["kappas"], f"{path}.kappas") if raw.get("kappas") is not None else None
     alphas = _number_list(raw["alphas"], f"{path}.alphas") if raw.get("alphas") is not None else None
@@ -265,10 +288,12 @@ def parse_config(text: str) -> ScenarioConfig:
     if nodes < 1:
         raise _err("config.grid.nodes", f"must be >= 1, got {nodes}")
     rule = _get_str(grid_raw, "rule", "config.grid", required=False, default="trapezoid")
+    _require_known(rule, QUADRATURE_RULES, "config.grid.rule", "quadrature rule")
 
     kernel_raw = _require_mapping(raw["kernel"], "config.kernel")
     _reject_unknown(kernel_raw, {"family", "dispersal"}, "config.kernel")
     kfamily = _get_str(kernel_raw, "family", "config.kernel")
+    _require_known(kfamily, KERNEL_FAMILIES, "config.kernel.family", "kernel family")
     if "dispersal" not in kernel_raw:
         raise _err("config.kernel", "missing required key 'dispersal'")
     disp_raw = kernel_raw["dispersal"]
@@ -291,17 +316,16 @@ def parse_config(text: str) -> ScenarioConfig:
         "config.growth",
     )
     gfamily = _get_str(growth_raw, "family", "config.growth")
+    _require_known(gfamily, GROWTH_FAMILIES, "config.growth.family", "growth family")
     profile_id = _get_str(growth_raw, "profile", "config.growth")
-    if profile_id not in PROFILES:
-        raise _err(
-            "config.growth.profile",
-            f"unknown profile {profile_id!r}; known profiles are {sorted(PROFILES)}",
-        )
+    _require_known(profile_id, PROFILES, "config.growth.profile", "profile")
     profile_params = growth_raw.get("profile_params") or {}
     profile_params = _require_mapping(profile_params, "config.growth.profile_params")
     _reject_unknown(
         profile_params, _PROFILE_PARAM_KEYS[profile_id], "config.growth.profile_params"
     )
+    for key in profile_params:
+        _get_number(profile_params, key, "config.growth.profile_params")
     profile_sup = _get_number(growth_raw, "profile_sup", "config.growth", required=False)
     if profile_sup is not None and profile_sup <= 0:
         raise _err("config.growth.profile_sup", f"must be positive, got {profile_sup}")
@@ -328,7 +352,7 @@ def parse_config(text: str) -> ScenarioConfig:
             )
         if any(a <= 0 for a in alpha):
             raise _err("config.growth.alpha", "entries must be positive")
-    elif isinstance(alpha, (int, float)) and not isinstance(alpha, bool):
+    elif _is_number(alpha):
         if alpha <= 0:
             raise _err("config.growth.alpha", f"must be positive, got {alpha}")
         alpha = float(alpha)
@@ -345,11 +369,8 @@ def parse_config(text: str) -> ScenarioConfig:
             raise _err("config.inhomogeneity.amplitudes", "entries must be >= 0")
     if (variant is None) == (amplitudes is None):
         raise _err("config.inhomogeneity", "give exactly one of 'variant' or 'amplitudes'")
-    if variant is not None and variant not in SEASON_PATTERNS:
-        raise _err(
-            "config.inhomogeneity.variant",
-            f"unknown variant {variant!r}; known variants are {sorted(SEASON_PATTERNS)}",
-        )
+    if variant is not None:
+        _require_known(variant, SEASON_PATTERNS, "config.inhomogeneity.variant", "variant")
     levels_raw = inhom_raw.get("levels", [1.0, 2.0])
     levels = _number_list(levels_raw, "config.inhomogeneity.levels")
     if len(levels) != 2:

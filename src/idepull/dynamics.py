@@ -31,8 +31,6 @@ __all__ = [
     "TrajectorySegment",
     "build_hammerstein",
     "build_pointwise",
-    "apply",
-    "apply_pointwise",
     "general_solution",
     "trajectory",
     "replay_matches",
@@ -125,7 +123,8 @@ def build_hammerstein(
     matrices = []
     for a, _ in sorted(distinct.items(), key=lambda kv: kv[1]):
         r = next(s for s in range(theta) if kernel.rate_at(s) == a)
-        mat = np.asarray(kernel_eval(kernel, r, x, y), dtype=float) * grid.weights[None, :]
+        mat = kernel_eval(kernel, r, x, y)
+        mat *= grid.weights
         mat.setflags(write=False)
         matrices.append(mat)
 
@@ -193,14 +192,6 @@ def build_pointwise(
         raise ValueError("pointwise profile must be nonnegative")
     values.setflags(write=False)
     return PointwiseOperator(profile, scales, grid, values)
-
-
-def apply(op: HammersteinOperator, t: int, u: GridFunction) -> GridFunction:
-    return op.step(t, u)
-
-
-def apply_pointwise(op: PointwiseOperator, t: int, u: GridFunction) -> GridFunction:
-    return op.step(t, u)
 
 
 def general_solution(op, t: int, tau: int, u: GridFunction) -> GridFunction:

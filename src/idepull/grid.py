@@ -16,6 +16,7 @@ import numpy as np
 from .exceptions import GridMismatchError
 
 __all__ = [
+    "QUADRATURE_RULES",
     "Grid",
     "GridFunction",
     "build_grid",
@@ -38,7 +39,7 @@ def _trapezoid_nodes_weights(length: float, n: int) -> tuple[np.ndarray, np.ndar
     return nodes, weights
 
 
-_RULES: dict[str, Callable[[float, int], tuple[np.ndarray, np.ndarray]]] = {
+QUADRATURE_RULES: dict[str, Callable[[float, int], tuple[np.ndarray, np.ndarray]]] = {
     "trapezoid": _trapezoid_nodes_weights,
 }
 
@@ -96,7 +97,7 @@ def build_grid(length: float, n: int, rule: str = "trapezoid") -> Grid:
     if n < 1:
         raise ValueError(f"subinterval count must be >= 1, got {n}")
     try:
-        builder = _RULES[rule]
+        builder = QUADRATURE_RULES[rule]
     except KeyError:
         raise ValueError(f"unknown quadrature rule {rule!r}") from None
     nodes, weights = builder(float(length), int(n))

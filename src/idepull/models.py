@@ -91,14 +91,29 @@ class KernelSpec:
 
 
 def kernel_eval(spec: KernelSpec, t: int, x, y):
-    """Evaluate the kernel at time ``t``; broadcasts over array arguments."""
+    """Evaluate the kernel at time ``t``; broadcasts over array arguments.
+
+    Every operation runs in place on one buffer of the broadcast shape, so
+    an n x n kernel matrix never holds more than one n x n array.
+    """
     a = spec.rate_at(t)
-    s = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-    if spec.family == "laplace":
-        return 0.5 * a * np.exp(-a * s)
-    if spec.family == "gauss":
-        return a / math.sqrt(math.pi) * np.exp(-((a * s) ** 2))
-    return np.maximum(0.0, a - a * a * s)
+    k = np.subtract(x, y, out=np.empty(np.broadcast_shapes(np.shape(x), np.shape(y))))
+    np.abs(k, out=k)
+    if spec.family == "laplace":  # (a/2) exp(-a s)
+        k *= -a
+        np.exp(k, out=k)
+        k *= 0.5 * a
+    elif spec.family == "gauss":  # a/sqrt(pi) exp(-(a s)^2)
+        k *= a
+        np.square(k, out=k)
+        np.negative(k, out=k)
+        np.exp(k, out=k)
+        k *= a / math.sqrt(math.pi)
+    else:  # tent: max(0, a - a^2 s)
+        k *= a * a
+        np.subtract(a, k, out=k)
+        np.maximum(0.0, k, out=k)
+    return k if k.ndim else k[()]
 
 
 def kernel_bound(spec: KernelSpec, t: int, length: float) -> float:

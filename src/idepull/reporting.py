@@ -7,9 +7,7 @@ re-parsing an emitted file reproduces the in-memory values bit for bit.
 from __future__ import annotations
 
 import csv
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,25 +41,11 @@ __all__ = [
     "lipschitz_report",
     "run_convergence",
     "run_semilinear",
-    "worker_count",
     "read_csv_rows",
     "read_report_csv",
     "read_totals_csv",
     "read_fibers_csv",
 ]
-
-WORKERS_ENV = "IDEPULL_WORKERS"
-
-
-def worker_count() -> int:
-    value = os.environ.get(WORKERS_ENV)
-    if value is None:
-        return 1
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -168,7 +152,7 @@ def _write_report_csv(path: Path, command: str, report: RunReport) -> None:
     _write_csv(path, ("key", "value"), [(k, values[k]) for k in _REPORT_KEYS])
 
 
-def _certificate_for(op, cfg: ScenarioConfig) -> tuple[ContractionCertificate, str]:
+def _certificate_for(op) -> tuple[ContractionCertificate, str]:
     lams = step_constants_closed_form(op)
     source = "closed-form" if closed_form_fully_in_range(op) else "numeric"
     return certify_contraction(lams, op.theta), source
@@ -196,7 +180,7 @@ def run_attractor(
     op = build_operator(cfg, grid, variant)
     u0 = initial_condition(cfg.initial_id, cfg.initial_params, grid)
 
-    certificate, source = _certificate_for(op, cfg)
+    certificate, source = _certificate_for(op)
     numeric_factor = certify_contraction(step_constants_numeric(op), op.theta).factor
     if not certificate.valid:
         raise NoContractionError(
@@ -206,11 +190,10 @@ def run_attractor(
     budget = required_iterations(certificate.factor, bound, tol, op.theta)
     fibers = pullback_fibers(op, certificate, budget, u0, cfg.max_steps)
 
-    states = list(fibers.fibers)
-    while len(states) <= cfg.horizon:
-        t = len(states)
-        states.append(op.step(t - 1, states[-1]))
-    states = states[: cfg.horizon + 1]
+    extension = trajectory(
+        op, op.theta - 1, max(0, cfg.horizon + 1 - op.theta), fibers.fibers[-1]
+    )
+    states = (fibers.fibers + extension.states[1:])[: cfg.horizon + 1]
 
     totals = tuple(total_population(f) for f in fibers.fibers)
     sups = tuple(sup_norm(f) for f in fibers.fibers)
@@ -302,21 +285,13 @@ def compare_inhomogeneities(
     """Run all four seasonal support placements and rank their means.
 
     Per-variant artifacts land in subdirectories h1/..h4/ of ``out_dir``;
-    the ranking table is written to comparison.csv.  Workers come from the
-    IDEPULL_WORKERS environment variable (default sequential).
+    the ranking table is written to comparison.csv.
     """
     out = Path(out_dir)
     variants = tuple(sorted(SEASON_PATTERNS))
-
-    def one(v: str) -> RunReport:
-        return run_attractor(cfg, out / v, nodes=nodes, tol=tol, variant=v)
-
-    workers = min(worker_count(), len(variants))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = dict(zip(variants, pool.map(one, variants)))
-    else:
-        reports = {v: one(v) for v in variants}
+    reports = {
+        v: run_attractor(cfg, out / v, nodes=nodes, tol=tol, variant=v) for v in variants
+    }
 
     means = tuple(reports[v].mean_total_population for v in variants)
     best = variants[int(np.argmax(means))]
@@ -388,16 +363,9 @@ def run_convergence(
     out = Path(out_dir)
     base = nodes if nodes is not None else cfg.nodes
     levels = (base, 2 * base)
-
-    def one(n: int) -> RunReport:
-        return run_attractor(cfg, out / f"n{n}", nodes=n, tol=tol, variant=variant)
-
-    workers = min(worker_count(), len(levels))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, levels))
-    else:
-        reports = [one(n) for n in levels]
+    reports = [
+        run_attractor(cfg, out / f"n{n}", nodes=n, tol=tol, variant=variant) for n in levels
+    ]
 
     rows = []
     previous = None

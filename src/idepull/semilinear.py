@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dynamics import trajectory
 from .exceptions import BudgetExceededError, NoContractionError, TimeOrderError
 
 __all__ = [
@@ -21,8 +22,6 @@ __all__ = [
     "PullbackReport",
     "build_semilinear",
     "transition",
-    "step_semilinear",
-    "iterate",
     "variation_of_constants",
     "gronwall_bound",
     "contraction_product",
@@ -30,6 +29,8 @@ __all__ = [
 ]
 
 Nonlinearity = Callable[[np.ndarray], np.ndarray]
+
+_SLACK = 1.0 + 1e-9
 
 
 def _mat_norm(m: np.ndarray) -> float:
@@ -90,14 +91,15 @@ def build_semilinear(
     gamma: float | None = None,
     alphas: Sequence[float] | None = None,
     rng: np.random.Generator | None = None,
-    validate: bool = True,
 ) -> SemilinearSystem:
-    """Normalize inputs and fill in missing constants by sampling.
+    """Normalize inputs, fill in missing constants, and check given ones.
 
-    Defaults: alpha_r is the row-sum norm of L_r, gamma the largest sampled
-    ratio ||Phi(t, tau)|| / prod alpha_r (at least 1), and kappa_r the
-    largest difference quotient of K_r over random pairs.  Sampled
-    constants are recorded in ``estimated`` and are not certificates.
+    Defaults: alpha_r is the row-sum norm of L_r, gamma the largest ratio
+    ||Phi(t, tau)|| / prod alpha_r over the windows of one period (at
+    least 1), and kappa_r the largest difference quotient of K_r over
+    random pairs.  Sampled constants are recorded in ``estimated`` and are
+    not certificates.  A declared gamma below that ratio, or a declared
+    kappa_r below a sampled difference quotient, raises ``ValueError``.
     """
     mats = tuple(np.array(m, dtype=float) for m in matrices)
     if not mats:
@@ -140,49 +142,50 @@ def build_semilinear(
     if len(alphas) != len(mats) or any(a <= 0 for a in alphas):
         raise ValueError("alphas must be positive, one per period slot")
 
-    theta = len(mats)
+    ratio, window = _worst_transition_ratio(mats, alphas)
     if gamma is None:
-        worst = 1.0
-        for tau in range(theta):
-            phi = np.eye(d)
-            prod = 1.0
-            for s in range(tau, tau + theta):
-                phi = mats[s % theta] @ phi
-                prod *= alphas[s % theta]
-                worst = max(worst, _mat_norm(phi) / prod)
-        gamma = worst
+        gamma = max(1.0, ratio)
         estimated.add("gamma")
     gamma = float(gamma)
     if gamma < 1.0:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
+    if ratio > gamma * _SLACK:
+        raise ValueError(
+            f"transition norm bound violated on window {window}: "
+            f"||Phi|| / prod alpha = {ratio} > gamma = {gamma}"
+        )
 
-    system = SemilinearSystem(mats, nls, kappas, gamma, alphas, frozenset(estimated))
-    if validate:
-        _validate(system, rng)
-    return system
+    _check_kappas(nls, kappas, d, rng)
+    return SemilinearSystem(mats, nls, kappas, gamma, alphas, frozenset(estimated))
 
 
-def _validate(sys: SemilinearSystem, rng: np.random.Generator, samples: int = 200) -> None:
-    slack = 1.0 + 1e-9
-    theta, d = sys.theta, sys.dim
+def _worst_transition_ratio(mats, alphas) -> tuple[float, tuple[int, int] | None]:
+    """Largest ||Phi(s, tau)|| / prod alpha_r over the windows of one period.
+
+    Returns the ratio and the window (tau, s) on which it is reached.
+    """
+    theta, d = len(mats), mats[0].shape[0]
+    worst, window = 0.0, None
     for tau in range(theta):
         phi = np.eye(d)
         prod = 1.0
         for s in range(tau, tau + theta):
-            phi = sys.matrices[s % theta] @ phi
-            prod *= sys.alphas[s % theta]
-            if _mat_norm(phi) > sys.gamma * prod * slack:
-                raise ValueError(
-                    f"transition norm bound violated on window ({tau}, {s + 1}): "
-                    f"{_mat_norm(phi)} > gamma * prod = {sys.gamma * prod}"
-                )
-    for r in range(theta):
+            phi = mats[s % theta] @ phi
+            prod *= alphas[s % theta]
+            ratio = _mat_norm(phi) / prod
+            if ratio > worst:
+                worst, window = ratio, (tau, s + 1)
+    return worst, window
+
+
+def _check_kappas(nls, kappas, d: int, rng: np.random.Generator, samples: int = 200) -> None:
+    for r, k in enumerate(nls):
         u = rng.normal(scale=3.0, size=(samples, d))
         v = rng.normal(scale=3.0, size=(samples, d))
         for a, b in zip(u, v):
-            lhs = _vec_norm(np.asarray(sys.nonlinearities[r](a)) - np.asarray(sys.nonlinearities[r](b)))
-            if lhs > sys.kappas[r] * _vec_norm(a - b) * slack + 1e-15:
-                raise ValueError(f"declared kappa {sys.kappas[r]} violated at slot {r}")
+            lhs = _vec_norm(np.asarray(k(a)) - np.asarray(k(b)))
+            if lhs > kappas[r] * _vec_norm(a - b) * _SLACK + 1e-15:
+                raise ValueError(f"declared kappa {kappas[r]} violated at slot {r}")
 
 
 def transition(sys: SemilinearSystem, t: int, tau: int) -> np.ndarray:
@@ -193,20 +196,6 @@ def transition(sys: SemilinearSystem, t: int, tau: int) -> np.ndarray:
     for s in range(tau, t):
         phi = sys.matrices[s % sys.theta] @ phi
     return phi
-
-
-def step_semilinear(sys: SemilinearSystem, t: int, u: np.ndarray) -> np.ndarray:
-    return sys.step(t, np.asarray(u, dtype=float))
-
-
-def iterate(sys: SemilinearSystem, t: int, tau: int, u: np.ndarray) -> np.ndarray:
-    """Stepwise general solution through (tau, u)."""
-    if t < tau:
-        raise TimeOrderError(f"target time {t} precedes initial time {tau}")
-    state = np.asarray(u, dtype=float)
-    for s in range(tau, t):
-        state = sys.step(s, state)
-    return state
 
 
 def variation_of_constants(sys: SemilinearSystem, t: int, tau: int, u: np.ndarray) -> np.ndarray:
@@ -222,11 +211,7 @@ def variation_of_constants(sys: SemilinearSystem, t: int, tau: int, u: np.ndarra
     if t == tau:
         return u.copy()
 
-    inner = [u]
-    state = u
-    for s in range(tau, t - 1):
-        state = sys.step(s, state)
-        inner.append(state)
+    inner = trajectory(sys, tau, t - 1 - tau, u).states
 
     acc = np.zeros(sys.dim)
     back = np.eye(sys.dim)  # Phi(t, s+1), built from s = t-1 downward
@@ -276,10 +261,11 @@ def pullback_limit(
     """Periodic fibers by deepening the pullback one period at a time.
 
     Starting ever further in the past is, by periodicity, the same as
-    applying one more period to the previous sweep; iteration stops when
-    successive per-class fibers move by at most ``tol`` in the max-norm.
-    The geometric tail gamma q / (1 - gamma q) * last_update certifies the
-    remaining error whenever gamma * q < 1.
+    applying one more period to the previous sweep.  When gamma * q < 1
+    the geometric tail gamma q / (1 - gamma q) * last_update certifies the
+    remaining error, and iteration stops once both the update (the largest
+    max-norm move of a per-class fiber) and that tail are at most ``tol``.
+    Otherwise it stops on the update alone and reports an infinite tail.
     """
     q = contraction_product(sys)
     if q >= 1.0:
@@ -288,23 +274,19 @@ def pullback_limit(
         raise ValueError(f"tolerance must be positive, got {tol}")
 
     theta, d = sys.theta, sys.dim
+    gq = sys.gamma * q
     state = np.zeros(d) if u0 is None else np.asarray(u0, dtype=float)
-    fibers: list[np.ndarray] | None = None
+    fibers: tuple[np.ndarray, ...] | None = None
     for period in range(1, max_periods + 1):
-        new = []
-        for k in range(theta):
-            new.append(state)
-            state = sys.step(k, state)
+        segment = trajectory(sys, 0, theta, state)
+        new, state = segment.states[:theta], segment.states[theta]
         if fibers is not None:
             update = max(_vec_norm(a - b) for a, b in zip(new, fibers))
-            fibers = new
-            if update <= tol:
-                gq = sys.gamma * q
-                tail = gq / (1.0 - gq) * update if gq < 1.0 else math.inf
+            tail = gq / (1.0 - gq) * update if gq < 1.0 else math.inf
+            if update <= tol and (tail <= tol or gq >= 1.0):
                 report = PullbackReport(period, update, tail, q, sys.estimated)
-                return tuple(f.copy() for f in fibers), report
-        else:
-            fibers = new
+                return tuple(f.copy() for f in new), report
+        fibers = new
     raise BudgetExceededError(
         f"pullback limit did not settle within {max_periods} periods (q = {q})"
     )

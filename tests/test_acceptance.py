@@ -500,7 +500,7 @@ def test_criterion_09_semilinear_suite():
             tau = int(rng.integers(-8, 8))
             t = tau + int(rng.integers(0, 51))
             voc = ip.variation_of_constants(sys, t, tau, u)
-            stp = ip.iterate(sys, t, tau, u)
+            stp = ip.general_solution(sys, t, tau, u)
             voc_ok = voc_ok and float(np.max(np.abs(voc - stp))) <= 1e-10 * (
                 1 + float(np.max(np.abs(stp)))
             )
@@ -518,7 +518,7 @@ def test_criterion_09_semilinear_suite():
         v = rng.normal(scale=2.0, size=dim)
         tau = int(rng.integers(-5, 5))
         t = tau + int(rng.integers(0, 25))
-        sep = float(np.max(np.abs(ip.iterate(sys, t, tau, u) - ip.iterate(sys, t, tau, v))))
+        sep = float(np.max(np.abs(ip.general_solution(sys, t, tau, u) - ip.general_solution(sys, t, tau, v))))
         bound = ip.gronwall_bound(sys, t, tau, float(np.max(np.abs(u - v))))
         if sep <= bound * (1 + 1e-9) + 1e-12:
             gronwall_hits += 1

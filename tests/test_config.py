@@ -84,6 +84,36 @@ def test_unknown_variant_and_profile():
         parse_config(GOOD.replace("profile: vee", "profile: bump"))
 
 
+def test_unknown_registry_values_rejected_with_path():
+    with pytest.raises(ConfigError, match=r"config\.grid\.rule"):
+        parse_config(GOOD.replace("nodes: 40", "nodes: 40, rule: simpson"))
+    with pytest.raises(ConfigError, match=r"config\.kernel\.family"):
+        parse_config(GOOD.replace("family: laplace", "family: cauchy"))
+    with pytest.raises(ConfigError, match=r"config\.growth\.family"):
+        parse_config(GOOD.replace("family: beverton_holt", "family: hassell"))
+
+
+def test_non_finite_numbers_rejected_with_path():
+    with pytest.raises(ConfigError, match=r"config\.tolerance"):
+        parse_config(GOOD.replace("tolerance: 1.0e-8", "tolerance: .nan"))
+    with pytest.raises(ConfigError, match=r"config\.kernel\.dispersal"):
+        parse_config(GOOD.replace("dispersal: 2.0", "dispersal: .inf"))
+    with pytest.raises(ConfigError, match=r"config\.max_steps"):
+        parse_config(GOOD + "\nmax_steps: 1" + "0" * 400 + "\n")
+    with pytest.raises(ConfigError, match=r"config\.inhomogeneity\.amplitudes\[1\]"):
+        parse_config(GOOD.replace("{variant: h4}", "{amplitudes: [1.0, .inf]}"))
+    with pytest.raises(ConfigError, match=r"config\.growth\.profile_params\.offset"):
+        parse_config(GOOD.replace("profile: vee", "profile: vee\n  profile_params: {offset: .nan}"))
+    semilinear = """
+semilinear:
+  dimension: 2
+  matrices: [[[0.5, 0.0], [0.0, 0.5]]]
+  nonlinearity: {name: constant, value: [.nan, 1.0]}
+"""
+    with pytest.raises(ConfigError, match=r"config\.semilinear\.nonlinearity\.value\[0\]"):
+        parse_config(GOOD + semilinear)
+
+
 def test_variant_xor_amplitudes():
     with pytest.raises(ConfigError, match="exactly one"):
         parse_config(GOOD.replace("{variant: h4}", "{variant: h4, amplitudes: [1, 2]}"))

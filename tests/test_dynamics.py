@@ -6,8 +6,6 @@ from idepull import (
     GridFunction,
     GridMismatchError,
     TimeOrderError,
-    apply,
-    apply_pointwise,
     build_grid,
     build_hammerstein,
     build_pointwise,
@@ -33,14 +31,14 @@ class TestHammersteinApply:
         op, grid = seasonal_op
         u = GridFunction.constant(grid, 0.0)
         for t in (0, 3, 7):
-            v = apply(op, t, u)
+            v = op.step(t, u)
             assert np.array_equal(v.values, op.forcing[t % op.theta])
 
     def test_zero_growth_returns_forcing(self):
         op, grid = zero_growth()
         u = GridFunction.from_callable(grid, lambda x: np.cos(x) + 2)
         for t in range(4):
-            v = apply(op, t, u)
+            v = op.step(t, u)
             assert np.array_equal(v.values, op.forcing[t])
 
     def test_lipschitz_bound_single_state(self):
@@ -54,13 +52,13 @@ class TestHammersteinApply:
         op = build_hammerstein(kernel, growth, inhom, grid, theta=1)
         u = GridFunction.constant(grid, 1.0)
         lam = ip.hammerstein_lipschitz(kernel, growth, 0, 6.0)
-        assert sup_norm(apply(op, 0, u)) <= lam * sup_norm(u) + 1e-12
+        assert sup_norm(op.step(0, u)) <= lam * sup_norm(u) + 1e-12
 
     def test_grid_mismatch(self, seasonal_op):
         op, _ = seasonal_op
         other = GridFunction.constant(build_grid(6.0, 12), 1.0)
         with pytest.raises(GridMismatchError):
-            apply(op, 0, other)
+            op.step(0, other)
 
     def test_discrete_lipschitz_property(self, seasonal_op, rng):
         op, grid = seasonal_op
@@ -69,7 +67,7 @@ class TestHammersteinApply:
             for _ in range(200 // op.theta + 1):
                 u = GridFunction(grid, rng.normal(size=grid.n + 1))
                 v = GridFunction(grid, rng.normal(size=grid.n + 1))
-                lhs = sup_distance(apply(op, t, u), apply(op, t, v))
+                lhs = sup_distance(op.step(t, u), op.step(t, v))
                 rhs = lams[t] * sup_distance(u, v)
                 assert lhs <= rhs + 1e-12 * (1 + rhs)
 
@@ -83,14 +81,14 @@ class TestHammersteinApply:
             )
             for scale in (0.1, 1.0, 25.0):
                 u = GridFunction(grid, rng.normal(scale=scale, size=grid.n + 1))
-                assert sup_norm(apply(op, t, u)) <= bound + 1e-12
+                assert sup_norm(op.step(t, u)) <= bound + 1e-12
 
     def test_periodicity_exact(self, seasonal_op, rng):
         op, grid = seasonal_op
         u = GridFunction(grid, rng.normal(size=grid.n + 1))
         for t in (-3, 0, 2, 11):
-            a = apply(op, t, u)
-            b = apply(op, t + op.theta, u)
+            a = op.step(t, u)
+            b = op.step(t + op.theta, u)
             assert np.array_equal(a.values, b.values)
 
     def test_matrix_cache_dedupes_constant_rate(self, seasonal_op):
@@ -164,7 +162,7 @@ class TestTrajectory:
         op, grid = seasonal_op
         u = GridFunction.constant(grid, 1.0)
         seg = trajectory(op, 2, 1, u)
-        assert np.array_equal(seg.state_at(3).values, apply(op, 2, u).values)
+        assert np.array_equal(seg.state_at(3).values, op.step(2, u).values)
 
     def test_replay_is_exact(self, seasonal_op, rng):
         op, grid = seasonal_op
@@ -186,13 +184,13 @@ class TestPointwise:
 
     def test_zero_fixed(self):
         op, grid = self.make()
-        v = apply_pointwise(op, 0, GridFunction.constant(grid, 0.0))
+        v = op.step(0, GridFunction.constant(grid, 0.0))
         assert np.array_equal(v.values, np.zeros(grid.n + 1))
 
     def test_half_at_one(self):
         grid = build_grid(6.0, 40)
         op = build_pointwise(lambda x: np.ones_like(x), (1.0,), grid)
-        v = apply_pointwise(op, 0, GridFunction.constant(grid, 1.0))
+        v = op.step(0, GridFunction.constant(grid, 1.0))
         assert np.allclose(v.values, 0.5, atol=1e-15)
 
     def test_contraction_ratio(self, rng):
@@ -202,5 +200,5 @@ class TestPointwise:
             for _ in range(100):
                 u = GridFunction(grid, rng.normal(scale=2.0, size=grid.n + 1))
                 v = GridFunction(grid, rng.normal(scale=2.0, size=grid.n + 1))
-                lhs = sup_distance(apply_pointwise(op, t, u), apply_pointwise(op, t, v))
+                lhs = sup_distance(op.step(t, u), op.step(t, v))
                 assert lhs <= lam * sup_distance(u, v) + 1e-12

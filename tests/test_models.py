@@ -44,6 +44,19 @@ class TestKernels:
             y = rng.uniform(-3, 3, size=500)
             assert np.all(kernel_eval(spec, 0, x, y) >= 0)
 
+    def test_matrix_matches_formulas_exactly(self):
+        x = np.linspace(-3.0, 3.0, 41)[:, None]
+        y = np.linspace(-3.0, 3.0, 41)[None, :]
+        s = np.abs(x - y)
+        a = 1.7
+        expected = {
+            "laplace": 0.5 * a * np.exp(-a * s),
+            "gauss": a / math.sqrt(math.pi) * np.exp(-((a * s) ** 2)),
+            "tent": np.maximum(0.0, a - a * a * s),
+        }
+        for family, values in expected.items():
+            assert np.array_equal(kernel_eval(KernelSpec(family, a), 0, x, y), values)
+
     def test_bound_laplace_machine_precision(self):
         spec = KernelSpec("laplace", 10.0)
         assert abs(kernel_bound(spec, 0, 6.0) - (1.0 - math.exp(-30.0))) <= 2e-16

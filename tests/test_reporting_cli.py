@@ -126,13 +126,6 @@ class TestCompare:
         comparison = compare_inhomogeneities(cfg, tmp_path)
         assert max(abs(m) for m in comparison.means) <= 1e-2
 
-    def test_worker_env_var_gives_identical_results(self, small_cfg, tmp_path, monkeypatch):
-        sequential = compare_inhomogeneities(small_cfg, tmp_path / "seq")
-        monkeypatch.setenv("IDEPULL_WORKERS", "4")
-        threaded = compare_inhomogeneities(small_cfg, tmp_path / "par")
-        assert threaded.means == sequential.means
-        assert threaded.best == sequential.best
-
 
 class TestLipschitzAndConvergence:
     def test_lipschitz_table(self, small_cfg, tmp_path):
@@ -201,6 +194,11 @@ class TestCliExitCodes:
         assert main(["attractor", "--config", bad, "--out", str(tmp_path / "out")]) == 1
         missing = str(tmp_path / "nope.yaml")
         assert main(["attractor", "--config", missing, "--out", str(tmp_path / "out")]) == 1
+
+    def test_bad_registry_value_is_config_error(self, tmp_path, capsys):
+        bad = self.write(tmp_path, SMALL.replace("family: beverton_holt", "family: hassell"))
+        assert main(["attractor", "--config", bad, "--out", str(tmp_path / "out")]) == 1
+        assert "configuration error: config." in capsys.readouterr().err
 
     def test_usage_error_is_1(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -8,10 +8,9 @@ from idepull import (
     TimeOrderError,
     build_semilinear,
     contraction_product,
+    general_solution,
     gronwall_bound,
-    iterate,
     pullback_limit,
-    step_semilinear,
     transition,
     variation_of_constants,
 )
@@ -64,7 +63,7 @@ class TestVariationOfConstants:
             tau = int(rng.integers(-10, 10))
             t = tau + int(rng.integers(0, 51))
             voc = variation_of_constants(sys, t, tau, u)
-            stp = iterate(sys, t, tau, u)
+            stp = general_solution(sys, t, tau, u)
             assert norm(voc - stp) <= 1e-10 * (1 + norm(stp))
 
     def test_identity_at_equal_times(self, rng):
@@ -85,7 +84,7 @@ class TestVariationOfConstants:
         sys = build_semilinear([np.array([[0.5]])], lambda u: np.array([c]), kappas=(0.0,))
         state = np.array([0.0])
         for t in range(200):
-            state = step_semilinear(sys, t, state)
+            state = sys.step(t, state)
         assert state[0] == pytest.approx(2 * c, abs=1e-12)
 
 
@@ -107,7 +106,7 @@ class TestGronwall:
             v = rng.normal(scale=2.0, size=sys.dim)
             tau = int(rng.integers(-5, 5))
             t = tau + int(rng.integers(0, 25))
-            separation = norm(iterate(sys, t, tau, u) - iterate(sys, t, tau, v))
+            separation = norm(general_solution(sys, t, tau, u) - general_solution(sys, t, tau, v))
             bound = gronwall_bound(sys, t, tau, norm(u - v))
             assert separation <= bound * (1 + 1e-9) + 1e-12
 
@@ -170,6 +169,14 @@ class TestPullbackLimit:
                 state = sys.step(t, state)
             assert norm(state - fibers[0]) <= tol * (1 + 1e-6) + 1e-13
 
+    def test_tail_bound_meets_tolerance(self):
+        # factor 0.9: the tail 0.9 / 0.1 * update is nine times the last update
+        sys = build_semilinear([np.array([[0.9]])], lambda u: np.array([1.0]), kappas=(0.0,))
+        tol = 1e-10
+        fibers, report = pullback_limit(sys, tol)
+        assert report.tail_bound <= tol
+        assert abs(fibers[0][0] - 10.0) <= report.tail_bound + 1e-12
+
     def test_no_contraction_rejected(self):
         sys = build_semilinear([1.1 * np.eye(2)], lambda u: np.zeros(2), kappas=(0.0,))
         with pytest.raises(NoContractionError):
@@ -206,6 +213,14 @@ class TestBuilder:
         mats = [np.eye(2) * 0.5]
         with pytest.raises(ValueError):
             build_semilinear(mats, lambda u: 5.0 * np.tanh(u), kappas=(0.1,), rng=rng)
+
+    def test_declared_gamma_must_bound_transitions(self):
+        # ||Phi|| / prod alpha = 2 / 0.5 = 4 on the one-step window
+        with pytest.raises(ValueError, match="transition norm bound"):
+            build_semilinear(
+                [2.0 * np.eye(2)], lambda u: np.zeros(2), kappas=(0.0,), alphas=(0.5,),
+                gamma=1.0,
+            )
 
     def test_gamma_below_one_rejected(self):
         with pytest.raises(ValueError):
