@@ -124,8 +124,12 @@ def step_constants_numeric(op: HammersteinOperator) -> tuple[float, ...]:
 
     Uses the cached weighted kernel matrices: the discrete mass bound is
     the largest absolute row sum, so no kernel re-evaluation is needed.
+    The registered kernels and weights are nonnegative, so the plain row
+    sums are those absolute row sums, without an n x n temporary.
     """
-    mass = [float(np.max(np.sum(np.abs(m), axis=1))) for m in op.matrices]
+    mass = [
+        float(np.max(np.sum(m if m.min() >= 0 else np.abs(m), axis=1))) for m in op.matrices
+    ]
     return tuple(
         op.growth.beta(r) * mass[op.matrix_index[r]] for r in range(op.theta)
     )
@@ -331,9 +335,11 @@ def fixed_point_iterate(
 ) -> tuple[Any, float]:
     """Iterate to the unique fixed point with a certified error bound.
 
-    Runs ``windows`` blocks of ``order`` steps with windows minimal so that
-        factor^windows / (1 - factor) * d(x0, F^order(x0)) <= tol,
-    returning the final state and that certified bound.
+    Runs windows x_k = F^order(x_{k-1}) of ``order`` steps and stops at the
+    first k with factor / (1 - factor) * d(x_k, x_{k-1}) <= tol, and never
+    after the a-priori count ``required_iterations(factor, d(x0, x1), tol,
+    order).windows``.  Returns x_k and the smaller of that a-posteriori
+    bound and factor^k / (1 - factor) * d(x0, x1).
     """
     if problem.order < 1:
         raise ValueError(f"iterate order must be >= 1, got {problem.order}")
@@ -359,8 +365,12 @@ def fixed_point_iterate(
     budget = required_iterations(problem.factor, d0, tol, problem.order)
     if budget.windows == 0:
         return x0, d0 / (1.0 - problem.factor)
-    state = first
-    for _ in range(budget.windows - 1):
-        state = advance(state)
-    bound = problem.factor**budget.windows / (1.0 - problem.factor) * d0
-    return state, bound
+    tail = problem.factor / (1.0 - problem.factor)
+    state, update, k = first, d0, 1
+    while k < budget.windows and tail * update > tol:
+        previous, state = state, advance(state)
+        update = float(problem.distance(previous, state))
+        if not math.isfinite(update):
+            raise DivergentInputError(f"distance after window {k + 1} is {update}")
+        k += 1
+    return state, min(tail * update, problem.factor**k / (1.0 - problem.factor) * d0)

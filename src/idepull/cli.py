@@ -11,9 +11,8 @@ import sys
 
 from .exceptions import BudgetExceededError, ConfigError, NoContractionError
 from .config import load_config
+from .models import SEASON_PATTERNS
 from . import reporting
-
-VARIANTS = ("h1", "h2", "h3", "h4")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,7 +28,7 @@ def _add_common(sub, variant=True):
     sub.add_argument("--nodes", type=int, default=None, help="override grid subintervals")
     sub.add_argument("--tol", type=float, default=None, help="override tolerance")
     if variant:
-        sub.add_argument("--variant", choices=VARIANTS, default=None,
+        sub.add_argument("--variant", choices=tuple(SEASON_PATTERNS), default=None,
                          help="override seasonal support variant")
 
 

@@ -31,6 +31,7 @@ from .dynamics import HammersteinOperator, build_hammerstein
 __all__ = [
     "SCHEMA_VERSION",
     "PROFILES",
+    "NONLINEARITIES",
     "INITIAL_IDS",
     "ScenarioConfig",
     "SemilinearConfig",
@@ -46,23 +47,47 @@ SCHEMA_VERSION = 1
 INITIAL_IDS = ("default", "constant", "custom-polynomial")
 
 
-def _vee(params: Mapping[str, float]) -> Callable[[np.ndarray], np.ndarray]:
+def _vee(params: Mapping[str, float], length: float) -> tuple[Callable, float]:
     offset = float(params.get("offset", 3.0))
     slope = float(params.get("slope", 2.0))
-    return lambda x: offset + slope * np.abs(x)
+    # affine in |x| on [0, L/2], so |profile| peaks at x = 0 or |x| = L/2
+    sup = max(abs(offset), abs(offset + slope * length / 2))
+    return (lambda x: offset + slope * np.abs(x)), sup
 
 
-def _flat(params: Mapping[str, float]) -> Callable[[np.ndarray], np.ndarray]:
+def _flat(params: Mapping[str, float], length: float) -> tuple[Callable, float]:
     value = float(params.get("value", 1.0))
-    return lambda x: np.full_like(np.asarray(x, dtype=float), value)
+    return (lambda x: np.full_like(np.asarray(x, dtype=float), value)), abs(value)
 
 
-PROFILES: dict[str, Callable[[Mapping[str, float]], Callable[[np.ndarray], np.ndarray]]] = {
-    "vee": _vee,
-    "flat": _flat,
+# name -> (parameter keys, builder(params, length) -> (profile, exact sup |profile|))
+PROFILES = {
+    "vee": ({"offset", "slope"}, _vee),
+    "flat": ({"value"}, _flat),
 }
 
-_PROFILE_PARAM_KEYS = {"vee": {"offset", "slope"}, "flat": {"value"}}
+
+def _zero(params: Mapping, dim: int):
+    return (lambda u: np.zeros(dim)), 0.0
+
+
+def _constant(params: Mapping, dim: int):
+    value = params.get("value", 1.0)
+    c = np.full(dim, float(value)) if np.isscalar(value) else np.asarray(value, dtype=float)
+    return (lambda u: c), 0.0
+
+
+def _bounded_sigmoid(params: Mapping, dim: int):
+    scale = float(params.get("scale", 1.0))
+    return (lambda u: scale * np.tanh(u)), abs(scale)
+
+
+# name -> (parameter keys, builder(params, dim) -> (nonlinearity, Lipschitz constant))
+NONLINEARITIES = {
+    "zero": (set(), _zero),
+    "constant": ({"value"}, _constant),
+    "bounded-sigmoid": ({"scale"}, _bounded_sigmoid),
+}
 
 
 @dataclass(frozen=True)
@@ -204,17 +229,19 @@ def _parse_semilinear(raw, path: str) -> SemilinearConfig:
                 raise _err(f"{path}.matrices[{i}][{j}]", f"expected {dim} entries")
         matrices.append(tuple(rows))
 
-    nl_raw = _require_mapping(raw.get("nonlinearity", {"name": "zero"}), f"{path}.nonlinearity")
-    _reject_unknown(nl_raw, {"name", "value", "scale"}, f"{path}.nonlinearity")
-    name = _get_str(nl_raw, "name", f"{path}.nonlinearity")
-    if name not in ("zero", "constant", "bounded-sigmoid"):
-        raise _err(f"{path}.nonlinearity.name", f"unknown nonlinearity {name!r}")
+    nl_path = f"{path}.nonlinearity"
+    nl_raw = _require_mapping(raw.get("nonlinearity", {"name": "zero"}), nl_path)
+    name = _get_str(nl_raw, "name", nl_path)
+    _require_known(name, NONLINEARITIES, f"{nl_path}.name", "nonlinearity")
+    _reject_unknown(nl_raw, {"name"} | NONLINEARITIES[name][0], nl_path)
     params = {k: v for k, v in nl_raw.items() if k != "name"}
     for key, value in params.items():
-        if isinstance(value, list):
-            _number_list(value, f"{path}.nonlinearity.{key}")
+        if key == "value" and isinstance(value, list):
+            entries = _number_list(value, f"{nl_path}.{key}")
+            if len(entries) != dim:
+                raise _err(f"{nl_path}.{key}", f"expected {dim} entries, got {len(entries)}")
         else:
-            _get_number(params, key, f"{path}.nonlinearity")
+            _get_number(params, key, nl_path)
 
     kappas = _number_list(raw["kappas"], f"{path}.kappas") if raw.get("kappas") is not None else None
     alphas = _number_list(raw["alphas"], f"{path}.alphas") if raw.get("alphas") is not None else None
@@ -321,9 +348,7 @@ def parse_config(text: str) -> ScenarioConfig:
     _require_known(profile_id, PROFILES, "config.growth.profile", "profile")
     profile_params = growth_raw.get("profile_params") or {}
     profile_params = _require_mapping(profile_params, "config.growth.profile_params")
-    _reject_unknown(
-        profile_params, _PROFILE_PARAM_KEYS[profile_id], "config.growth.profile_params"
-    )
+    _reject_unknown(profile_params, PROFILES[profile_id][0], "config.growth.profile_params")
     for key in profile_params:
         _get_number(profile_params, key, "config.growth.profile_params")
     profile_sup = _get_number(growth_raw, "profile_sup", "config.growth", required=False)
@@ -510,12 +535,9 @@ def build_operator(
     amplitude lists ignore the override.
     """
     grid = build_scenario_grid(cfg) if grid is None else grid
-    profile = PROFILES[cfg.profile_id](cfg.profile_params)
-    sup = cfg.profile_sup
-    if sup is None:
-        sup = float(np.max(np.abs(np.asarray(profile(grid.nodes), dtype=float))))
-        fine = build_grid(cfg.length, max(2000, grid.n))
-        sup = max(sup, float(np.max(np.abs(np.asarray(profile(fine.nodes), dtype=float)))))
+    profile, sup = PROFILES[cfg.profile_id][1](cfg.profile_params, cfg.length)
+    if cfg.profile_sup is not None:
+        sup = cfg.profile_sup
     growth = growth_spec(
         cfg.growth_family, profile, _resolve_scales(cfg, sup), profile_sup=sup
     )

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import BoundFormulaOutOfRangeError
-from .grid import Grid, build_grid
+from .grid import Grid
 
 __all__ = [
     "KERNEL_FAMILIES",
@@ -36,7 +36,6 @@ __all__ = [
     "hammerstein_lipschitz",
     "half_contraction_amplitude",
     "seasonal_scales",
-    "profile_supremum",
 ]
 
 KERNEL_FAMILIES = ("laplace", "gauss", "tent")
@@ -151,13 +150,6 @@ def kernel_bound_numeric(spec: KernelSpec, t: int, grid: Grid) -> float:
     return float(np.max(np.abs(k) @ grid.weights))
 
 
-def profile_supremum(profile: Callable[[np.ndarray], np.ndarray], length: float,
-                     n: int = 4096) -> float:
-    """Node-max estimate of sup |profile| on the habitat (n >= 2000)."""
-    probe = build_grid(length, max(int(n), 2000))
-    return float(np.max(np.abs(np.asarray(profile(probe.nodes), dtype=float))))
-
-
 @dataclass(frozen=True)
 class GrowthSpec:
     """Growth map family with profile b_t(x) = scale_t * profile(x).
@@ -201,14 +193,9 @@ def growth_spec(
     profile: Callable[[np.ndarray], np.ndarray],
     scales,
     *,
-    length: float | None = None,
-    profile_sup: float | None = None,
+    profile_sup: float,
 ) -> GrowthSpec:
-    """Build a GrowthSpec, sampling the profile supremum when not supplied."""
-    if profile_sup is None:
-        if length is None:
-            raise ValueError("growth_spec needs either profile_sup or length")
-        profile_sup = profile_supremum(profile, length)
+    """Build a GrowthSpec; ``profile_sup`` is sup |profile| over the habitat."""
     return GrowthSpec(family, profile, scales, float(profile_sup))
 
 

@@ -23,7 +23,13 @@ from .attractor import (
     step_constants_closed_form,
     step_constants_numeric,
 )
-from .config import ScenarioConfig, build_operator, build_scenario_grid, initial_condition
+from .config import (
+    NONLINEARITIES,
+    ScenarioConfig,
+    build_operator,
+    build_scenario_grid,
+    initial_condition,
+)
 from .exceptions import ConfigError, NoContractionError
 from .grid import sup_norm, total_population
 from .models import SEASON_PATTERNS
@@ -401,33 +407,6 @@ class SemilinearRunReport:
     fibers: tuple
 
 
-def _make_zero(params, dim):
-    return (lambda u: np.zeros(dim)), 0.0
-
-
-def _make_constant(params, dim):
-    value = params.get("value", 1.0)
-    if np.isscalar(value):
-        c = np.full(dim, float(value))
-    else:
-        c = np.asarray(value, dtype=float)
-        if c.shape != (dim,):
-            raise ConfigError(f"semilinear constant value needs {dim} entries")
-    return (lambda u: c), 0.0
-
-
-def _make_bounded_sigmoid(params, dim):
-    scale = float(params.get("scale", 1.0))
-    return (lambda u: scale * np.tanh(u)), abs(scale)
-
-
-_SEMILINEAR_NONLINEARITIES = {
-    "zero": _make_zero,
-    "constant": _make_constant,
-    "bounded-sigmoid": _make_bounded_sigmoid,
-}
-
-
 def run_semilinear(cfg: ScenarioConfig, out_dir) -> SemilinearRunReport:
     """Pullback fibers of the configured semilinear demo system."""
     if cfg.semilinear is None:
@@ -435,7 +414,7 @@ def run_semilinear(cfg: ScenarioConfig, out_dir) -> SemilinearRunReport:
     sc = cfg.semilinear
     out = Path(out_dir)
 
-    make = _SEMILINEAR_NONLINEARITIES[sc.nonlinearity]
+    make = NONLINEARITIES[sc.nonlinearity][1]
     nonlinearity, kappa = make(sc.nonlinearity_params, sc.dimension)
     kappas = sc.kappas if sc.kappas is not None else (kappa,) * len(sc.matrices)
     system = build_semilinear(

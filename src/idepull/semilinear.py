@@ -2,8 +2,8 @@
 
 Constants follow one norm family throughout: vectors carry the max-norm
 and matrices its induced operator norm (max absolute row sum).  The
-pullback limit is certified through the per-period contraction product
-prod (alpha_r + gamma * kappa_r) < 1.
+pullback limit is certified through the per-period contraction factor
+gamma * prod (alpha_r + gamma * kappa_r) < 1.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .attractor import IterateContractionProblem, fixed_point_iterate
 from .dynamics import trajectory
-from .exceptions import BudgetExceededError, NoContractionError, TimeOrderError
+from .exceptions import BudgetExceededError, TimeOrderError
 
 __all__ = [
     "SemilinearSystem",
@@ -261,32 +262,33 @@ def pullback_limit(
     """Periodic fibers by deepening the pullback one period at a time.
 
     Starting ever further in the past is, by periodicity, the same as
-    applying one more period to the previous sweep.  When gamma * q < 1
-    the geometric tail gamma q / (1 - gamma q) * last_update certifies the
-    remaining error, and iteration stops once both the update (the largest
-    max-norm move of a per-class fiber) and that tail are at most ``tol``.
-    Otherwise it stops on the update alone and reports an infinite tail.
+    applying one more period to the previous sweep.  The tuple of the
+    theta fibers of one period is iterated by :func:`fixed_point_iterate`
+    with factor gamma * q in the largest per-class max-norm, so it stops
+    once the tail gamma q / (1 - gamma q) * last_update is at most ``tol``
+    and reports that tail.  gamma * q >= 1 raises ``NoContractionError``.
     """
+    theta = sys.theta
     q = contraction_product(sys)
-    if q >= 1.0:
-        raise NoContractionError(f"per-period contraction product {q} is not below 1")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    periods, last_update = 0, math.nan
 
-    theta, d = sys.theta, sys.dim
-    gq = sys.gamma * q
-    state = np.zeros(d) if u0 is None else np.asarray(u0, dtype=float)
-    fibers: tuple[np.ndarray, ...] | None = None
-    for period in range(1, max_periods + 1):
-        segment = trajectory(sys, 0, theta, state)
-        new, state = segment.states[:theta], segment.states[theta]
-        if fibers is not None:
-            update = max(_vec_norm(a - b) for a, b in zip(new, fibers))
-            tail = gq / (1.0 - gq) * update if gq < 1.0 else math.inf
-            if update <= tol and (tail <= tol or gq >= 1.0):
-                report = PullbackReport(period, update, tail, q, sys.estimated)
-                return tuple(f.copy() for f in new), report
-        fibers = new
-    raise BudgetExceededError(
-        f"pullback limit did not settle within {max_periods} periods (q = {q})"
+    def period(start: np.ndarray) -> tuple[np.ndarray, ...]:
+        nonlocal periods
+        if periods >= max_periods:
+            raise BudgetExceededError(
+                f"pullback limit did not settle within {max_periods} periods (q = {q})"
+            )
+        periods += 1
+        return trajectory(sys, 0, theta - 1, start).states
+
+    def update(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> float:
+        nonlocal last_update
+        last_update = max(_vec_norm(x - y) for x, y in zip(a, b))
+        return last_update
+
+    problem = IterateContractionProblem(
+        lambda fibers: period(sys.step(theta - 1, fibers[-1])), update, 1, sys.gamma * q
     )
+    start = np.zeros(sys.dim) if u0 is None else np.array(u0, dtype=float)
+    fibers, tail = fixed_point_iterate(problem, period(start), tol)
+    return fibers, PullbackReport(periods, last_update, tail, q, sys.estimated)

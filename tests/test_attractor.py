@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -53,6 +54,14 @@ class TestCertify:
             certify_contraction([-0.1], window=1)
         with pytest.raises(ValueError):
             certify_contraction([0.5], window=0)
+
+    def test_numeric_constants_are_absolute_row_sums(self, seasonal_op):
+        op, _ = seasonal_op
+        lams = ip.step_constants_numeric(op)
+        mass = float(np.max(np.sum(np.abs(op.matrices[0]), axis=1)))
+        assert lams[0] == op.growth.beta(0) * mass
+        flipped = dataclasses.replace(op, matrices=tuple(-m for m in op.matrices))
+        assert ip.step_constants_numeric(flipped) == lams
 
     def test_half_contraction_schedule(self):
         amplitude = ip.half_contraction_amplitude(365, 10.0, 6.0, 9.0)
@@ -365,6 +374,22 @@ class TestFixedPointIterate:
         x, err = fixed_point_iterate(problem, 4.2, 1e-15)
         assert x == 4.2 and err == 0.0
 
+    def test_stops_on_a_posteriori_bound(self):
+        # the map is constant, so the second window moves nothing; the a-priori
+        # count for the declared factor 0.9 would be about 290 windows
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return 2.0
+
+        problem = IterateContractionProblem(
+            step=step, distance=lambda a, b: abs(a - b), order=1, factor=0.9
+        )
+        x, err = fixed_point_iterate(problem, 0.0, 1e-12)
+        assert len(calls) <= 2
+        assert x == 2.0 and err <= 1e-12
+
     def test_no_contraction(self):
         problem = IterateContractionProblem(
             step=lambda x: x, distance=lambda a, b: abs(a - b), order=1, factor=1.0
@@ -378,3 +403,9 @@ class TestFixedPointIterate:
         )
         with pytest.raises(DivergentInputError):
             fixed_point_iterate(problem, float("inf"), 1e-6)
+        # a wrongly declared factor: the second window overflows
+        problem = IterateContractionProblem(
+            step=lambda x: 1e200 * x, distance=lambda a, b: abs(a - b), order=1, factor=0.5
+        )
+        with pytest.raises(DivergentInputError):
+            fixed_point_iterate(problem, 1.0, 1e-6)

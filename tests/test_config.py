@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,35 @@ semilinear:
     cfg = parse_config(text)
     assert cfg.semilinear.dimension == 2
     assert cfg.semilinear.nonlinearity == "constant"
+
+
+def test_nonlinearity_keys_checked_against_name():
+    base = GOOD + """
+semilinear:
+  dimension: 2
+  matrices:
+    - [[0.5, 0.0], [0.0, 0.5]]
+  nonlinearity: {NL}
+"""
+    for nl in ("{name: zero, value: 5.0}", "{name: bounded-sigmoid, value: 3.0}"):
+        with pytest.raises(ConfigError, match=r"config\.semilinear\.nonlinearity: unknown keys"):
+            parse_config(base.replace("{NL}", nl))
+    parse_config(base.replace("{NL}", "{name: bounded-sigmoid, scale: 0.5}"))
+    with pytest.raises(ConfigError, match=r"config\.semilinear\.nonlinearity\.value"):
+        parse_config(base.replace("{NL}", "{name: constant, value: [1.0, 1.0, 1.0]}"))
+
+
+def test_profile_sup_is_exact_supremum():
+    def sup(text):
+        return build_operator(parse_config(text)).growth.profile_sup
+
+    assert sup(GOOD) == 9.0  # vee 3 + 2 |x| on [-3, 3]
+    assert sup(Path("configs/seasonal_beverton_holt.yaml").read_text()) == 9.0
+    assert sup(Path("configs/semilinear_demo.yaml").read_text()) == 9.0
+    # 7 subintervals: x = 0, where 5 - |x| peaks, is not a node
+    odd = GOOD.replace("nodes: 40", "nodes: 7")
+    assert sup(odd.replace("profile: vee", "profile: vee\n  profile_params: "
+                           "{offset: 5.0, slope: -1.0}")) == 5.0
+    assert sup(GOOD.replace("profile: vee", "profile: flat\n  profile_params: "
+                            "{value: 2.5}")) == 2.5
+    assert sup(GOOD.replace("profile: vee", "profile: vee\n  profile_sup: 12.0")) == 12.0

@@ -178,10 +178,6 @@ class TestGrowth:
         z = rng.uniform(-8, 8, size=1000)
         assert np.all(np.abs(growth_eval(spec, 0, x, z)) <= bound + 1e-12)
 
-    def test_profile_sup_sampled_when_missing(self):
-        spec = growth_spec("beverton_holt", lambda x: 2 * np.abs(x) + 3, (1.0,), length=6.0)
-        assert spec.profile_sup == 9.0
-
     def test_periodic_scales(self):
         spec = growth_spec("beverton_holt", flat(1.0), (0.5, 1.5), profile_sup=1.0)
         assert spec.beta(0) == 0.5

@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from idepull import (
+    BudgetExceededError,
     NoContractionError,
     TimeOrderError,
     build_semilinear,
@@ -14,6 +16,9 @@ from idepull import (
     transition,
     variation_of_constants,
 )
+from idepull.cli import main
+from idepull.config import load_config
+from idepull.reporting import run_semilinear
 
 
 def norm(v):
@@ -181,6 +186,49 @@ class TestPullbackLimit:
         sys = build_semilinear([1.1 * np.eye(2)], lambda u: np.zeros(2), kappas=(0.0,))
         with pytest.raises(NoContractionError):
             pullback_limit(sys, 1e-9)
+
+    def test_stops_on_tail_before_update(self):
+        # factor 0.2: the tail 0.2 / 0.8 * update is a quarter of the last update
+        sys = build_semilinear([np.array([[0.2]])], lambda u: np.array([1.0]), kappas=(0.0,))
+        tol = 1e-12
+        fibers, report = pullback_limit(sys, tol, u0=np.zeros(1))
+        assert report.tail_bound <= tol < report.last_update
+        assert report.periods == 19
+        # the tail is exact for this affine map, so allow the fiber's rounding
+        assert abs(fibers[0][0] - 1.25) <= report.tail_bound + 1e-15
+
+    def test_gamma_q_at_least_one_rejected(self, tmp_path):
+        # q = alpha = 0.6 < 1, but gamma * q = 1.5 leaves no certificate
+        sys = build_semilinear(
+            [np.array([[0.5, 1.0], [0.0, 0.5]])], lambda u: np.zeros(2),
+            kappas=(0.0,), gamma=2.5, alphas=(0.6,),
+        )
+        assert contraction_product(sys) < 1.0
+        with pytest.raises(NoContractionError):
+            pullback_limit(sys, 1e-9)
+
+        demo = Path("configs/semilinear_demo.yaml").read_text()
+        text = demo[: demo.index("semilinear:")] + """semilinear:
+  dimension: 2
+  matrices:
+    - [[0.5, 1.0], [0.0, 0.5]]
+  alphas: [0.6]
+  gamma: 2.5
+  kappas: [0.0]
+"""
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        assert main(["semilinear", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_max_periods_guard(self):
+        sys = build_semilinear([np.array([[0.9]])], lambda u: np.array([1.0]), kappas=(0.0,))
+        with pytest.raises(BudgetExceededError):
+            pullback_limit(sys, 1e-10, max_periods=5)
+
+    def test_shipped_demo_settles_after_15_periods(self, tmp_path):
+        report = run_semilinear(load_config("configs/semilinear_demo.yaml"), tmp_path)
+        assert report.periods == 15
+        assert report.tail_bound <= 1e-12
 
 
 class TestBuilder:
