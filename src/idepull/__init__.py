@@ -49,7 +49,6 @@ from .models import (
 from .dynamics import (
     HammersteinOperator,
     PointwiseOperator,
-    TrajectorySegment,
     build_hammerstein,
     build_pointwise,
     general_solution,
@@ -64,8 +63,8 @@ from .attractor import (
     apriori_distance_bound,
     attraction_rate,
     certify_contraction,
-    closed_form_fully_in_range,
     fixed_point_iterate,
+    kernel_masses,
     pullback_fibers,
     required_iterations,
     step_constants_closed_form,

@@ -27,7 +27,7 @@ from .exceptions import (
     NoContractionError,
 )
 from .grid import GridFunction, sup_distance, sup_norm
-from .models import growth_curve, growth_sup_bound, kernel_bound, kernel_bound_numeric
+from .models import growth_curve, growth_sup_bound, kernel_bound
 from .dynamics import HammersteinOperator, general_solution, trajectory
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
     "AttractorFibers",
     "IterateContractionProblem",
     "certify_contraction",
-    "closed_form_fully_in_range",
+    "kernel_masses",
     "step_constants_closed_form",
     "step_constants_numeric",
     "apriori_distance_bound",
@@ -103,20 +103,40 @@ def certify_contraction(
     return ContractionCertificate(int(window), lams, factor, periodic)
 
 
-def _kernel_bound_or_numeric(op: HammersteinOperator, r: int) -> float:
-    try:
-        return kernel_bound(op.kernel, r, op.grid.length)
-    except BoundFormulaOutOfRangeError:
-        return kernel_bound_numeric(op.kernel, r, op.grid)
+def _max_row_sum(matrix: np.ndarray) -> float:
+    # The registered kernels and weights are nonnegative, so the plain row
+    # sums are the absolute row sums, without an n x n temporary.
+    return float(np.max(np.sum(matrix if matrix.min() >= 0 else np.abs(matrix), axis=1)))
+
+
+def kernel_masses(op: HammersteinOperator) -> tuple[tuple[float, ...], bool]:
+    """Kernel mass bound sup_x int |k_t(x, y)| dy of each time class.
+
+    Takes each distinct cached matrix once: its mass is the closed form
+    :func:`kernel_bound` of a class using it or, where that formula is out
+    of range (tent kernels on wide supports), the largest absolute row sum
+    of the matrix itself.  Also returns whether every mass is closed-form.
+    """
+    per_matrix: dict[int, float] = {}
+    closed = True
+    for r, i in enumerate(op.matrix_index):
+        if i not in per_matrix:
+            try:
+                per_matrix[i] = kernel_bound(op.kernel, r, op.grid.length)
+            except BoundFormulaOutOfRangeError:
+                per_matrix[i] = _max_row_sum(op.matrices[i])
+                closed = False
+    return tuple(per_matrix[i] for i in op.matrix_index), closed
 
 
 def step_constants_closed_form(op: HammersteinOperator) -> tuple[float, ...]:
     """Closed-form per-step Lipschitz constants over one period.
 
-    Falls back to the quadrature bound for time classes where the closed
-    form is out of range (tent kernels on wide supports).
+    Uses the row-sum mass of the discretized operator for time classes
+    where the closed form is out of range (see :func:`kernel_masses`).
     """
-    return tuple(op.growth.beta(r) * _kernel_bound_or_numeric(op, r) for r in range(op.theta))
+    masses, _ = kernel_masses(op)
+    return tuple(op.growth.beta(r) * m for r, m in enumerate(masses))
 
 
 def step_constants_numeric(op: HammersteinOperator) -> tuple[float, ...]:
@@ -124,25 +144,11 @@ def step_constants_numeric(op: HammersteinOperator) -> tuple[float, ...]:
 
     Uses the cached weighted kernel matrices: the discrete mass bound is
     the largest absolute row sum, so no kernel re-evaluation is needed.
-    The registered kernels and weights are nonnegative, so the plain row
-    sums are those absolute row sums, without an n x n temporary.
     """
-    mass = [
-        float(np.max(np.sum(m if m.min() >= 0 else np.abs(m), axis=1))) for m in op.matrices
-    ]
+    mass = [_max_row_sum(m) for m in op.matrices]
     return tuple(
         op.growth.beta(r) * mass[op.matrix_index[r]] for r in range(op.theta)
     )
-
-
-def closed_form_fully_in_range(op: HammersteinOperator) -> bool:
-    """Whether the closed-form kernel bound is valid for every time class."""
-    for r in range(op.theta):
-        try:
-            kernel_bound(op.kernel, r, op.grid.length)
-        except BoundFormulaOutOfRangeError:
-            return False
-    return True
 
 
 def apriori_distance_bound(
@@ -169,12 +175,10 @@ def apriori_distance_bound(
         raise ValueError(f"window must be >= 1, got {window}")
     forcing_sup = op.forcing_sup()
     theta = op.theta
+    masses, _ = kernel_masses(op)
 
     if mode == "upper-bound":
-        l1 = max(
-            _kernel_bound_or_numeric(op, r) * growth_sup_bound(op.growth, r)
-            for r in range(theta)
-        )
+        l1 = max(masses[r] * growth_sup_bound(op.growth, r) for r in range(theta))
     elif mode == "trajectory":
         l1 = 0.0
         for s in range(theta):
@@ -182,7 +186,7 @@ def apriori_distance_bound(
             r = (s - 1) % theta
             b = op.growth.scale_at(r) * op.profile_values
             g_sup = float(np.max(np.abs(growth_curve(op.growth.family, b, state.values))))
-            l1 = max(l1, _kernel_bound_or_numeric(op, r) * g_sup)
+            l1 = max(l1, masses[r] * g_sup)
     else:
         raise ValueError(f"unknown distance bound mode {mode!r}")
 
@@ -279,7 +283,7 @@ def pullback_fibers(
         )
 
     state = general_solution(op, 0, -budget.total_steps, u0)
-    fibers = trajectory(op, 0, theta - 1, state).states
+    fibers = trajectory(op, 0, theta - 1, state)
 
     certified = (
         certificate.factor**budget.windows

@@ -1,12 +1,13 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 configuration error, 2 no contraction,
+Exit codes: 0 success, 1 configuration or usage error, 2 no contraction,
 3 iteration budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .exceptions import BudgetExceededError, ConfigError, NoContractionError
@@ -22,28 +23,46 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub, variant=True):
-    sub.add_argument("--config", required=True, help="scenario config file (YAML)")
-    sub.add_argument("--out", required=True, help="output directory for CSV artifacts")
-    sub.add_argument("--nodes", type=int, default=None, help="override grid subintervals")
-    sub.add_argument("--tol", type=float, default=None, help="override tolerance")
-    if variant:
-        sub.add_argument("--variant", choices=tuple(SEASON_PATTERNS), default=None,
-                         help="override seasonal support variant")
+def _checked(convert, ok, expected):
+    def parse(text):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_FLAGS = {
+    "nodes": dict(type=_checked(int, lambda v: v >= 1, "an integer >= 1"),
+                  help="override grid subintervals"),
+    "tol": dict(type=_checked(float, lambda v: math.isfinite(v) and v > 0,
+                              "a finite number > 0"),
+                help="override tolerance"),
+    "variant": dict(choices=tuple(SEASON_PATTERNS), help="override seasonal support variant"),
+}
+
+# subcommand -> (help, the override flags it reads)
+_COMMANDS = {
+    "simulate": ("forward orbit from the initial state", ("nodes", "variant")),
+    "attractor": ("certified pullback attractor fibers", ("nodes", "tol", "variant")),
+    "compare": ("rank the four seasonal support variants", ("nodes", "tol")),
+    "semilinear": ("semilinear demo pullback fibers", ()),
+    "lipschitz": ("step-constant table and budget", ("nodes", "variant")),
+    "convergence": ("node-refinement study", ("nodes", "tol", "variant")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="idepull", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(subs.add_parser("simulate", help="forward orbit from the initial state"))
-    _add_common(subs.add_parser("attractor", help="certified pullback attractor fibers"))
-    _add_common(subs.add_parser("compare", help="rank the four seasonal support variants"),
-                variant=False)
-    _add_common(subs.add_parser("semilinear", help="semilinear demo pullback fibers"),
-                variant=False)
-    _add_common(subs.add_parser("lipschitz", help="step-constant table and budget"))
-    _add_common(subs.add_parser("convergence", help="node-refinement study"))
+    for command, (help_text, flags) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--config", required=True, help="scenario config file (YAML)")
+        sub.add_argument("--out", required=True, help="output directory for CSV artifacts")
+        for flag in flags:
+            sub.add_argument(f"--{flag}", default=None, **_FLAGS[flag])
     return parser
 
 

@@ -28,7 +28,6 @@ from .models import (
 __all__ = [
     "HammersteinOperator",
     "PointwiseOperator",
-    "TrajectorySegment",
     "build_hammerstein",
     "build_pointwise",
     "general_solution",
@@ -208,24 +207,8 @@ def general_solution(op, t: int, tau: int, u: GridFunction) -> GridFunction:
     return state
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectorySegment:
-    """Forward solution states u_tau, ..., u_{tau+steps}."""
-
-    start: int
-    states: tuple[GridFunction, ...]
-
-    @property
-    def steps(self) -> int:
-        return len(self.states) - 1
-
-    def state_at(self, t: int) -> GridFunction:
-        if not self.start <= t <= self.start + self.steps:
-            raise IndexError(f"time {t} outside segment [{self.start}, {self.start + self.steps}]")
-        return self.states[t - self.start]
-
-
-def trajectory(op, tau: int, steps: int, u0: GridFunction) -> TrajectorySegment:
+def trajectory(op, tau: int, steps: int, u0: GridFunction) -> tuple[GridFunction, ...]:
+    """Forward solution states u_tau, ..., u_{tau+steps} through ``(tau, u0)``."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     states = [u0]
@@ -233,13 +216,13 @@ def trajectory(op, tau: int, steps: int, u0: GridFunction) -> TrajectorySegment:
     for s in range(tau, tau + steps):
         state = op.step(s, state)
         states.append(state)
-    return TrajectorySegment(tau, tuple(states))
+    return tuple(states)
 
 
-def replay_matches(op, segment: TrajectorySegment) -> bool:
-    """Exact determinism check: recomputing each step reproduces the segment."""
-    for offset in range(segment.steps):
-        recomputed = op.step(segment.start + offset, segment.states[offset])
-        if not np.array_equal(recomputed.values, segment.states[offset + 1].values):
+def replay_matches(op, tau: int, states) -> bool:
+    """Exact determinism check: stepping each state from time ``tau`` on reproduces the next."""
+    for offset in range(len(states) - 1):
+        recomputed = op.step(tau + offset, states[offset])
+        if not np.array_equal(recomputed.values, states[offset + 1].values):
             return False
     return True

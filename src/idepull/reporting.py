@@ -14,10 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .attractor import (
-    ContractionCertificate,
     apriori_distance_bound,
     certify_contraction,
-    closed_form_fully_in_range,
+    kernel_masses,
     pullback_fibers,
     required_iterations,
     step_constants_closed_form,
@@ -121,47 +120,30 @@ class RunReport:
     wall_time_s: float
 
 
-_REPORT_KEYS = (
-    "schema_version", "command", "variant", "length", "nodes", "theta",
-    "tolerance", "rule", "window", "contraction_factor",
-    "contraction_factor_numeric", "distance_bound",
-    "distance_bound_mode", "windows", "total_steps", "certified_error",
-    "lipschitz_source", "mean_total_population", "sup_norm_min",
-    "sup_norm_max", "wall_time_s",
-)
-
-
 def _write_report_csv(path: Path, command: str, report: RunReport) -> None:
-    values = {
-        "schema_version": 1,
-        "command": command,
-        "variant": report.variant,
-        "length": report.length,
-        "nodes": report.nodes,
-        "theta": report.theta,
-        "tolerance": report.tolerance,
-        "rule": report.rule,
-        "window": report.window,
-        "contraction_factor": report.contraction_factor,
-        "contraction_factor_numeric": report.contraction_factor_numeric,
-        "distance_bound": report.distance_bound,
-        "distance_bound_mode": report.distance_bound_mode,
-        "windows": report.windows,
-        "total_steps": report.total_steps,
-        "certified_error": report.certified_error,
-        "lipschitz_source": report.lipschitz_source,
-        "mean_total_population": report.mean_total_population,
-        "sup_norm_min": min(report.fiber_sup_norms),
-        "sup_norm_max": max(report.fiber_sup_norms),
-        "wall_time_s": report.wall_time_s,
-    }
-    _write_csv(path, ("key", "value"), [(k, values[k]) for k in _REPORT_KEYS])
-
-
-def _certificate_for(op) -> tuple[ContractionCertificate, str]:
-    lams = step_constants_closed_form(op)
-    source = "closed-form" if closed_form_fully_in_range(op) else "numeric"
-    return certify_contraction(lams, op.theta), source
+    _write_csv(path, ("key", "value"), [
+        ("schema_version", 1),
+        ("command", command),
+        ("variant", report.variant),
+        ("length", report.length),
+        ("nodes", report.nodes),
+        ("theta", report.theta),
+        ("tolerance", report.tolerance),
+        ("rule", report.rule),
+        ("window", report.window),
+        ("contraction_factor", report.contraction_factor),
+        ("contraction_factor_numeric", report.contraction_factor_numeric),
+        ("distance_bound", report.distance_bound),
+        ("distance_bound_mode", report.distance_bound_mode),
+        ("windows", report.windows),
+        ("total_steps", report.total_steps),
+        ("certified_error", report.certified_error),
+        ("lipschitz_source", report.lipschitz_source),
+        ("mean_total_population", report.mean_total_population),
+        ("sup_norm_min", min(report.fiber_sup_norms)),
+        ("sup_norm_max", max(report.fiber_sup_norms)),
+        ("wall_time_s", report.wall_time_s),
+    ])
 
 
 def _states_csv_rows(states, grid):
@@ -186,7 +168,8 @@ def run_attractor(
     op = build_operator(cfg, grid, variant)
     u0 = initial_condition(cfg.initial_id, cfg.initial_params, grid)
 
-    certificate, source = _certificate_for(op)
+    certificate = certify_contraction(step_constants_closed_form(op), op.theta)
+    source = "closed-form" if kernel_masses(op)[1] else "numeric"
     numeric_factor = certify_contraction(step_constants_numeric(op), op.theta).factor
     if not certificate.valid:
         raise NoContractionError(
@@ -199,7 +182,7 @@ def run_attractor(
     extension = trajectory(
         op, op.theta - 1, max(0, cfg.horizon + 1 - op.theta), fibers.fibers[-1]
     )
-    states = (fibers.fibers + extension.states[1:])[: cfg.horizon + 1]
+    states = (fibers.fibers + extension[1:])[: cfg.horizon + 1]
 
     totals = tuple(total_population(f) for f in fibers.fibers)
     sups = tuple(sup_norm(f) for f in fibers.fibers)
@@ -258,19 +241,19 @@ def run_simulation(
     grid = build_scenario_grid(cfg, nodes)
     op = build_operator(cfg, grid, variant)
     u0 = initial_condition(cfg.initial_id, cfg.initial_params, grid)
-    segment = trajectory(op, 0, cfg.horizon, u0)
+    states = trajectory(op, 0, cfg.horizon, u0)
 
-    totals = tuple(total_population(s) for s in segment.states)
+    totals = tuple(total_population(s) for s in states)
     _write_csv(
         out / "trajectory.csv", ("t", "node", "x", "value"),
-        _states_csv_rows(segment.states, grid),
+        _states_csv_rows(states, grid),
     )
     _write_csv(
         out / "totals.csv", ("t", "total_population"),
         [(t, v) for t, v in enumerate(totals)],
     )
     label = variant if variant is not None else (cfg.variant or "custom")
-    return TrajectoryReport(label, grid.n, segment.steps, totals, time.perf_counter() - started)
+    return TrajectoryReport(label, grid.n, cfg.horizon, totals, time.perf_counter() - started)
 
 
 @dataclass(frozen=True)
@@ -328,7 +311,7 @@ def lipschitz_report(
 
     numeric = step_constants_numeric(op)
     closed = step_constants_closed_form(op)
-    in_range = closed_form_fully_in_range(op)
+    _, in_range = kernel_masses(op)
 
     certificate = certify_contraction(closed, op.theta)
     rows = []

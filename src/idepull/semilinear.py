@@ -212,7 +212,7 @@ def variation_of_constants(sys: SemilinearSystem, t: int, tau: int, u: np.ndarra
     if t == tau:
         return u.copy()
 
-    inner = trajectory(sys, tau, t - 1 - tau, u).states
+    inner = trajectory(sys, tau, t - 1 - tau, u)
 
     acc = np.zeros(sys.dim)
     back = np.eye(sys.dim)  # Phi(t, s+1), built from s = t-1 downward
@@ -279,7 +279,7 @@ def pullback_limit(
                 f"pullback limit did not settle within {max_periods} periods (q = {q})"
             )
         periods += 1
-        return trajectory(sys, 0, theta - 1, start).states
+        return trajectory(sys, 0, theta - 1, start)
 
     def update(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> float:
         nonlocal last_update

@@ -21,6 +21,7 @@ from idepull import (
     sup_distance,
     sup_norm,
 )
+from conftest import make_seasonal_operator
 
 class TestCertify:
     def test_constant_sequence(self):
@@ -112,6 +113,35 @@ class TestDistanceBound:
         op, grid = seasonal_op
         with pytest.raises(ValueError):
             apriori_distance_bound(op, GridFunction.constant(grid, 0.0), 1, "exact")
+
+
+class TestKernelMasses:
+    # rate * length = 1.2 for class 0 (closed form), 6 for class 1 (out of range)
+    @pytest.fixture
+    def tent_op(self):
+        return make_seasonal_operator(n=200, theta=2, rate=(0.2, 1.0), kernel_family="tent")
+
+    def test_fallback_reads_cached_matrices(self, tent_op, monkeypatch):
+        op, grid = tent_op
+        calls = []
+        real = ip.models.kernel_eval
+        monkeypatch.setattr(
+            ip.models, "kernel_eval", lambda *args: calls.append(args) or real(*args)
+        )
+        u0 = GridFunction.constant(grid, 2.0)
+        ip.step_constants_closed_form(op)
+        apriori_distance_bound(op, u0, op.theta, "upper-bound")
+        apriori_distance_bound(op, u0, op.theta, "trajectory")
+        assert calls == []
+
+    def test_closed_form_or_row_sum_per_class(self, tent_op):
+        op, _ = tent_op
+        lams = ip.step_constants_closed_form(op)
+        assert lams[0] == op.growth.beta(0) * ip.kernel_bound(op.kernel, 0, 6.0)
+        assert lams[1] == ip.step_constants_numeric(op)[1]
+        masses, closed = ip.kernel_masses(op)
+        assert masses[0] == ip.kernel_bound(op.kernel, 0, 6.0)
+        assert not closed
 
 
 class TestRequiredIterations:

@@ -154,21 +154,21 @@ class TestTrajectory:
     def test_zero_steps(self, seasonal_op):
         op, grid = seasonal_op
         u = GridFunction.constant(grid, 1.0)
-        seg = trajectory(op, 3, 0, u)
-        assert seg.steps == 0
-        assert seg.state_at(3) is u
+        states = trajectory(op, 3, 0, u)
+        assert len(states) == 1
+        assert states[0] is u
 
     def test_one_step(self, seasonal_op):
         op, grid = seasonal_op
         u = GridFunction.constant(grid, 1.0)
-        seg = trajectory(op, 2, 1, u)
-        assert np.array_equal(seg.state_at(3).values, op.step(2, u).values)
+        states = trajectory(op, 2, 1, u)
+        assert np.array_equal(states[1].values, op.step(2, u).values)
 
     def test_replay_is_exact(self, seasonal_op, rng):
         op, grid = seasonal_op
         u = GridFunction(grid, rng.normal(size=grid.n + 1))
-        seg = trajectory(op, -4, 17, u)
-        assert replay_matches(op, seg)
+        states = trajectory(op, -4, 17, u)
+        assert replay_matches(op, -4, states)
 
     def test_negative_steps_rejected(self, seasonal_op):
         op, grid = seasonal_op

@@ -154,6 +154,7 @@ class TestLipschitzAndConvergence:
         report = run_attractor(cfg, tmp_path)
         assert report.lipschitz_source == "numeric"
         assert report.contraction_factor < 1.0
+        assert report.contraction_factor == report.contraction_factor_numeric
 
 
 class TestSemilinearRun:
@@ -204,6 +205,22 @@ class TestCliExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["attractor", "--config"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["attractor", "--nodes", "0"],
+        ["attractor", "--tol", "-1"],
+        ["attractor", "--tol", "nan"],
+        ["attractor", "--tol", "inf"],
+        ["semilinear", "--tol", "1e-3"],
+    ])
+    def test_bad_override_is_usage_error(self, tmp_path, capsys, argv):
+        cfg = self.write(tmp_path, SEMI)
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--config", cfg, "--out", str(tmp_path / "out")])
+        assert err.value.code == 1
+        stderr = capsys.readouterr().err
+        assert "error:" in stderr
+        assert "Traceback" not in stderr
 
     def test_no_contraction_is_2(self, tmp_path):
         text = SMALL.replace("alpha: 0.05", "alpha: 3.0")
