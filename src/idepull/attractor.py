@@ -27,7 +27,7 @@ from .exceptions import (
     NoContractionError,
 )
 from .grid import GridFunction, sup_distance, sup_norm
-from .models import growth_curve, growth_sup_bound, kernel_bound
+from .models import growth_curve, growth_lipschitz, growth_sup_bound, kernel_bound
 from .dynamics import HammersteinOperator, general_solution, trajectory
 
 __all__ = [
@@ -136,7 +136,7 @@ def step_constants_closed_form(op: HammersteinOperator) -> tuple[float, ...]:
     where the closed form is out of range (see :func:`kernel_masses`).
     """
     masses, _ = kernel_masses(op)
-    return tuple(op.growth.beta(r) * m for r, m in enumerate(masses))
+    return tuple(growth_lipschitz(op.growth, r) * m for r, m in enumerate(masses))
 
 
 def step_constants_numeric(op: HammersteinOperator) -> tuple[float, ...]:
@@ -147,7 +147,7 @@ def step_constants_numeric(op: HammersteinOperator) -> tuple[float, ...]:
     """
     mass = [_max_row_sum(m) for m in op.matrices]
     return tuple(
-        op.growth.beta(r) * mass[op.matrix_index[r]] for r in range(op.theta)
+        growth_lipschitz(op.growth, r) * mass[op.matrix_index[r]] for r in range(op.theta)
     )
 
 

@@ -161,7 +161,7 @@ class GrowthSpec:
 
     ``profile_sup`` is sup |profile| over the habitat; together with the
     scale schedule it yields the per-time bound beta_t = scale_t * profile_sup
-    serving as both the sup-bound datum and the Lipschitz constant.
+    from which the sup bound and the Lipschitz constant are derived.
     """
 
     family: str
@@ -236,9 +236,12 @@ def growth_sup_bound(spec: GrowthSpec, t: int) -> float:
 def growth_lipschitz(spec: GrowthSpec, t: int) -> float:
     """Global Lipschitz constant of z -> g_t(x, z), uniform in x.
 
-    All three families share the constant beta_t; for ricker this again
-    presumes beta_t >= 1 (the slope at z = 0 is 1 regardless of b).
+    beta_t for logistic and beverton_holt.  For ricker it is 1 whatever
+    beta_t: the slope of z exp(-b |z|) is exp(-b |z|) (1 - b |z|), which
+    equals 1 at z = 0 and has absolute value at most 1 for every b >= 0.
     """
+    if spec.family == "ricker":
+        return 1.0
     return spec.beta(t)
 
 

@@ -1,7 +1,8 @@
 """Run drivers and CSV artifacts.
 
-Numeric CSV cells use the shortest round-trip decimal representation, so
-re-parsing an emitted file reproduces the in-memory values bit for bit.
+Rows carry Python ``int``, ``float`` and ``str`` values, and ``csv.writer``
+writes a float as its shortest round-trip text (``repr``), so re-parsing an
+emitted file reproduces the in-memory values bit for bit.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from .config import (
 )
 from .exceptions import ConfigError, NoContractionError
 from .grid import sup_norm, total_population
-from .models import SEASON_PATTERNS
+from .models import SEASON_PATTERNS, growth_lipschitz
 from .semilinear import build_semilinear, contraction_product, pullback_limit
 from .dynamics import trajectory
 
@@ -52,23 +54,12 @@ __all__ = [
     "read_fibers_csv",
 ]
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: Path, header, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
@@ -146,10 +137,19 @@ def _write_report_csv(path: Path, command: str, report: RunReport) -> None:
     ])
 
 
-def _states_csv_rows(states, grid):
-    for t, state in enumerate(states):
-        for i, (x, v) in enumerate(zip(grid.nodes, state.values)):
-            yield (t, i, float(x), float(v))
+def _write_states_csv(out: Path, name: str, states, grid) -> tuple[float, ...]:
+    """Write ``<name>.csv`` (one row per node per day) and ``totals.csv``.
+
+    Returns the total population of each day.
+    """
+    nodes = grid.nodes.tolist()
+    index = range(len(nodes))
+    _write_csv(out / f"{name}.csv", ("t", "node", "x", "value"), chain.from_iterable(
+        zip(repeat(t), index, nodes, s.values.tolist()) for t, s in enumerate(states)
+    ))
+    totals = tuple(total_population(s) for s in states)
+    _write_csv(out / "totals.csv", ("t", "total_population"), enumerate(totals))
+    return totals
 
 
 def run_attractor(
@@ -184,6 +184,8 @@ def run_attractor(
     )
     states = (fibers.fibers + extension[1:])[: cfg.horizon + 1]
 
+    _write_states_csv(out, "fibers", states, grid)
+
     totals = tuple(total_population(f) for f in fibers.fibers)
     sups = tuple(sup_norm(f) for f in fibers.fibers)
     label = variant if variant is not None else (cfg.variant or "custom")
@@ -207,13 +209,6 @@ def run_attractor(
         fiber_sup_norms=sups,
         mean_total_population=float(np.mean(totals)),
         wall_time_s=time.perf_counter() - started,
-    )
-
-    _write_csv(out / "fibers.csv", ("t", "node", "x", "value"), _states_csv_rows(states, grid))
-    _write_csv(
-        out / "totals.csv",
-        ("t", "total_population"),
-        [(t, total_population(s)) for t, s in enumerate(states)],
     )
     _write_report_csv(out / "report.csv", "attractor", report)
     return report
@@ -242,16 +237,7 @@ def run_simulation(
     op = build_operator(cfg, grid, variant)
     u0 = initial_condition(cfg.initial_id, cfg.initial_params, grid)
     states = trajectory(op, 0, cfg.horizon, u0)
-
-    totals = tuple(total_population(s) for s in states)
-    _write_csv(
-        out / "trajectory.csv", ("t", "node", "x", "value"),
-        _states_csv_rows(states, grid),
-    )
-    _write_csv(
-        out / "totals.csv", ("t", "total_population"),
-        [(t, v) for t, v in enumerate(totals)],
-    )
+    totals = _write_states_csv(out, "trajectory", states, grid)
     label = variant if variant is not None else (cfg.variant or "custom")
     return TrajectoryReport(label, grid.n, cfg.horizon, totals, time.perf_counter() - started)
 
@@ -289,7 +275,7 @@ def compare_inhomogeneities(
         ("variant", "mean_total_population", "certified_error", "total_steps", "best"),
         [
             (v, reports[v].mean_total_population, reports[v].certified_error,
-             reports[v].total_steps, v == best)
+             reports[v].total_steps, "true" if v == best else "false")
             for v in variants
         ],
     )
@@ -316,8 +302,9 @@ def lipschitz_report(
     certificate = certify_contraction(closed, op.theta)
     rows = []
     for r in range(op.theta):
-        kb_closed = closed[r] / op.growth.beta(r) if op.growth.beta(r) else 0.0
-        kb_numeric = numeric[r] / op.growth.beta(r) if op.growth.beta(r) else 0.0
+        lip = growth_lipschitz(op.growth, r)
+        kb_closed = closed[r] / lip if lip else 0.0
+        kb_numeric = numeric[r] / lip if lip else 0.0
         rows.append((r, op.growth.beta(r), kb_closed, kb_numeric, closed[r], numeric[r]))
     _write_csv(
         out / "lipschitz.csv",
@@ -369,12 +356,7 @@ def run_convergence(
             }
         )
         previous = rep.mean_total_population
-    _write_csv(
-        out / "convergence.csv",
-        ("nodes", "mean_total_population", "certified_error", "delta_vs_previous"),
-        [(r["nodes"], r["mean_total_population"], r["certified_error"],
-          r["delta_vs_previous"]) for r in rows],
-    )
+    _write_csv(out / "convergence.csv", rows[0].keys(), (r.values() for r in rows))
     return rows
 
 
@@ -413,11 +395,7 @@ def run_semilinear(cfg: ScenarioConfig, out_dir) -> SemilinearRunReport:
     _write_csv(
         out / "fibers.csv",
         ("t", "component", "value"),
-        [
-            (t, i, float(v))
-            for t, fib in enumerate(fibers)
-            for i, v in enumerate(fib)
-        ],
+        [(t, i, v) for t, fib in enumerate(fibers) for i, v in enumerate(fib.tolist())],
     )
     _write_csv(
         out / "report.csv",

@@ -99,8 +99,9 @@ def build_semilinear(
     ||Phi(t, tau)|| / prod alpha_r over the windows of one period (at
     least 1), and kappa_r the largest difference quotient of K_r over
     random pairs.  Sampled constants are recorded in ``estimated`` and are
-    not certificates.  A declared gamma below that ratio, or a declared
-    kappa_r below a sampled difference quotient, raises ``ValueError``.
+    not certificates, so sampled kappas are not checked again.  A declared
+    gamma below that ratio, or a declared kappa_r below a sampled
+    difference quotient, raises ``ValueError``.
     """
     mats = tuple(np.array(m, dtype=float) for m in matrices)
     if not mats:
@@ -156,7 +157,8 @@ def build_semilinear(
             f"||Phi|| / prod alpha = {ratio} > gamma = {gamma}"
         )
 
-    _check_kappas(nls, kappas, d, rng)
+    if "kappas" not in estimated:
+        _check_kappas(nls, kappas, d, rng)
     return SemilinearSystem(mats, nls, kappas, gamma, alphas, frozenset(estimated))
 
 

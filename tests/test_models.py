@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from idepull import (
     KernelSpec,
     SeasonSchedule,
     build_grid,
+    build_hammerstein,
     growth_eval,
     growth_lipschitz,
     growth_spec,
@@ -19,8 +21,11 @@ from idepull import (
     kernel_bound,
     kernel_bound_numeric,
     kernel_eval,
+    kernel_masses,
     seasonal_scales,
+    step_constants_closed_form,
 )
+from idepull.cli import main
 
 
 def flat(value):
@@ -148,8 +153,8 @@ class TestGrowth:
         [
             ("logistic", 1.0, 3.0),
             ("beverton_holt", 0.7, 2.0),
-            # table constants for ricker require beta >= 1 and b >= 1/beta
             ("ricker", 1.0, 1.5),
+            ("ricker", 0.3, 1.5),
         ],
     )
     def test_lipschitz_bound_sampled(self, family, scale, profile_value):
@@ -185,6 +190,40 @@ class TestGrowth:
         assert max(spec.beta(t) for t in range(10)) < math.inf
         with pytest.raises(ValueError):
             growth_spec("beverton_holt", flat(1.0), (0.0,), profile_sup=1.0)
+
+
+class TestRicker:
+    # beta = 0.3 * 1.5 = 0.45 < 1, yet the slope of z exp(-b|z|) at z = 0 is 1
+    def spec(self):
+        return growth_spec("ricker", flat(1.5), (0.3,), profile_sup=1.5)
+
+    def test_lipschitz_constant_is_one(self):
+        spec = self.spec()
+        assert spec.beta(0) == pytest.approx(0.45, rel=1e-15)
+        assert growth_lipschitz(spec, 0) == 1.0
+        z = 1e-3
+        slope = growth_eval(spec, 0, 0.0, z) / z
+        assert 0.45 < slope <= growth_lipschitz(spec, 0)
+
+    def test_step_constants_are_kernel_masses(self):
+        grid = build_grid(6.0, 40)
+        support = InhomogeneitySpec.from_variant("h4", 4)
+        op = build_hammerstein(KernelSpec("laplace", 2.0), self.spec(), support, grid)
+        masses, _ = kernel_masses(op)
+        assert step_constants_closed_form(op) == masses
+
+    def test_shipped_scenario_with_ricker_growth_exceeds_budget(self, tmp_path, capsys):
+        text = (
+            Path("configs/seasonal_beverton_holt.yaml").read_text()
+            .replace("family: beverton_holt", "family: ricker")
+            .replace("alpha: auto", "alpha: 0.05")
+        )
+        cfg = tmp_path / "ricker.yaml"
+        cfg.write_text(text)
+        argv = ["attractor", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                "--nodes", "100"]
+        assert main(argv) == 3
+        assert "certified sweep needs" in capsys.readouterr().err
 
 
 class TestSeasons:

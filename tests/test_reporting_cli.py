@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 import idepull as ip
-from idepull import build_grid, parse_config
+from idepull import build_grid, parse_config, reporting
 from idepull.cli import main
 from idepull.reporting import (
     compare_inhomogeneities,
@@ -74,6 +76,17 @@ class TestRunAttractor:
             values = np.array(by_t[tt])
             assert float(np.max(np.abs(values))) == report.fiber_sup_norms[tt]
             assert float(np.dot(grid.weights, values)) == totals[tt]
+
+    def test_wall_time_includes_emission(self, small_cfg, tmp_path, monkeypatch):
+        write = reporting._write_csv
+
+        def slow_fibers(path, header, rows):
+            if path.name == "fibers.csv":
+                time.sleep(0.2)
+            write(path, header, rows)
+
+        monkeypatch.setattr(reporting, "_write_csv", slow_fibers)
+        assert run_attractor(small_cfg, tmp_path).wall_time_s >= 0.2
 
     def test_mean_matches_totals_recomputation(self, small_cfg, tmp_path):
         report = run_attractor(small_cfg, tmp_path)
@@ -175,6 +188,38 @@ class TestSemilinearRun:
     def test_missing_section(self, small_cfg, tmp_path):
         with pytest.raises(ip.ConfigError):
             run_semilinear(small_cfg, tmp_path)
+
+
+class TestCsvCells:
+    INT_COLUMNS = {"t", "node", "component", "nodes", "time_class", "total_steps",
+                   "schema_version", "theta", "window", "windows", "periods", "dimension"}
+    TEXT_COLUMNS = {"command", "variant", "rule", "distance_bound_mode",
+                    "lipschitz_source", "estimated"}
+
+    def test_cells_are_canonical(self, tmp_path):
+        # floats as their shortest round-trip text, ints as decimal digits
+        cfg = parse_config(SEMI)
+        run_attractor(cfg, tmp_path / "attractor")
+        compare_inhomogeneities(cfg, tmp_path / "compare")
+        run_simulation(cfg, tmp_path / "simulate")
+        lipschitz_report(cfg, tmp_path / "lipschitz")
+        run_convergence(cfg, tmp_path / "convergence", nodes=20)
+        run_semilinear(cfg, tmp_path / "semilinear")
+        paths = sorted(tmp_path.rglob("*.csv"))
+        assert len(paths) == 28
+        for path in paths:
+            header, rows = read_csv_rows(path)
+            assert rows, path
+            for row in rows:
+                # report.csv is a key/value table: the key names the value's type
+                cells = [tuple(row)] if header == ["key", "value"] else zip(header, row)
+                for name, cell in cells:
+                    if name == "best":
+                        assert cell in {"true", "false"}, (path, name, cell)
+                    elif name in self.INT_COLUMNS:
+                        assert cell == str(int(cell)), (path, name, cell)
+                    elif name not in self.TEXT_COLUMNS:
+                        assert cell == repr(float(cell)), (path, name, cell)
 
 
 class TestCliExitCodes:

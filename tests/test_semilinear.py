@@ -257,6 +257,11 @@ class TestBuilder:
                 prod *= sys.alphas[s % 3]
                 assert np.linalg.norm(phi, ord=np.inf) <= sys.gamma * prod * (1 + 1e-12)
 
+    def test_sampled_kappa_not_rechecked(self):
+        # a sampled kappa is a lower estimate, so a fresh sample may exceed it
+        sys = build_semilinear([0.3 * np.eye(3)] * 8, lambda u: 0.2 * np.tanh(u))
+        assert "kappas" in sys.estimated
+
     def test_wrong_kappa_rejected(self, rng):
         mats = [np.eye(2) * 0.5]
         with pytest.raises(ValueError):
