@@ -21,7 +21,6 @@ from .grid import (
     GridFunction,
     build_grid,
     hausdorff_semidistance,
-    integrate,
     sup_distance,
     sup_norm,
     total_population,
@@ -36,7 +35,6 @@ from .models import (
     SeasonSchedule,
     growth_eval,
     growth_lipschitz,
-    growth_spec,
     growth_sup_bound,
     half_contraction_amplitude,
     hammerstein_lipschitz,

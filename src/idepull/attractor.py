@@ -26,7 +26,7 @@ from .exceptions import (
     DivergentInputError,
     NoContractionError,
 )
-from .grid import GridFunction, sup_distance, sup_norm
+from .grid import GridFunction, hausdorff_semidistance, sup_norm
 from .models import growth_curve, growth_lipschitz, growth_sup_bound, kernel_bound
 from .dynamics import HammersteinOperator, general_solution, trajectory
 
@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_STEPS = 10_000_000
+DISTANCE_BOUND_MODES = ("upper-bound", "trajectory")
 
 
 @dataclass(frozen=True)
@@ -314,7 +315,7 @@ def attraction_rate(
     out = np.empty(horizon + 1)
     for j in range(horizon + 1):
         t = tau + j
-        out[j] = max(sup_distance(s, fibers.fiber(t)) for s in states)
+        out[j] = hausdorff_semidistance(states, [fibers.fiber(t)])
         if j < horizon:
             states = [op.step(t, s) for s in states]
     return out
@@ -363,8 +364,6 @@ def fixed_point_iterate(
     d0 = float(problem.distance(x0, first))
     if not math.isfinite(d0):
         raise DivergentInputError(f"distance after one window is {d0}")
-    if d0 == 0.0:
-        return x0, 0.0
 
     budget = required_iterations(problem.factor, d0, tol, problem.order)
     if budget.windows == 0:

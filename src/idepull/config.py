@@ -22,17 +22,18 @@ from .models import (
     InhomogeneitySpec,
     KernelSpec,
     SEASON_PATTERNS,
-    growth_spec,
+    GrowthSpec,
     half_contraction_amplitude,
     seasonal_scales,
 )
 from .dynamics import HammersteinOperator, build_hammerstein
+from .attractor import DEFAULT_MAX_STEPS, DISTANCE_BOUND_MODES
 
 __all__ = [
     "SCHEMA_VERSION",
     "PROFILES",
     "NONLINEARITIES",
-    "INITIAL_IDS",
+    "INITIAL_CONDITIONS",
     "ScenarioConfig",
     "SemilinearConfig",
     "parse_config",
@@ -44,23 +45,21 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-INITIAL_IDS = ("default", "constant", "custom-polynomial")
 
-
-def _vee(params: Mapping[str, float], length: float) -> tuple[Callable, float]:
+def _vee(params: Mapping[str, float], length: float) -> tuple[Callable, tuple[float, float]]:
     offset = float(params.get("offset", 3.0))
     slope = float(params.get("slope", 2.0))
-    # affine in |x| on [0, L/2], so |profile| peaks at x = 0 or |x| = L/2
-    sup = max(abs(offset), abs(offset + slope * length / 2))
-    return (lambda x: offset + slope * np.abs(x)), sup
+    # affine in |x| on [0, L/2], so the profile's extremes are at x = 0 and |x| = L/2
+    low, high = sorted((offset, offset + slope * length / 2))
+    return (lambda x: offset + slope * np.abs(x)), (low, high)
 
 
-def _flat(params: Mapping[str, float], length: float) -> tuple[Callable, float]:
+def _flat(params: Mapping[str, float], length: float) -> tuple[Callable, tuple[float, float]]:
     value = float(params.get("value", 1.0))
-    return (lambda x: np.full_like(np.asarray(x, dtype=float), value)), abs(value)
+    return (lambda x: np.full_like(np.asarray(x, dtype=float), value)), (value, value)
 
 
-# name -> (parameter keys, builder(params, length) -> (profile, exact sup |profile|))
+# name -> (parameter keys, builder(params, length) -> (profile, exact (min, max) on the habitat))
 PROFILES = {
     "vee": ({"offset", "slope"}, _vee),
     "flat": ({"value"}, _flat),
@@ -87,6 +86,26 @@ NONLINEARITIES = {
     "zero": (set(), _zero),
     "constant": ({"value"}, _constant),
     "bounded-sigmoid": ({"scale"}, _bounded_sigmoid),
+}
+
+
+def _default_density(params: Mapping, x: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(x) <= 1.0, 2.0 * x * x + 0.5, 2.5)
+
+
+def _constant_density(params: Mapping, x: np.ndarray) -> np.ndarray:
+    return np.full_like(x, float(params["value"]))
+
+
+def _polynomial_density(params: Mapping, x: np.ndarray) -> np.ndarray:
+    return np.polynomial.polynomial.polyval(x, np.asarray(params["coefficients"], dtype=float))
+
+
+# id -> (required parameter keys, builder(params, nodes) -> node values)
+INITIAL_CONDITIONS = {
+    "default": (set(), _default_density),
+    "constant": ({"value"}, _constant_density),
+    "custom-polynomial": ({"coefficients"}, _polynomial_density),
 }
 
 
@@ -351,9 +370,14 @@ def parse_config(text: str) -> ScenarioConfig:
     _reject_unknown(profile_params, PROFILES[profile_id][0], "config.growth.profile_params")
     for key in profile_params:
         _get_number(profile_params, key, "config.growth.profile_params")
+    low, high = PROFILES[profile_id][1](profile_params, length)[1]
+    if low < 0:
+        raise _err("config.growth.profile_params",
+                   f"profile {profile_id!r} falls to {low} on the habitat; it must be >= 0")
     profile_sup = _get_number(growth_raw, "profile_sup", "config.growth", required=False)
-    if profile_sup is not None and profile_sup <= 0:
-        raise _err("config.growth.profile_sup", f"must be positive, got {profile_sup}")
+    if profile_sup is not None and (profile_sup <= 0 or profile_sup < high):
+        raise _err("config.growth.profile_sup", f"must be positive and at least the "
+                   f"profile's maximum {high} on the habitat, got {profile_sup}")
 
     if "alpha" not in growth_raw:
         raise _err("config.growth", "missing required key 'alpha'")
@@ -405,40 +429,24 @@ def parse_config(text: str) -> ScenarioConfig:
 
     initial_raw = _require_mapping(raw["initial"], "config.initial")
     initial_id = _get_str(initial_raw, "id", "config.initial")
-    if initial_id not in INITIAL_IDS:
-        raise _err(
-            "config.initial.id",
-            f"unknown id {initial_id!r}; known ids are {list(INITIAL_IDS)}",
-        )
-    allowed_params = {
-        "default": set(),
-        "constant": {"value"},
-        "custom-polynomial": {"coefficients"},
-    }[initial_id]
-    _reject_unknown(initial_raw, {"id"} | allowed_params, "config.initial")
     initial_params = {k: v for k, v in initial_raw.items() if k != "id"}
-    if initial_id == "constant":
-        if "value" not in initial_params:
-            raise _err("config.initial", "constant initial condition needs 'value'")
-        _get_number(initial_raw, "value", "config.initial")
-    if initial_id == "custom-polynomial":
-        if "coefficients" not in initial_params:
-            raise _err("config.initial", "custom-polynomial needs 'coefficients'")
-        initial_params["coefficients"] = _number_list(
-            initial_params["coefficients"], "config.initial.coefficients"
-        )
+    _initial_builder(initial_id, initial_params, "config.initial")
+    for key in initial_params:
+        if key == "coefficients":
+            initial_params[key] = _number_list(initial_params[key], "config.initial.coefficients")
+        else:
+            _get_number(initial_params, key, "config.initial")
 
     horizon = _get_int(raw, "horizon", "config", required=False, default=period + 1)
     if horizon < 0:
         raise _err("config.horizon", f"must be >= 0, got {horizon}")
 
-    max_steps = _get_int(raw, "max_steps", "config", required=False, default=10_000_000)
+    max_steps = _get_int(raw, "max_steps", "config", required=False, default=DEFAULT_MAX_STEPS)
     if max_steps < 1:
         raise _err("config.max_steps", f"must be >= 1, got {max_steps}")
 
     mode = _get_str(raw, "distance_bound", "config", required=False, default="upper-bound")
-    if mode not in ("upper-bound", "trajectory"):
-        raise _err("config.distance_bound", f"expected 'upper-bound' or 'trajectory', got {mode!r}")
+    _require_known(mode, DISTANCE_BOUND_MODES, "config.distance_bound", "distance bound mode")
 
     semilinear = None
     if raw.get("semilinear") is not None:
@@ -474,6 +482,17 @@ def load_config(path) -> ScenarioConfig:
         return parse_config(fh.read())
 
 
+def _initial_builder(name: str, params: Mapping[str, Any], path: str) -> Callable:
+    """Builder of a registered initial condition whose parameter keys match its id."""
+    _require_known(name, INITIAL_CONDITIONS, f"{path}.id", "initial condition")
+    keys, build = INITIAL_CONDITIONS[name]
+    _reject_unknown(params, keys, path)
+    missing = sorted(keys - set(params))
+    if missing:
+        raise _err(path, f"missing required keys {missing}")
+    return build
+
+
 def initial_condition(name: str, params: Mapping[str, Any], grid: Grid) -> GridFunction:
     """Build the initial density from its registry id.
 
@@ -481,24 +500,7 @@ def initial_condition(name: str, params: Mapping[str, Any], grid: Grid) -> GridF
     2.5 elsewhere (continuous at |x| = 1); ``constant`` takes ``value``;
     ``custom-polynomial`` evaluates ``coefficients`` in ascending degree.
     """
-    x = grid.nodes
-    if name == "default":
-        values = np.where(np.abs(x) <= 1.0, 2.0 * x * x + 0.5, 2.5)
-    elif name == "constant":
-        try:
-            value = float(params["value"])
-        except KeyError:
-            raise ConfigError("initial 'constant' needs a 'value' parameter") from None
-        values = np.full_like(x, value)
-    elif name == "custom-polynomial":
-        try:
-            coeffs = params["coefficients"]
-        except KeyError:
-            raise ConfigError("initial 'custom-polynomial' needs 'coefficients'") from None
-        values = np.polynomial.polynomial.polyval(x, np.asarray(coeffs, dtype=float))
-    else:
-        raise ConfigError(f"unknown initial condition id {name!r}")
-    return GridFunction(grid, values)
+    return GridFunction(grid, _initial_builder(name, params, "initial")(params, grid.nodes))
 
 
 def build_scenario_grid(cfg: ScenarioConfig, nodes: int | None = None) -> Grid:
@@ -513,6 +515,8 @@ def _resolve_scales(cfg: ScenarioConfig, profile_sup: float) -> tuple[float, ...
                 "config.growth.alpha: 'auto' requires a laplace kernel with a "
                 "constant dispersal rate"
             )
+        if profile_sup <= 0:
+            raise ConfigError("config.growth.alpha: 'auto' needs a profile whose maximum is > 0")
         amplitude = half_contraction_amplitude(
             cfg.period, cfg.dispersal[0], cfg.length, profile_sup
         )
@@ -535,12 +539,10 @@ def build_operator(
     amplitude lists ignore the override.
     """
     grid = build_scenario_grid(cfg) if grid is None else grid
-    profile, sup = PROFILES[cfg.profile_id][1](cfg.profile_params, cfg.length)
+    profile, (_, sup) = PROFILES[cfg.profile_id][1](cfg.profile_params, cfg.length)
     if cfg.profile_sup is not None:
         sup = cfg.profile_sup
-    growth = growth_spec(
-        cfg.growth_family, profile, _resolve_scales(cfg, sup), profile_sup=sup
-    )
+    growth = GrowthSpec(cfg.growth_family, profile, _resolve_scales(cfg, sup), sup)
 
     if cfg.amplitudes is not None:
         inhom = InhomogeneitySpec(cfg.amplitudes, cfg.period)

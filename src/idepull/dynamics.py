@@ -8,7 +8,6 @@ against a kernel matrix cached per distinct rate value.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,8 +34,6 @@ __all__ = [
     "replay_matches",
 ]
 
-DEFAULT_MATRIX_BUDGET_BYTES = 8 * 1024**3
-
 
 def _lcm(values) -> int:
     out = 1
@@ -52,7 +49,7 @@ class HammersteinOperator:
     One application computes K_t @ g_t(u) + h_t at the nodes, where K_t is
     the weighted kernel matrix of the time class t mod theta.  Matrices,
     forcing vectors, and the growth profile samples are precomputed; the
-    operator is immutable and safe to share between workers.
+    operator is immutable.
     """
 
     kernel: KernelSpec
@@ -84,7 +81,6 @@ def build_hammerstein(
     inhomogeneity: InhomogeneitySpec,
     grid: Grid,
     theta: int | None = None,
-    matrix_budget_bytes: int = DEFAULT_MATRIX_BUDGET_BYTES,
 ) -> HammersteinOperator:
     """Assemble the collocated operator, caching one matrix per distinct rate.
 
@@ -107,15 +103,6 @@ def build_hammerstein(
         if a not in distinct:
             distinct[a] = len(distinct)
         index.append(distinct[a])
-
-    bytes_needed = len(distinct) * (grid.n + 1) ** 2 * 8
-    if bytes_needed > matrix_budget_bytes:
-        warnings.warn(
-            f"kernel matrix cache needs {bytes_needed / 1024**3:.2f} GiB, above the "
-            f"configured budget of {matrix_budget_bytes / 1024**3:.2f} GiB",
-            ResourceWarning,
-            stacklevel=2,
-        )
 
     x = grid.nodes[:, None]
     y = grid.nodes[None, :]

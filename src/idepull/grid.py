@@ -20,7 +20,6 @@ __all__ = [
     "Grid",
     "GridFunction",
     "build_grid",
-    "integrate",
     "total_population",
     "sup_norm",
     "sup_distance",
@@ -135,14 +134,9 @@ def _require_same_grid(f: GridFunction, g: GridFunction) -> None:
         raise GridMismatchError("grid functions live on different grids")
 
 
-def integrate(f: GridFunction) -> float:
-    """Weighted sum of node values, approximating the habitat integral."""
-    return float(np.dot(f.grid.weights, f.values))
-
-
 def total_population(u: GridFunction) -> float:
     """Total population carried by a density, as the quadrature sum."""
-    return integrate(u)
+    return float(np.dot(u.grid.weights, u.values))
 
 
 def sup_norm(f: GridFunction) -> float:

@@ -188,17 +188,6 @@ class GrowthSpec:
         return self.scale_at(t) * self.profile_sup
 
 
-def growth_spec(
-    family: str,
-    profile: Callable[[np.ndarray], np.ndarray],
-    scales,
-    *,
-    profile_sup: float,
-) -> GrowthSpec:
-    """Build a GrowthSpec; ``profile_sup`` is sup |profile| over the habitat."""
-    return GrowthSpec(family, profile, scales, float(profile_sup))
-
-
 def growth_curve(family: str, b, z):
     """Growth output for profile values ``b`` and population ``z`` (vectorized)."""
     b = np.asarray(b, dtype=float)
@@ -310,9 +299,6 @@ class InhomogeneitySpec:
 
     def amplitude_at(self, t: int) -> float:
         return self.amplitudes[self.schedule.season(t) - 1]
-
-    def sup_amplitude(self) -> float:
-        return max(self.amplitudes)
 
 
 def inhomogeneity_eval(spec: InhomogeneitySpec, t: int, x, length: float):

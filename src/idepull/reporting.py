@@ -382,13 +382,16 @@ def run_semilinear(cfg: ScenarioConfig, out_dir) -> SemilinearRunReport:
     make = NONLINEARITIES[sc.nonlinearity][1]
     nonlinearity, kappa = make(sc.nonlinearity_params, sc.dimension)
     kappas = sc.kappas if sc.kappas is not None else (kappa,) * len(sc.matrices)
-    system = build_semilinear(
-        [np.array(m, dtype=float) for m in sc.matrices],
-        nonlinearity,
-        kappas=kappas,
-        gamma=sc.gamma,
-        alphas=sc.alphas,
-    )
+    try:
+        system = build_semilinear(
+            [np.array(m, dtype=float) for m in sc.matrices],
+            nonlinearity,
+            kappas=kappas,
+            gamma=sc.gamma,
+            alphas=sc.alphas,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"config.semilinear: {exc}") from exc
     u0 = np.asarray(sc.initial, dtype=float) if sc.initial is not None else None
     fibers, report = pullback_limit(system, sc.tolerance, u0)
 

@@ -72,16 +72,22 @@ class SemilinearSystem:
         return self.matrices[r] @ u + self.nonlinearities[r](u)
 
 
-def _sample_kappa(k: Nonlinearity, dim: int, rng: np.random.Generator, pairs: int = 10_000) -> float:
+def _norm_pairs(k: Nonlinearity, dim: int, rng: np.random.Generator, pairs: int):
+    """(||k(a) - k(b)||, ||a - b||) over random pairs (a, b) drawn from ``rng``."""
     u = rng.normal(scale=3.0, size=(pairs, dim))
     v = rng.normal(scale=3.0, size=(pairs, dim))
-    kappa = 0.0
     for a, b in zip(u, v):
-        den = _vec_norm(a - b)
-        if den == 0.0:
-            continue
-        kappa = max(kappa, _vec_norm(np.asarray(k(a)) - np.asarray(k(b))) / den)
-    return kappa
+        yield _vec_norm(np.asarray(k(a)) - np.asarray(k(b))), _vec_norm(a - b)
+
+
+def _per_slot(values, theta: int, what: str) -> tuple:
+    """``values`` with one entry per period slot; a single entry is broadcast."""
+    values = tuple(values)
+    if len(values) == 1:
+        values *= theta
+    if len(values) != theta:
+        raise ValueError(f"got {len(values)} {what} for {theta} period slots")
+    return values
 
 
 def build_semilinear(
@@ -112,37 +118,29 @@ def build_semilinear(
             raise ValueError(f"matrices must share shape ({d}, {d}), got {m.shape}")
         m.setflags(write=False)
 
-    if callable(nonlinearities):
-        nls = (nonlinearities,) * len(mats)
-    else:
-        nls = tuple(nonlinearities)
-        if len(nls) == 1:
-            nls = nls * len(mats)
-    if len(nls) != len(mats):
-        raise ValueError(f"got {len(nls)} nonlinearities for {len(mats)} matrices")
+    theta = len(mats)
+    nls = _per_slot([nonlinearities] if callable(nonlinearities) else nonlinearities,
+                    theta, "nonlinearities")
 
     rng = np.random.default_rng(0) if rng is None else rng
     estimated = set()
 
     if kappas is None:
-        kappas = tuple(_sample_kappa(k, d, rng) for k in nls)
+        kappas = tuple(
+            max((num / den for num, den in _norm_pairs(k, d, rng, 10_000) if den > 0), default=0.0)
+            for k in nls
+        )
         estimated.add("kappas")
-    else:
-        kappas = tuple(float(k) for k in kappas)
-        if len(kappas) == 1:
-            kappas = kappas * len(mats)
-    if len(kappas) != len(mats) or any(k < 0 for k in kappas):
-        raise ValueError("kappas must be nonnegative, one per period slot")
+    kappas = _per_slot((float(k) for k in kappas), theta, "kappas")
+    if any(k < 0 for k in kappas):
+        raise ValueError(f"kappas must be nonnegative, got {kappas}")
 
     if alphas is None:
         alphas = tuple(max(_mat_norm(m), np.finfo(float).tiny) for m in mats)
         estimated.add("alphas")
-    else:
-        alphas = tuple(float(a) for a in alphas)
-        if len(alphas) == 1:
-            alphas = alphas * len(mats)
-    if len(alphas) != len(mats) or any(a <= 0 for a in alphas):
-        raise ValueError("alphas must be positive, one per period slot")
+    alphas = _per_slot((float(a) for a in alphas), theta, "alphas")
+    if any(a <= 0 for a in alphas):
+        raise ValueError(f"alphas must be positive, got {alphas}")
 
     ratio, window = _worst_transition_ratio(mats, alphas)
     if gamma is None:
@@ -183,11 +181,8 @@ def _worst_transition_ratio(mats, alphas) -> tuple[float, tuple[int, int] | None
 
 def _check_kappas(nls, kappas, d: int, rng: np.random.Generator, samples: int = 200) -> None:
     for r, k in enumerate(nls):
-        u = rng.normal(scale=3.0, size=(samples, d))
-        v = rng.normal(scale=3.0, size=(samples, d))
-        for a, b in zip(u, v):
-            lhs = _vec_norm(np.asarray(k(a)) - np.asarray(k(b)))
-            if lhs > kappas[r] * _vec_norm(a - b) * _SLACK + 1e-15:
+        for lhs, den in _norm_pairs(k, d, rng, samples):
+            if lhs > kappas[r] * den * _SLACK + 1e-15:
                 raise ValueError(f"declared kappa {kappas[r]} violated at slot {r}")
 
 

@@ -24,7 +24,7 @@ def make_seasonal_operator(
     grid = ip.build_grid(length, n)
     kernel = ip.KernelSpec(kernel_family, rate)
     scales = tuple(scale * (1.0 + 0.4 * np.sin(2 * np.pi * r / theta)) for r in range(theta))
-    growth = ip.growth_spec(
+    growth = ip.GrowthSpec(
         family, lambda x: 2 * np.abs(x) + 3, scales, profile_sup=2 * length / 2 + 3
     )
     inhom = ip.InhomogeneitySpec.from_variant(variant, theta, levels)

@@ -253,7 +253,7 @@ def test_seasonal_mean_matches_direct_iteration_oracle(seasonal_cfg, tmp_path):
 def test_criterion_02_contraction_certificate(seasonal_cfg):
     amplitude = half_contraction_amplitude(365, 10.0, 6.0, 9.0)
     kernel = ip.KernelSpec("laplace", 10.0)
-    growth = ip.growth_spec(
+    growth = ip.GrowthSpec(
         "beverton_holt", _vee, seasonal_scales(365, amplitude), profile_sup=9.0
     )
     lams = [hammerstein_lipschitz(kernel, growth, r, 6.0) for r in range(365)]
@@ -307,12 +307,12 @@ def _random_contractive_scenario(rng):
         theta,
         (float(rng.uniform(0.0, 1.0)), float(rng.uniform(1.0, 2.5))),
     )
-    probe = ip.growth_spec(gfam, profile, raw, profile_sup=sup)
+    probe = ip.GrowthSpec(gfam, profile, raw, profile_sup=sup)
     op_probe = build_hammerstein(kernel, probe, inhom, grid, theta=theta)
     prod = float(np.prod(step_constants_numeric(op_probe)))
     target = float(rng.uniform(0.2, 0.9))
     scales = tuple(s * (target / prod) ** (1.0 / theta) for s in raw)
-    growth = ip.growth_spec(gfam, profile, scales, profile_sup=sup)
+    growth = ip.GrowthSpec(gfam, profile, scales, profile_sup=sup)
     return build_hammerstein(kernel, growth, inhom, grid, theta=theta), grid
 
 

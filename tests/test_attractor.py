@@ -67,7 +67,7 @@ class TestCertify:
     def test_half_contraction_schedule(self):
         amplitude = ip.half_contraction_amplitude(365, 10.0, 6.0, 9.0)
         kernel = ip.KernelSpec("laplace", 10.0)
-        growth = ip.growth_spec(
+        growth = ip.GrowthSpec(
             "beverton_holt",
             lambda x: 2 * np.abs(x) + 3,
             ip.seasonal_scales(365, amplitude),
@@ -82,7 +82,7 @@ class TestDistanceBound:
     def test_zero_everything(self):
         grid = ip.build_grid(4.0, 16)
         kernel = ip.KernelSpec("laplace", 2.0)
-        growth = ip.growth_spec(
+        growth = ip.GrowthSpec(
             "beverton_holt", lambda x: np.zeros_like(x), (1.0,), profile_sup=0.0
         )
         inhom = ip.InhomogeneitySpec((0.0,), 1)
@@ -194,7 +194,7 @@ def tight_fibers(op, grid, u0=None, tol=1e-12, lams=None):
 class TestPullbackFibers:
     def test_pure_forcing_fibers(self):
         kernel = ip.KernelSpec("laplace", 2.0)
-        growth = ip.growth_spec(
+        growth = ip.GrowthSpec(
             "beverton_holt", lambda x: np.zeros_like(x), (1.0,), profile_sup=0.0
         )
         inhom = ip.InhomogeneitySpec.from_variant("h3", 6)
@@ -351,7 +351,7 @@ class TestAttractionRate:
     def test_one_step_collapse_when_growth_off(self, rng):
         # zero step constants: everything lands on the forcing after one step
         kernel = ip.KernelSpec("laplace", 2.0)
-        growth = ip.growth_spec(
+        growth = ip.GrowthSpec(
             "beverton_holt", lambda x: np.zeros_like(x), (1.0,), profile_sup=0.0
         )
         inhom = ip.InhomogeneitySpec.from_variant("h2", 4)

@@ -252,3 +252,20 @@ def test_profile_sup_is_exact_supremum():
     assert sup(GOOD.replace("profile: vee", "profile: flat\n  profile_params: "
                             "{value: 2.5}")) == 2.5
     assert sup(GOOD.replace("profile: vee", "profile: vee\n  profile_sup: 12.0")) == 12.0
+
+
+def test_declared_profile_sup_not_below_exact_maximum():
+    declared = GOOD.replace("profile: vee", "profile: vee\n  profile_sup: SUP")
+    with pytest.raises(ConfigError, match=r"config\.growth\.profile_sup"):
+        parse_config(declared.replace("SUP", "8.999"))  # the exact maximum is 9.0
+    for value in (9.0, 12.0):
+        assert parse_config(declared.replace("SUP", str(value))).profile_sup == value
+
+
+@pytest.mark.parametrize("profile", [
+    "profile: vee\n  profile_params: {offset: -3.0, slope: 2.0}",
+    "profile: flat\n  profile_params: {value: -1.0}",
+], ids=["vee", "flat"])
+def test_negative_profile_rejected_at_parse_time(profile):
+    with pytest.raises(ConfigError, match=r"config\.growth\.profile_params"):
+        parse_config(GOOD.replace("profile: vee", profile))

@@ -18,7 +18,7 @@ from idepull import (
 
 def zero_growth(grid_length=6.0, theta=4, variant="h1"):
     kernel = ip.KernelSpec("laplace", 2.0)
-    growth = ip.growth_spec(
+    growth = ip.GrowthSpec(
         "beverton_holt", lambda x: np.zeros_like(x), (1.0,), profile_sup=0.0
     )
     inhom = ip.InhomogeneitySpec.from_variant(variant, theta)
@@ -44,7 +44,7 @@ class TestHammersteinApply:
     def test_lipschitz_bound_single_state(self):
         # forcing off: ||H(u)|| <= lambda * ||u|| with the closed-form constant
         kernel = ip.KernelSpec("laplace", 10.0)
-        growth = ip.growth_spec(
+        growth = ip.GrowthSpec(
             "beverton_holt", lambda x: np.ones_like(x), (0.8,), profile_sup=1.0
         )
         inhom = ip.InhomogeneitySpec((0.0,), 1)
@@ -96,19 +96,9 @@ class TestHammersteinApply:
         assert len(op.matrices) == 1
         assert len(op.forcing) == op.theta
 
-    def test_matrix_budget_warning(self):
-        kernel = ip.KernelSpec("laplace", 2.0)
-        growth = ip.growth_spec(
-            "beverton_holt", lambda x: np.ones_like(x), (0.5,), profile_sup=1.0
-        )
-        inhom = ip.InhomogeneitySpec.from_variant("h1", 4)
-        grid = build_grid(6.0, 64)
-        with pytest.warns(ResourceWarning):
-            build_hammerstein(kernel, growth, inhom, grid, theta=4, matrix_budget_bytes=1024)
-
     def test_period_validation(self):
         kernel = ip.KernelSpec("laplace", (1.0, 2.0, 3.0))
-        growth = ip.growth_spec(
+        growth = ip.GrowthSpec(
             "beverton_holt", lambda x: np.ones_like(x), (0.5, 0.6), profile_sup=1.0
         )
         inhom = ip.InhomogeneitySpec.from_variant("h1", 6)

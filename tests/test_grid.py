@@ -8,7 +8,6 @@ from idepull import (
     GridMismatchError,
     build_grid,
     hausdorff_semidistance,
-    integrate,
     sup_distance,
     sup_norm,
     total_population,
@@ -63,16 +62,16 @@ def test_grid_function_length_check():
 
 def test_integrate_constant_and_odd():
     g = build_grid(6.0, 12)
-    assert integrate(GridFunction.constant(g, 1.0)) == pytest.approx(6.0, abs=1e-14)
+    assert total_population(GridFunction.constant(g, 1.0)) == pytest.approx(6.0, abs=1e-14)
     odd = GridFunction.from_callable(g, lambda x: x)
-    assert integrate(odd) == pytest.approx(0.0, abs=1e-13)
+    assert total_population(odd) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_integrate_square_weighted_sum():
     # hand-evaluated weighted sum: weights (0.5, 1, 0.5) against values (1, 0, 1)
     g = build_grid(2.0, 2)
     f = GridFunction.from_callable(g, lambda x: x * x)
-    assert integrate(f) == pytest.approx(1.0, abs=1e-15)
+    assert total_population(f) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_integrate_linear():
@@ -82,8 +81,8 @@ def test_integrate_linear():
         fv = rng.normal(size=g.n + 1)
         gv = rng.normal(size=g.n + 1)
         a, b = rng.normal(size=2)
-        lhs = integrate(GridFunction(g, a * fv + b * gv))
-        rhs = a * integrate(GridFunction(g, fv)) + b * integrate(GridFunction(g, gv))
+        lhs = total_population(GridFunction(g, a * fv + b * gv))
+        rhs = a * total_population(GridFunction(g, fv)) + b * total_population(GridFunction(g, gv))
         assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(rhs)))
 
 
@@ -96,7 +95,7 @@ def test_trapezoid_exact_on_affine():
         g = build_grid(length, n)
         f = GridFunction.from_callable(g, lambda x: a * x + b)
         scale = abs(a) * length**2 + abs(b) * length
-        assert abs(integrate(f) - b * length) <= 1e-12 * (1 + scale)
+        assert abs(total_population(f) - b * length) <= 1e-12 * (1 + scale)
 
 
 def test_total_population_examples():

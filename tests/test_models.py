@@ -6,6 +6,7 @@ import pytest
 
 from idepull import (
     BoundFormulaOutOfRangeError,
+    GrowthSpec,
     InhomogeneitySpec,
     KernelSpec,
     SeasonSchedule,
@@ -13,7 +14,6 @@ from idepull import (
     build_hammerstein,
     growth_eval,
     growth_lipschitz,
-    growth_spec,
     growth_sup_bound,
     half_contraction_amplitude,
     hammerstein_lipschitz,
@@ -131,21 +131,21 @@ class TestKernels:
 class TestGrowth:
     def test_zero_at_zero(self):
         for family in ("logistic", "beverton_holt", "ricker"):
-            spec = growth_spec(family, flat(1.5), (1.0,), profile_sup=1.5)
+            spec = GrowthSpec(family, flat(1.5), (1.0,), profile_sup=1.5)
             assert growth_eval(spec, 0, 0.3, 0.0) == 0.0
 
     def test_closed_form_values(self):
-        bh = growth_spec("beverton_holt", flat(2.0), (1.0,), profile_sup=2.0)
+        bh = GrowthSpec("beverton_holt", flat(2.0), (1.0,), profile_sup=2.0)
         assert growth_eval(bh, 0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-        logi = growth_spec("logistic", flat(1.0), (1.0,), profile_sup=1.0)
+        logi = GrowthSpec("logistic", flat(1.0), (1.0,), profile_sup=1.0)
         assert growth_eval(logi, 0, 0.0, 2.0) == 0.0
 
     def test_sup_bounds(self):
-        logi = growth_spec("logistic", flat(4.0), (1.0,), profile_sup=4.0)
+        logi = GrowthSpec("logistic", flat(4.0), (1.0,), profile_sup=4.0)
         assert growth_sup_bound(logi, 0) == pytest.approx(1.0, abs=1e-15)
-        bh = growth_spec("beverton_holt", flat(2.0), (1.0,), profile_sup=2.0)
+        bh = GrowthSpec("beverton_holt", flat(2.0), (1.0,), profile_sup=2.0)
         assert growth_sup_bound(bh, 0) == pytest.approx(2.0, abs=1e-15)
-        ricker = growth_spec("ricker", flat(math.e), (1.0,), profile_sup=math.e)
+        ricker = GrowthSpec("ricker", flat(math.e), (1.0,), profile_sup=math.e)
         assert growth_sup_bound(ricker, 0) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize(
@@ -158,7 +158,7 @@ class TestGrowth:
         ],
     )
     def test_lipschitz_bound_sampled(self, family, scale, profile_value):
-        spec = growth_spec(family, flat(profile_value), (scale,), profile_sup=profile_value)
+        spec = GrowthSpec(family, flat(profile_value), (scale,), profile_sup=profile_value)
         lip = growth_lipschitz(spec, 0)
         rng = np.random.default_rng(99)
         x = rng.uniform(-3, 3, size=1000)
@@ -176,7 +176,7 @@ class TestGrowth:
         ],
     )
     def test_sup_bound_sampled(self, family, scale, profile_value):
-        spec = growth_spec(family, flat(profile_value), (scale,), profile_sup=profile_value)
+        spec = GrowthSpec(family, flat(profile_value), (scale,), profile_sup=profile_value)
         bound = growth_sup_bound(spec, 0)
         rng = np.random.default_rng(100)
         x = rng.uniform(-3, 3, size=1000)
@@ -184,18 +184,18 @@ class TestGrowth:
         assert np.all(np.abs(growth_eval(spec, 0, x, z)) <= bound + 1e-12)
 
     def test_periodic_scales(self):
-        spec = growth_spec("beverton_holt", flat(1.0), (0.5, 1.5), profile_sup=1.0)
+        spec = GrowthSpec("beverton_holt", flat(1.0), (0.5, 1.5), profile_sup=1.0)
         assert spec.beta(0) == 0.5
         assert spec.beta(3) == 1.5
         assert max(spec.beta(t) for t in range(10)) < math.inf
         with pytest.raises(ValueError):
-            growth_spec("beverton_holt", flat(1.0), (0.0,), profile_sup=1.0)
+            GrowthSpec("beverton_holt", flat(1.0), (0.0,), profile_sup=1.0)
 
 
 class TestRicker:
     # beta = 0.3 * 1.5 = 0.45 < 1, yet the slope of z exp(-b|z|) at z = 0 is 1
     def spec(self):
-        return growth_spec("ricker", flat(1.5), (0.3,), profile_sup=1.5)
+        return GrowthSpec("ricker", flat(1.5), (0.3,), profile_sup=1.5)
 
     def test_lipschitz_constant_is_one(self):
         spec = self.spec()
@@ -268,24 +268,23 @@ class TestSeasons:
         assert spec.amplitude_at(1) == 1.0
         assert spec.amplitude_at(5) == 3.0
         assert spec.amplitude_at(12) == 2.0
-        assert spec.sup_amplitude() == 3.0
 
 
 class TestLipschitzAndAmplitude:
     def test_hammerstein_lipschitz_laplace_bh(self):
         kernel = KernelSpec("laplace", 10.0)
-        growth = growth_spec("beverton_holt", flat(1.0), (0.3,), profile_sup=1.0)
+        growth = GrowthSpec("beverton_holt", flat(1.0), (0.3,), profile_sup=1.0)
         lam = hammerstein_lipschitz(kernel, growth, 0, 6.0)
         assert lam == pytest.approx(0.3 * (1.0 - math.exp(-30.0)), rel=1e-14)
 
     def test_hammerstein_lipschitz_zero_growth(self):
         kernel = KernelSpec("laplace", 10.0)
-        growth = growth_spec("beverton_holt", flat(0.0), (1.0,), profile_sup=0.0)
+        growth = GrowthSpec("beverton_holt", flat(0.0), (1.0,), profile_sup=0.0)
         assert hammerstein_lipschitz(kernel, growth, 0, 6.0) == 0.0
 
     def test_hammerstein_lipschitz_gauss(self):
         kernel = KernelSpec("gauss", 1.0)
-        growth = growth_spec("beverton_holt", flat(1.0), (2.0,), profile_sup=1.0)
+        growth = GrowthSpec("beverton_holt", flat(1.0), (2.0,), profile_sup=1.0)
         lam = hammerstein_lipschitz(kernel, growth, 0, 2.0)
         assert lam == pytest.approx(2.0 * math.erf(1.0), rel=1e-14)
 

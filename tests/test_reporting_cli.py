@@ -1,4 +1,5 @@
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,6 +266,45 @@ class TestCliExitCodes:
         assert err.value.code == 1
         stderr = capsys.readouterr().err
         assert "error:" in stderr
+        assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("old, new, path", [
+        ("profile: vee", "profile: vee\n  profile_params: {offset: -3.0, slope: 2.0}",
+         "config.growth.profile_params"),
+        ("profile: vee", "profile: flat\n  profile_params: {value: -1.0}",
+         "config.growth.profile_params"),
+        ("profile: vee\n  alpha: 0.05", "profile: flat\n  profile_params: {value: 0.0}\n"
+         "  alpha: auto", "config.growth.alpha"),
+    ], ids=["negative-vee", "negative-flat", "auto-alpha-zero-profile"])
+    def test_bad_profile_is_config_error(self, tmp_path, capsys, old, new, path):
+        cfg = self.write(tmp_path, SMALL.replace(old, new))
+        assert main(["attractor", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        stderr = capsys.readouterr().err
+        assert f"configuration error: {path}" in stderr
+        assert "Traceback" not in stderr
+
+    def test_profile_sup_below_maximum_is_config_error(self, tmp_path, capsys):
+        # the exact maximum of the shipped vee profile is 9.0; with alpha 0.6
+        # (no contraction) a declared 1.0 used to certify a factor of 1.06e-81
+        shipped = Path("configs/seasonal_beverton_holt.yaml").read_text()
+        text = shipped.replace("  alpha: auto", "  profile_sup: 1.0\n  alpha: 0.6")
+        cfg = self.write(tmp_path, text)
+        assert main(["attractor", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--nodes", "100"]) == 1
+        assert "configuration error: config.growth.profile_sup" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [
+        ("kappas: [0.0, 0.0]", "kappas: [0.0, 0.0, 0.0]"),
+        ("kappas: [0.0, 0.0]", "kappas: [0.0, 0.0]\n  gamma: 0.5"),
+        # with alphas 0.5 one step has ||Phi|| / alpha = 1.8 > gamma
+        ("kappas: [0.0, 0.0]", "kappas: [0.0, 0.0]\n  alphas: [0.5, 0.5]\n  gamma: 1.0"),
+    ], ids=["kappas-length", "gamma-below-one", "gamma-below-transition-ratio"])
+    def test_refused_semilinear_constants_are_config_errors(self, tmp_path, capsys, old, new):
+        demo = Path("configs/semilinear_demo.yaml").read_text()
+        cfg = self.write(tmp_path, demo.replace(old, new))
+        assert main(["semilinear", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        stderr = capsys.readouterr().err
+        assert "configuration error: config.semilinear" in stderr
         assert "Traceback" not in stderr
 
     def test_no_contraction_is_2(self, tmp_path):
