@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration or usage error, 2 no contraction,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -37,8 +38,8 @@ def _checked(convert, ok, expected):
 _FLAGS = {
     "nodes": dict(type=_checked(int, lambda v: v >= 1, "an integer >= 1"),
                   help="override grid subintervals"),
-    "tol": dict(type=_checked(float, lambda v: math.isfinite(v) and v > 0,
-                              "a finite number > 0"),
+    "tol": dict(dest="tolerance", type=_checked(float, lambda v: math.isfinite(v) and v > 0,
+                                                "a finite number > 0"),
                 help="override tolerance"),
     "variant": dict(choices=tuple(SEASON_PATTERNS), help="override seasonal support variant"),
 }
@@ -71,22 +72,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        tol = getattr(args, "tol", None)
-        variant = getattr(args, "variant", None)
+        # each override flag's dest names the config field it replaces
+        cfg = dataclasses.replace(cfg, **{
+            k: v for k in ("nodes", "tolerance", "variant")
+            if (v := getattr(args, k, None)) is not None
+        })
         if args.command == "simulate":
-            report = reporting.run_simulation(cfg, args.out, nodes=args.nodes, variant=variant)
+            report = reporting.run_simulation(cfg, args.out)
             print(f"simulated {report.steps} steps (variant {report.variant}, "
                   f"n={report.nodes}); final total population {report.totals[-1]:.6g}")
         elif args.command == "attractor":
-            report = reporting.run_attractor(cfg, args.out, nodes=args.nodes,
-                                             tol=tol, variant=variant)
+            report = reporting.run_attractor(cfg, args.out)
             print(f"variant {report.variant}: factor {report.contraction_factor:.6g}, "
                   f"{report.total_steps} certified steps, certified error "
                   f"{report.certified_error:.3g}, mean total population "
                   f"{report.mean_total_population:.6f}")
         elif args.command == "compare":
-            comparison = reporting.compare_inhomogeneities(cfg, args.out,
-                                                           nodes=args.nodes, tol=tol)
+            comparison = reporting.compare_inhomogeneities(cfg, args.out)
             for v, mean in zip(comparison.variants, comparison.means):
                 marker = "  <- best" if v == comparison.best else ""
                 print(f"{v}: mean total population {mean:.6f}{marker}")
@@ -96,16 +98,14 @@ def main(argv=None) -> int:
                   f"factor {report.contraction_factor:.6g}, settled after "
                   f"{report.periods} periods (tail bound {report.tail_bound:.3g})")
         elif args.command == "lipschitz":
-            summary = reporting.lipschitz_report(cfg, args.out, nodes=args.nodes,
-                                                 variant=variant)
+            summary = reporting.lipschitz_report(cfg, args.out)
             print(f"window contraction factor {summary['contraction_factor']:.10g} "
                   f"(valid: {summary['valid']})")
             if summary["valid"]:
                 print(f"distance bound {summary['distance_bound']:.6g}, "
                       f"windows {summary['windows']}, total steps {summary['total_steps']}")
         elif args.command == "convergence":
-            rows = reporting.run_convergence(cfg, args.out, nodes=args.nodes,
-                                             tol=tol, variant=variant)
+            rows = reporting.run_convergence(cfg, args.out)
             for row in rows:
                 print(f"n={row['nodes']}: mean total population "
                       f"{row['mean_total_population']:.6f} "

@@ -178,7 +178,8 @@ def _is_number(value) -> bool:
         return False
 
 
-def _get_number(mapping: Mapping, key: str, path: str, *, required=True, default=None):
+def _get_number(mapping: Mapping, key: str, path: str, *, required=True, default=None,
+                positive=False):
     if key not in mapping:
         if required:
             raise _err(path, f"missing required key '{key}'")
@@ -186,16 +187,22 @@ def _get_number(mapping: Mapping, key: str, path: str, *, required=True, default
     value = mapping[key]
     if not _is_number(value):
         raise _err(f"{path}.{key}", f"expected a finite number, got {value!r}")
+    if positive and value <= 0:
+        raise _err(f"{path}.{key}", f"must be positive, got {value}")
     return value
 
 
-def _get_int(mapping: Mapping, key: str, path: str, *, required=True, default=None):
+def _get_int(mapping: Mapping, key: str, path: str, *, required=True, default=None,
+             least=None):
     value = _get_number(mapping, key, path, required=required, default=default)
     if value is None:
         return None
     if isinstance(value, float) and not value.is_integer():
         raise _err(f"{path}.{key}", f"expected an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if least is not None and value < least:
+        raise _err(f"{path}.{key}", f"must be >= {least}, got {value}")
+    return value
 
 
 def _get_str(mapping: Mapping, key: str, path: str, *, required=True, default=None):
@@ -228,9 +235,7 @@ def _parse_semilinear(raw, path: str) -> SemilinearConfig:
     }
     _reject_unknown(raw, allowed, path)
 
-    dim = _get_int(raw, "dimension", path)
-    if dim is None or dim < 1:
-        raise _err(f"{path}.dimension", f"must be >= 1, got {dim}")
+    dim = _get_int(raw, "dimension", path, least=1)
 
     if "matrices" not in raw:
         raise _err(path, "missing required key 'matrices'")
@@ -265,9 +270,7 @@ def _parse_semilinear(raw, path: str) -> SemilinearConfig:
     kappas = _number_list(raw["kappas"], f"{path}.kappas") if raw.get("kappas") is not None else None
     alphas = _number_list(raw["alphas"], f"{path}.alphas") if raw.get("alphas") is not None else None
     gamma = _get_number(raw, "gamma", path, required=False)
-    tol = _get_number(raw, "tolerance", path, required=False, default=1e-10)
-    if tol <= 0:
-        raise _err(f"{path}.tolerance", f"must be positive, got {tol}")
+    tol = _get_number(raw, "tolerance", path, required=False, default=1e-10, positive=True)
     initial = (
         _number_list(raw["initial"], f"{path}.initial")
         if raw.get("initial") is not None
@@ -317,22 +320,13 @@ def parse_config(text: str) -> ScenarioConfig:
     if version != SCHEMA_VERSION:
         raise _err("config.schema_version", f"expected {SCHEMA_VERSION}, got {version}")
 
-    period = _get_int(raw, "period", "config")
-    if period < 1:
-        raise _err("config.period", f"must be >= 1, got {period}")
-
-    tol = _get_number(raw, "tolerance", "config")
-    if tol <= 0:
-        raise _err("config.tolerance", f"must be positive, got {tol}")
+    period = _get_int(raw, "period", "config", least=1)
+    tol = _get_number(raw, "tolerance", "config", positive=True)
 
     grid_raw = _require_mapping(raw["grid"], "config.grid")
     _reject_unknown(grid_raw, {"length", "nodes", "rule"}, "config.grid")
-    length = _get_number(grid_raw, "length", "config.grid")
-    if length <= 0:
-        raise _err("config.grid.length", f"must be positive, got {length}")
-    nodes = _get_int(grid_raw, "nodes", "config.grid")
-    if nodes < 1:
-        raise _err("config.grid.nodes", f"must be >= 1, got {nodes}")
+    length = _get_number(grid_raw, "length", "config.grid", positive=True)
+    nodes = _get_int(grid_raw, "nodes", "config.grid", least=1)
     rule = _get_str(grid_raw, "rule", "config.grid", required=False, default="trapezoid")
     _require_known(rule, QUADRATURE_RULES, "config.grid.rule", "quadrature rule")
 
@@ -388,9 +382,7 @@ def parse_config(text: str) -> ScenarioConfig:
                        "a number, a list, or {sinusoidal: C}")
     elif isinstance(alpha, dict):
         _reject_unknown(alpha, {"sinusoidal"}, "config.growth.alpha")
-        c = _get_number(alpha, "sinusoidal", "config.growth.alpha")
-        if c <= 0:
-            raise _err("config.growth.alpha.sinusoidal", f"must be positive, got {c}")
+        c = _get_number(alpha, "sinusoidal", "config.growth.alpha", positive=True)
         alpha = {"sinusoidal": float(c)}
     elif isinstance(alpha, (list, tuple)):
         alpha = _number_list(alpha, "config.growth.alpha")
@@ -437,13 +429,9 @@ def parse_config(text: str) -> ScenarioConfig:
         else:
             _get_number(initial_params, key, "config.initial")
 
-    horizon = _get_int(raw, "horizon", "config", required=False, default=period + 1)
-    if horizon < 0:
-        raise _err("config.horizon", f"must be >= 0, got {horizon}")
-
-    max_steps = _get_int(raw, "max_steps", "config", required=False, default=DEFAULT_MAX_STEPS)
-    if max_steps < 1:
-        raise _err("config.max_steps", f"must be >= 1, got {max_steps}")
+    horizon = _get_int(raw, "horizon", "config", required=False, default=period + 1, least=0)
+    max_steps = _get_int(raw, "max_steps", "config", required=False, default=DEFAULT_MAX_STEPS,
+                         least=1)
 
     mode = _get_str(raw, "distance_bound", "config", required=False, default="upper-bound")
     _require_known(mode, DISTANCE_BOUND_MODES, "config.distance_bound", "distance bound mode")
@@ -535,8 +523,11 @@ def build_operator(
 ) -> HammersteinOperator:
     """Assemble the collocated operator for a scenario.
 
-    ``variant`` overrides the configured seasonal support pattern; custom
-    amplitude lists ignore the override.
+    ``grid`` defaults to the scenario grid and ``variant`` to ``cfg.variant``.
+    A config with ``inhomogeneity.amplitudes`` takes its support from the
+    amplitudes whatever the variant: a variant given here, or set with
+    ``dataclasses.replace`` (as a ``--variant`` override is), then only
+    names the run in its reports.
     """
     grid = build_scenario_grid(cfg) if grid is None else grid
     profile, (_, sup) = PROFILES[cfg.profile_id][1](cfg.profile_params, cfg.length)

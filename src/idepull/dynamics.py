@@ -35,13 +35,6 @@ __all__ = [
 ]
 
 
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class HammersteinOperator:
     """Nystrom-collocated dispersal-growth step with seasonal support.
@@ -85,45 +78,48 @@ def build_hammerstein(
     """Assemble the collocated operator, caching one matrix per distinct rate.
 
     ``theta`` defaults to the least common multiple of the component
-    periods; an explicit value must be a common multiple of them.
+    periods; an explicit value must be a common multiple of them.  The
+    profile must be nonnegative at the nodes and at most ``growth.profile_sup``
+    there, since the certificate reads its bounds from ``profile_sup``.
     """
     periods = (kernel.period, growth.period, inhomogeneity.theta)
     if theta is None:
-        theta = _lcm(periods)
+        theta = math.lcm(*periods)
     for p in periods:
         if theta % p != 0:
             raise ValueError(
                 f"period {theta} is not a common multiple of component periods {periods}"
             )
 
+    profile_values = np.asarray(growth.profile(grid.nodes), dtype=float)
+    if np.min(profile_values) < 0:
+        raise ValueError("growth profile must be nonnegative on the habitat")
+    if np.max(profile_values) > growth.profile_sup:
+        raise ValueError(f"profile_sup {growth.profile_sup} is below the profile's largest "
+                         f"node value {np.max(profile_values)}")
+    profile_values.setflags(write=False)
+
+    # one matrix per distinct rate, in order of first appearance
+    x = grid.nodes[:, None]
+    y = grid.nodes[None, :]
     distinct: dict[float, int] = {}
+    matrices = []
     index = []
     for r in range(theta):
         a = kernel.rate_at(r)
         if a not in distinct:
-            distinct[a] = len(distinct)
+            distinct[a] = len(matrices)
+            mat = kernel_eval(kernel, r, x, y)
+            mat *= grid.weights
+            mat.setflags(write=False)
+            matrices.append(mat)
         index.append(distinct[a])
-
-    x = grid.nodes[:, None]
-    y = grid.nodes[None, :]
-    matrices = []
-    for a, _ in sorted(distinct.items(), key=lambda kv: kv[1]):
-        r = next(s for s in range(theta) if kernel.rate_at(s) == a)
-        mat = kernel_eval(kernel, r, x, y)
-        mat *= grid.weights
-        mat.setflags(write=False)
-        matrices.append(mat)
 
     forcing = []
     for r in range(theta):
         h = np.asarray(inhomogeneity_eval(inhomogeneity, r, grid.nodes, grid.length), dtype=float)
         h.setflags(write=False)
         forcing.append(h)
-
-    profile_values = np.asarray(growth.profile(grid.nodes), dtype=float)
-    if np.min(profile_values) < 0:
-        raise ValueError("growth profile must be nonnegative on the habitat")
-    profile_values.setflags(write=False)
 
     return HammersteinOperator(
         kernel=kernel,

@@ -161,7 +161,9 @@ class GrowthSpec:
 
     ``profile_sup`` is sup |profile| over the habitat; together with the
     scale schedule it yields the per-time bound beta_t = scale_t * profile_sup
-    from which the sup bound and the Lipschitz constant are derived.
+    from which the sup bound and the Lipschitz constant are derived.  It must
+    not be below the profile's values: ``build_hammerstein`` refuses a
+    ``profile_sup`` below the profile's largest node value.
     """
 
     family: str

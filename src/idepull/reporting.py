@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -34,7 +34,7 @@ from .config import (
 from .exceptions import ConfigError, NoContractionError
 from .grid import sup_norm, total_population
 from .models import SEASON_PATTERNS, growth_lipschitz
-from .semilinear import build_semilinear, contraction_product, pullback_limit
+from .semilinear import build_semilinear, pullback_limit
 from .dynamics import trajectory
 
 __all__ = [
@@ -88,7 +88,7 @@ def read_fibers_csv(path) -> list[tuple[int, int, float, float]]:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Scalar summary of a certified attractor run."""
+    """Summary of a certified attractor run; report.csv holds its non-tuple fields in order."""
 
     variant: str
     length: float
@@ -105,36 +105,21 @@ class RunReport:
     total_steps: int
     certified_error: float
     lipschitz_source: str
+    mean_total_population: float
+    sup_norm_min: float
+    sup_norm_max: float
+    wall_time_s: float
     fiber_totals: tuple[float, ...]
     fiber_sup_norms: tuple[float, ...]
-    mean_total_population: float
-    wall_time_s: float
 
 
 def _write_report_csv(path: Path, command: str, report: RunReport) -> None:
-    _write_csv(path, ("key", "value"), [
-        ("schema_version", 1),
-        ("command", command),
-        ("variant", report.variant),
-        ("length", report.length),
-        ("nodes", report.nodes),
-        ("theta", report.theta),
-        ("tolerance", report.tolerance),
-        ("rule", report.rule),
-        ("window", report.window),
-        ("contraction_factor", report.contraction_factor),
-        ("contraction_factor_numeric", report.contraction_factor_numeric),
-        ("distance_bound", report.distance_bound),
-        ("distance_bound_mode", report.distance_bound_mode),
-        ("windows", report.windows),
-        ("total_steps", report.total_steps),
-        ("certified_error", report.certified_error),
-        ("lipschitz_source", report.lipschitz_source),
-        ("mean_total_population", report.mean_total_population),
-        ("sup_norm_min", min(report.fiber_sup_norms)),
-        ("sup_norm_max", max(report.fiber_sup_norms)),
-        ("wall_time_s", report.wall_time_s),
-    ])
+    rows = [("schema_version", 1), ("command", command)]
+    for field in fields(report):
+        value = getattr(report, field.name)
+        if not isinstance(value, tuple):
+            rows.append((field.name, value))
+    _write_csv(path, ("key", "value"), rows)
 
 
 def _write_states_csv(out: Path, name: str, states, grid) -> tuple[float, ...]:
@@ -152,20 +137,12 @@ def _write_states_csv(out: Path, name: str, states, grid) -> tuple[float, ...]:
     return totals
 
 
-def run_attractor(
-    cfg: ScenarioConfig,
-    out_dir,
-    *,
-    nodes: int | None = None,
-    tol: float | None = None,
-    variant: str | None = None,
-) -> RunReport:
+def run_attractor(cfg: ScenarioConfig, out_dir) -> RunReport:
     """Certified pullback run; writes fibers.csv, totals.csv, report.csv."""
     started = time.perf_counter()
     out = Path(out_dir)
-    tol = cfg.tolerance if tol is None else tol
-    grid = build_scenario_grid(cfg, nodes)
-    op = build_operator(cfg, grid, variant)
+    grid = build_scenario_grid(cfg)
+    op = build_operator(cfg, grid)
     u0 = initial_condition(cfg.initial_id, cfg.initial_params, grid)
 
     certificate = certify_contraction(step_constants_closed_form(op), op.theta)
@@ -176,7 +153,7 @@ def run_attractor(
             f"window contraction factor {certificate.factor} is not below 1"
         )
     bound = apriori_distance_bound(op, u0, op.theta, cfg.distance_bound_mode)
-    budget = required_iterations(certificate.factor, bound, tol, op.theta)
+    budget = required_iterations(certificate.factor, bound, cfg.tolerance, op.theta)
     fibers = pullback_fibers(op, certificate, budget, u0, cfg.max_steps)
 
     extension = trajectory(
@@ -188,13 +165,12 @@ def run_attractor(
 
     totals = tuple(total_population(f) for f in fibers.fibers)
     sups = tuple(sup_norm(f) for f in fibers.fibers)
-    label = variant if variant is not None else (cfg.variant or "custom")
     report = RunReport(
-        variant=label,
+        variant=cfg.variant or "custom",
         length=cfg.length,
         nodes=grid.n,
         theta=op.theta,
-        tolerance=tol,
+        tolerance=cfg.tolerance,
         rule=cfg.rule,
         window=certificate.window,
         contraction_factor=certificate.factor,
@@ -205,10 +181,12 @@ def run_attractor(
         total_steps=budget.total_steps,
         certified_error=fibers.certified_error,
         lipschitz_source=source,
+        mean_total_population=float(np.mean(totals)),
+        sup_norm_min=min(sups),
+        sup_norm_max=max(sups),
+        wall_time_s=time.perf_counter() - started,
         fiber_totals=totals,
         fiber_sup_norms=sups,
-        mean_total_population=float(np.mean(totals)),
-        wall_time_s=time.perf_counter() - started,
     )
     _write_report_csv(out / "report.csv", "attractor", report)
     return report
@@ -223,23 +201,17 @@ class TrajectoryReport:
     wall_time_s: float
 
 
-def run_simulation(
-    cfg: ScenarioConfig,
-    out_dir,
-    *,
-    nodes: int | None = None,
-    variant: str | None = None,
-) -> TrajectoryReport:
+def run_simulation(cfg: ScenarioConfig, out_dir) -> TrajectoryReport:
     """Plain forward orbit from the configured initial state over the horizon."""
     started = time.perf_counter()
     out = Path(out_dir)
-    grid = build_scenario_grid(cfg, nodes)
-    op = build_operator(cfg, grid, variant)
+    grid = build_scenario_grid(cfg)
+    op = build_operator(cfg, grid)
     u0 = initial_condition(cfg.initial_id, cfg.initial_params, grid)
     states = trajectory(op, 0, cfg.horizon, u0)
     totals = _write_states_csv(out, "trajectory", states, grid)
-    label = variant if variant is not None else (cfg.variant or "custom")
-    return TrajectoryReport(label, grid.n, cfg.horizon, totals, time.perf_counter() - started)
+    return TrajectoryReport(cfg.variant or "custom", grid.n, cfg.horizon, totals,
+                            time.perf_counter() - started)
 
 
 @dataclass(frozen=True)
@@ -250,13 +222,7 @@ class ComparisonReport:
     reports: dict
 
 
-def compare_inhomogeneities(
-    cfg: ScenarioConfig,
-    out_dir,
-    *,
-    nodes: int | None = None,
-    tol: float | None = None,
-) -> ComparisonReport:
+def compare_inhomogeneities(cfg: ScenarioConfig, out_dir) -> ComparisonReport:
     """Run all four seasonal support placements and rank their means.
 
     Per-variant artifacts land in subdirectories h1/..h4/ of ``out_dir``;
@@ -264,9 +230,7 @@ def compare_inhomogeneities(
     """
     out = Path(out_dir)
     variants = tuple(sorted(SEASON_PATTERNS))
-    reports = {
-        v: run_attractor(cfg, out / v, nodes=nodes, tol=tol, variant=v) for v in variants
-    }
+    reports = {v: run_attractor(replace(cfg, variant=v), out / v) for v in variants}
 
     means = tuple(reports[v].mean_total_population for v in variants)
     best = variants[int(np.argmax(means))]
@@ -282,17 +246,11 @@ def compare_inhomogeneities(
     return ComparisonReport(variants, means, best, reports)
 
 
-def lipschitz_report(
-    cfg: ScenarioConfig,
-    out_dir,
-    *,
-    nodes: int | None = None,
-    variant: str | None = None,
-) -> dict:
+def lipschitz_report(cfg: ScenarioConfig, out_dir) -> dict:
     """Closed-form versus quadrature step constants, plus the budget summary."""
     out = Path(out_dir)
-    grid = build_scenario_grid(cfg, nodes)
-    op = build_operator(cfg, grid, variant)
+    grid = build_scenario_grid(cfg)
+    op = build_operator(cfg, grid)
     u0 = initial_condition(cfg.initial_id, cfg.initial_params, grid)
 
     numeric = step_constants_numeric(op)
@@ -327,21 +285,11 @@ def lipschitz_report(
     return summary
 
 
-def run_convergence(
-    cfg: ScenarioConfig,
-    out_dir,
-    *,
-    nodes: int | None = None,
-    tol: float | None = None,
-    variant: str | None = None,
-) -> list[dict]:
+def run_convergence(cfg: ScenarioConfig, out_dir) -> list[dict]:
     """Self-convergence study: rerun the attractor at n and 2n nodes."""
     out = Path(out_dir)
-    base = nodes if nodes is not None else cfg.nodes
-    levels = (base, 2 * base)
-    reports = [
-        run_attractor(cfg, out / f"n{n}", nodes=n, tol=tol, variant=variant) for n in levels
-    ]
+    levels = (cfg.nodes, 2 * cfg.nodes)
+    reports = [run_attractor(replace(cfg, nodes=n), out / f"n{n}") for n in levels]
 
     rows = []
     previous = None
@@ -407,7 +355,7 @@ def run_semilinear(cfg: ScenarioConfig, out_dir) -> SemilinearRunReport:
             ("command", "semilinear"),
             ("dimension", sc.dimension),
             ("theta", system.theta),
-            ("contraction_factor", contraction_product(system)),
+            ("contraction_factor", report.factor),
             ("periods", report.periods),
             ("last_update", report.last_update),
             ("tail_bound", report.tail_bound),

@@ -68,14 +68,14 @@ def seasonal_cfg():
 def compare_n1000(seasonal_cfg, tmp_path_factory):
     out = tmp_path_factory.mktemp("compare1000")
     started = time.perf_counter()
-    comp = compare_inhomogeneities(seasonal_cfg, out, nodes=1000)
+    comp = compare_inhomogeneities(dataclasses.replace(seasonal_cfg, nodes=1000), out)
     return comp, time.perf_counter() - started
 
 
 @pytest.fixture(scope="module")
 def compare_n2000(seasonal_cfg, tmp_path_factory):
     out = tmp_path_factory.mktemp("compare2000")
-    comp = compare_inhomogeneities(seasonal_cfg, out, nodes=2000)
+    comp = compare_inhomogeneities(dataclasses.replace(seasonal_cfg, nodes=2000), out)
     return comp
 
 
@@ -105,7 +105,8 @@ def _paper_scenario(cfg, name):
 
 def _paper_runs(cfg, out, nodes, names):
     return {
-        v: run_attractor(_paper_scenario(cfg, v), out / v, nodes=nodes) for v in names
+        v: run_attractor(dataclasses.replace(_paper_scenario(cfg, v), nodes=nodes), out / v)
+        for v in names
     }
 
 
@@ -154,7 +155,8 @@ def test_criterion_01_seasonal_comparison(
     runs100 = _paper_runs(seasonal_cfg, out / "n100", 100, TARGET_MEANS)
     same_totals = all(
         runs100[v].fiber_totals
-        == run_attractor(seasonal_cfg, out / "named100" / v, nodes=100, variant=v).fiber_totals
+        == run_attractor(dataclasses.replace(seasonal_cfg, nodes=100, variant=v),
+                         out / "named100" / v).fiber_totals
         for v in reused
     )
 
@@ -196,7 +198,7 @@ def test_criterion_01_seasonal_comparison(
 def test_ranking_stable_under_refinement(seasonal_cfg, compare_n1000, compare_n2000,
                                          tmp_path_factory):
     comp500 = compare_inhomogeneities(
-        seasonal_cfg, tmp_path_factory.mktemp("compare500"), nodes=500
+        dataclasses.replace(seasonal_cfg, nodes=500), tmp_path_factory.mktemp("compare500")
     )
     bests = {comp500.best, compare_n1000[0].best, compare_n2000.best}
     orders = {
@@ -215,7 +217,7 @@ def _vee(x):
 def test_seasonal_mean_matches_direct_iteration_oracle(seasonal_cfg, tmp_path):
     """Independent route: rebuild the h4 sweep from raw numpy primitives."""
     n, theta, length, rate = 200, 365, 6.0, 10.0
-    got = run_attractor(seasonal_cfg, tmp_path, nodes=n, variant="h4")
+    got = run_attractor(dataclasses.replace(seasonal_cfg, nodes=n, variant="h4"), tmp_path)
 
     amplitude = half_contraction_amplitude(theta, rate, length, 9.0)
     alphas = amplitude * (1.0 + 0.5 * np.sin(2.0 * np.pi * np.arange(theta) / theta))

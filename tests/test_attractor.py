@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -61,8 +60,16 @@ class TestCertify:
         lams = ip.step_constants_numeric(op)
         mass = float(np.max(np.sum(np.abs(op.matrices[0]), axis=1)))
         assert lams[0] == op.growth.beta(0) * mass
-        flipped = dataclasses.replace(op, matrices=tuple(-m for m in op.matrices))
-        assert ip.step_constants_numeric(flipped) == lams
+
+    @pytest.mark.parametrize("family", ip.KERNEL_FAMILIES)
+    def test_assembled_matrices_are_nonnegative(self, family):
+        # the row-sum mass is the absolute row sum only for nonnegative
+        # matrices; the tent rates lie on both sides of its support edge a L = 2
+        op, _ = make_seasonal_operator(n=40, theta=3, rate=(0.1, 0.5, 4.0),
+                                       kernel_family=family)
+        assert len(op.matrices) == 3
+        for m in op.matrices:
+            assert m.min() >= 0
 
     def test_half_contraction_schedule(self):
         amplitude = ip.half_contraction_amplitude(365, 10.0, 6.0, 9.0)

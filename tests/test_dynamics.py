@@ -109,6 +109,17 @@ class TestHammersteinApply:
         with pytest.raises(ValueError):
             build_hammerstein(kernel, growth, inhom, grid, theta=4)
 
+    def test_profile_sup_below_node_values_refused(self):
+        # the shipped profile 2|x| + 3 reaches 9.0 at the habitat ends; a
+        # declared 1.0 used to certify a factor of 1.06e-81 at scale 0.6
+        kernel = ip.KernelSpec("laplace", 10.0)
+        growth = ip.GrowthSpec(
+            "beverton_holt", lambda x: 2 * np.abs(x) + 3, (0.6,), profile_sup=1.0
+        )
+        inhom = ip.InhomogeneitySpec.from_variant("h4", 365)
+        with pytest.raises(ValueError, match="profile_sup"):
+            build_hammerstein(kernel, growth, inhom, build_grid(6.0, 100), theta=365)
+
 
 class TestGeneralSolution:
     def test_identity_at_equal_times(self, seasonal_op, rng):

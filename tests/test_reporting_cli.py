@@ -1,4 +1,5 @@
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,17 @@ class TestRunAttractor:
             assert float(np.max(np.abs(values))) == report.fiber_sup_norms[tt]
             assert float(np.dot(grid.weights, values)) == totals[tt]
 
+    def test_report_csv_is_the_scalar_fields(self, small_cfg, tmp_path):
+        report = run_attractor(small_cfg, tmp_path)
+        _, rows = read_csv_rows(tmp_path / "report.csv")
+        assert rows[:2] == [["schema_version", "1"], ["command", "attractor"]]
+        scalars = [f.name for f in fields(report)
+                   if not isinstance(getattr(report, f.name), tuple)]
+        assert [key for key, _ in rows[2:]] == scalars
+        for key, cell in rows[2:]:
+            value = getattr(report, key)
+            assert type(value)(cell) == value, key
+
     def test_wall_time_includes_emission(self, small_cfg, tmp_path, monkeypatch):
         write = reporting._write_csv
 
@@ -95,7 +107,8 @@ class TestRunAttractor:
         assert abs(report.mean_total_population - np.mean(totals[: report.theta])) <= 1e-12
 
     def test_overrides(self, small_cfg, tmp_path):
-        report = run_attractor(small_cfg, tmp_path, nodes=24, tol=1e-5, variant="h1")
+        report = run_attractor(replace(small_cfg, nodes=24, tolerance=1e-5, variant="h1"),
+                               tmp_path)
         assert report.nodes == 24
         assert report.tolerance == 1e-5
         assert report.variant == "h1"
@@ -154,7 +167,7 @@ class TestLipschitzAndConvergence:
             assert abs(float(r[4]) - float(r[5])) <= 5e-3
 
     def test_convergence_rows(self, small_cfg, tmp_path):
-        rows = run_convergence(small_cfg, tmp_path, nodes=20)
+        rows = run_convergence(replace(small_cfg, nodes=20), tmp_path)
         assert [r["nodes"] for r in rows] == [20, 40]
         assert rows[1]["delta_vs_previous"] >= 0
         assert (tmp_path / "convergence.csv").exists()
@@ -204,7 +217,7 @@ class TestCsvCells:
         compare_inhomogeneities(cfg, tmp_path / "compare")
         run_simulation(cfg, tmp_path / "simulate")
         lipschitz_report(cfg, tmp_path / "lipschitz")
-        run_convergence(cfg, tmp_path / "convergence", nodes=20)
+        run_convergence(replace(cfg, nodes=20), tmp_path / "convergence")
         run_semilinear(cfg, tmp_path / "semilinear")
         paths = sorted(tmp_path.rglob("*.csv"))
         assert len(paths) == 28
@@ -325,6 +338,46 @@ class TestCliExitCodes:
         parsed = read_report_csv(out / "report.csv")
         assert parsed["variant"] == "h2"
         assert int(parsed["nodes"]) == 24
+
+    # flag -> (value, the config line it replaces, the line holding that value)
+    OVERRIDES = {
+        "nodes": ("24", "nodes: 40", "nodes: 24"),
+        "tol": ("1e-5", "tolerance: 1.0e-8", "tolerance: 1.0e-5"),
+        "variant": ("h2", "{variant: h4}", "{variant: h2}"),
+    }
+
+    @staticmethod
+    def outputs(out: Path) -> dict:
+        # every file, less the wall_time_s rows, which differ from run to run
+        return {
+            path.relative_to(out): [line for line in path.read_text().splitlines()
+                                    if not line.startswith("wall_time_s,")]
+            for path in sorted(out.rglob("*")) if path.is_file()
+        }
+
+    @pytest.mark.parametrize("command, flags", [
+        ("simulate", ("nodes", "variant")),
+        ("attractor", ("nodes", "tol", "variant")),
+        ("compare", ("nodes", "tol")),
+        ("lipschitz", ("nodes", "variant")),
+        ("convergence", ("nodes", "tol", "variant")),
+    ])
+    def test_override_flags_equal_config_values(self, tmp_path, capsys, command, flags):
+        text, argv = SMALL, []
+        for flag in flags:
+            value, old, new = self.OVERRIDES[flag]
+            text = text.replace(old, new)
+            argv += [f"--{flag}", value]
+        base = self.write(tmp_path, SMALL, "base.yaml")
+        edited = self.write(tmp_path, text, "edited.yaml")
+        capsys.readouterr()
+        assert main([command, "--config", base, "--out", str(tmp_path / "flags")] + argv) == 0
+        by_flags = capsys.readouterr().out
+        assert main([command, "--config", edited, "--out", str(tmp_path / "config")]) == 0
+        assert capsys.readouterr().out == by_flags
+        written = self.outputs(tmp_path / "flags")
+        assert written
+        assert written == self.outputs(tmp_path / "config")
 
     def test_semilinear_command(self, tmp_path):
         cfg = self.write(tmp_path, SEMI)

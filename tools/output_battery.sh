@@ -1,0 +1,64 @@
+#!/usr/bin/env bash
+# Byte-identity battery: run every CLI command on fixed inputs and keep
+# what it writes, so that two checkouts can be compared with `diff -r`.
+#
+#   tools/output_battery.sh CHECKOUT OUT
+#
+# Each run writes its CSV files to OUT/<name>/ and its stdout, followed by
+# an "exit <code>" line, to OUT/<name>.stdout.  The `wall_time_s` rows are
+# deleted afterwards, as they are the only cells that differ between two
+# runs of the same code.  BLAS runs on one thread so that the floating-point
+# summation order is fixed.  Generated configs go to OUT/inputs/.
+#
+# Compare two checkouts:
+#   tools/output_battery.sh ../parent /tmp/battery-parent
+#   tools/output_battery.sh . /tmp/battery-change
+#   diff -r /tmp/battery-parent /tmp/battery-change
+set -euo pipefail
+
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 CHECKOUT OUT" >&2
+    exit 1
+fi
+checkout=$(cd "$1" && pwd)
+mkdir -p "$2"
+out=$(cd "$2" && pwd)
+
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
+export PYTHONPATH="$checkout/src"
+
+shipped="$checkout/configs/seasonal_beverton_holt.yaml"
+mkdir -p "$out/inputs"
+{ cat "$shipped"; echo "distance_bound: trajectory"; } > "$out/inputs/trajectory_bound.yaml"
+python3 - "$checkout/perfbench" "$out/inputs/gauss_periodic_draw3.yaml" <<'EOF'
+import sys
+
+import yaml
+
+sys.path.insert(0, sys.argv[1])
+from workloads import gauss_scenario
+
+config, _ = gauss_scenario(3)
+with open(sys.argv[2], "w", encoding="utf-8") as fh:
+    yaml.safe_dump(config, fh, sort_keys=False)
+EOF
+
+run() {
+    local name=$1
+    shift
+    local code=0
+    python3 -m idepull.cli "$@" --out "$out/$name" > "$out/$name.stdout" || code=$?
+    echo "exit $code" >> "$out/$name.stdout"
+}
+
+run attractor attractor --config "$shipped" --nodes 200
+run attractor_tol_h2 attractor --config "$shipped" --nodes 200 --tol 1e-9 --variant h2
+run compare compare --config "$shipped" --nodes 200
+run simulate_h1 simulate --config "$shipped" --nodes 200 --variant h1
+run lipschitz_h3 lipschitz --config "$shipped" --nodes 200 --variant h3
+run convergence_h4 convergence --config "$shipped" --nodes 100 --variant h4
+run semilinear semilinear --config "$checkout/configs/semilinear_demo.yaml"
+run trajectory_bound attractor --config "$out/inputs/trajectory_bound.yaml" --nodes 200
+run gauss_periodic_draw3 attractor --config "$out/inputs/gauss_periodic_draw3.yaml"
+
+find "$out" -name '*.csv' -exec sed -i '/^wall_time_s,/d' {} +
