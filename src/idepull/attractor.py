@@ -10,6 +10,12 @@ Every fiber artifact carries the certified error
 
 valid uniformly over all times, which is the quantity the budget drives
 below the requested tolerance.
+
+The sweep stops early at an exact fixed point of the period map.  A step
+depends on time only through t mod theta and is deterministic, so once one
+period maps the floating-point state to itself bit for bit, every later
+period does too: the state at time 0 is then the full budgeted sweep's, and
+the fibers, the certified error and every written byte are unchanged.
 """
 
 from __future__ import annotations
@@ -244,12 +250,17 @@ def required_iterations(
 
 @dataclass(frozen=True, eq=False)
 class AttractorFibers:
-    """Periodic attractor fibers with their certified sup-norm error."""
+    """Periodic attractor fibers with their certified sup-norm error.
+
+    ``steps_used`` counts the steps the sweep took, fiber pass included: at
+    most ``budget.total_steps + theta - 1``.
+    """
 
     theta: int
     fibers: tuple[GridFunction, ...]
     certified_error: float
     budget: ErrorBudget
+    steps_used: int
 
     def fiber(self, t: int) -> GridFunction:
         return self.fibers[t % self.theta]
@@ -267,6 +278,14 @@ def pullback_fibers(
     Starts from ``u0`` at time -total_steps and sweeps forward; the states
     reached at times 0, ..., theta-1 are the fibers.  Each carries the
     certified error factor^windows / (1 - factor) * distance_bound.
+
+    The sweep steps to the first period boundary, then one period at a time,
+    and stops once a period returns its start state bit for bit.  Steps
+    depend on time only through t mod theta, so every later period would
+    return it too and the state at time 0 equals the full sweep's: the
+    result is byte-identical.  The bytes are compared, not the values, so a
+    0.0 that became -0.0 does not stop the sweep.  The ``max_steps`` guard
+    reads the a-priori count total_steps + theta - 1.
     """
     if not certificate.valid:
         raise NoContractionError(
@@ -283,7 +302,15 @@ def pullback_fibers(
             f"certified sweep needs {total} steps, above the budget of {max_steps}"
         )
 
-    state = general_solution(op, 0, -budget.total_steps, u0)
+    start = -budget.total_steps
+    boundary = start + budget.total_steps % theta
+    state = general_solution(op, boundary, start, u0)
+    while boundary < 0:
+        previous = state
+        state = general_solution(op, boundary + theta, boundary, previous)
+        boundary += theta
+        if state.values.tobytes() == previous.values.tobytes():
+            break
     fibers = trajectory(op, 0, theta - 1, state)
 
     certified = (
@@ -291,7 +318,7 @@ def pullback_fibers(
         / (1.0 - certificate.factor)
         * budget.distance_bound
     )
-    return AttractorFibers(theta, fibers, certified, budget)
+    return AttractorFibers(theta, fibers, certified, budget, boundary - start + theta - 1)
 
 
 def attraction_rate(

@@ -103,6 +103,7 @@ class RunReport:
     distance_bound_mode: str
     windows: int
     total_steps: int
+    steps_used: int
     certified_error: float
     lipschitz_source: str
     mean_total_population: float
@@ -179,6 +180,7 @@ def run_attractor(cfg: ScenarioConfig, out_dir) -> RunReport:
         distance_bound_mode=cfg.distance_bound_mode,
         windows=budget.windows,
         total_steps=budget.total_steps,
+        steps_used=fibers.steps_used,
         certified_error=fibers.certified_error,
         lipschitz_source=source,
         mean_total_population=float(np.mean(totals)),

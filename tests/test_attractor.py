@@ -19,6 +19,7 @@ from idepull import (
     required_iterations,
     sup_distance,
     sup_norm,
+    trajectory,
 )
 from conftest import make_seasonal_operator
 
@@ -315,6 +316,51 @@ class TestPullbackFibers:
             dv = general_solution(op, start + op.theta, start, v)
             assert sup_distance(du, dv) <= (cert.factor + 1e-12) * sup_distance(u, v)
             u, v = du, dv
+
+    @staticmethod
+    def full_sweep_bits(op, budget, u0):
+        state = general_solution(op, 0, -budget.total_steps, u0)
+        return [f.values.tobytes() for f in trajectory(op, 0, op.theta - 1, state)]
+
+    @pytest.mark.parametrize("extra", [0, 6, 1], ids=["theta", "2theta", "theta+1"])
+    def test_early_stop_matches_full_sweep_bits(self, seasonal_op, extra):
+        op, grid = seasonal_op
+        window = op.theta + extra
+        u0 = GridFunction.constant(grid, 1.0)
+        cert = certify_contraction(ip.step_constants_numeric(op), window)
+        bound = apriori_distance_bound(op, u0, window)
+        budget = required_iterations(cert.factor, bound, 1e-12, window)
+        assert (budget.total_steps % op.theta != 0) == (window % op.theta != 0)
+        fibers = pullback_fibers(op, cert, budget, u0)
+        assert [f.values.tobytes() for f in fibers.fibers] == self.full_sweep_bits(op, budget, u0)
+        assert fibers.steps_used < budget.total_steps + op.theta - 1
+
+    def test_signed_zero_flip_does_not_stop(self):
+        # P(u) = -u from zeros alternates 0.0 and -0.0: equal values, unequal bits
+        grid = ip.build_grid(1.0, 4)
+
+        class Negate:
+            theta = 1
+
+            def step(self, t, u):
+                return GridFunction(u.grid, -u.values)
+
+        op = Negate()
+        u0 = GridFunction(grid, np.zeros(grid.n + 1))
+        budget = ip.ErrorBudget(1.0, 1e-6, 1, 10, 10)
+        fibers = pullback_fibers(op, certify_contraction([0.5], 1), budget, u0)
+        assert fibers.steps_used == budget.total_steps
+        assert [f.values.tobytes() for f in fibers.fibers] == self.full_sweep_bits(op, budget, u0)
+
+    def test_short_budget_sweeps_in_full(self, seasonal_op):
+        # the test operator reaches its exact fixed point after 6 periods
+        op, grid = seasonal_op
+        u0 = GridFunction.constant(grid, 1.0)
+        cert = certify_contraction(ip.step_constants_numeric(op), op.theta)
+        budget = ip.ErrorBudget(1.0, 1e-2, op.theta, 3, 3 * op.theta)
+        fibers = pullback_fibers(op, cert, budget, u0)
+        assert fibers.steps_used == budget.total_steps + op.theta - 1
+        assert [f.values.tobytes() for f in fibers.fibers] == self.full_sweep_bits(op, budget, u0)
 
 
 class TestAttractionRate:

@@ -206,7 +206,8 @@ class TestSemilinearRun:
 
 class TestCsvCells:
     INT_COLUMNS = {"t", "node", "component", "nodes", "time_class", "total_steps",
-                   "schema_version", "theta", "window", "windows", "periods", "dimension"}
+                   "steps_used", "schema_version", "theta", "window", "windows", "periods",
+                   "dimension"}
     TEXT_COLUMNS = {"command", "variant", "rule", "distance_bound_mode",
                     "lipschitz_source", "estimated"}
 
@@ -248,6 +249,15 @@ class TestCliExitCodes:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
         assert main(["lipschitz", "--config", cfg, "--out", str(tmp_path / "lip")]) == 0
         assert main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp")]) == 0
+
+    def test_report_holds_steps_used(self, tmp_path):
+        cfg = self.write(tmp_path, SMALL)
+        assert main(["attractor", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--tol", "1e-12"]) == 0
+        parsed = read_report_csv(tmp_path / "out" / "report.csv")
+        theta, total = int(parsed["theta"]), int(parsed["total_steps"])
+        # the sweep stops at the exact fixed point, well inside the budget
+        assert int(parsed["steps_used"]) < total + theta - 1
 
     def test_config_error_is_1(self, tmp_path):
         bad = self.write(tmp_path, SMALL.replace("tolerance: 1.0e-8", "tolerance: 0"))
