@@ -32,7 +32,6 @@ from .models import (
     GrowthSpec,
     InhomogeneitySpec,
     KernelSpec,
-    SeasonSchedule,
     growth_eval,
     growth_lipschitz,
     growth_sup_bound,
@@ -65,6 +64,7 @@ from .attractor import (
     kernel_masses,
     pullback_fibers,
     required_iterations,
+    row_sum_masses,
     step_constants_closed_form,
     step_constants_numeric,
 )

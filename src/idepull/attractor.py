@@ -33,7 +33,7 @@ from .exceptions import (
     NoContractionError,
 )
 from .grid import GridFunction, hausdorff_semidistance, sup_norm
-from .models import growth_curve, growth_lipschitz, growth_sup_bound, kernel_bound
+from .models import growth_lipschitz, growth_sup_bound, kernel_bound
 from .dynamics import HammersteinOperator, general_solution, trajectory
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "IterateContractionProblem",
     "certify_contraction",
     "kernel_masses",
+    "row_sum_masses",
     "step_constants_closed_form",
     "step_constants_numeric",
     "apriori_distance_bound",
@@ -58,32 +59,27 @@ DISTANCE_BOUND_MODES = ("upper-bound", "trajectory")
 
 @dataclass(frozen=True)
 class ContractionCertificate:
-    """Window contraction factor for a sequence of per-step constants.
+    """Window contraction factor for a periodic sequence of per-step constants.
 
-    ``factor`` is the largest product of ``window`` consecutive step
-    constants (over all window starts); the certificate is usable only
+    ``factor`` is the largest product of ``window`` cyclically consecutive
+    step constants (over all window starts); the certificate is usable only
     when it is below one.
     """
 
     window: int
-    step_constants: tuple[float, ...]
     factor: float
-    periodic: bool = True
 
     @property
     def valid(self) -> bool:
         return self.factor < 1.0
 
 
-def certify_contraction(
-    step_constants: Sequence[float], window: int, periodic: bool = True
-) -> ContractionCertificate:
+def certify_contraction(step_constants: Sequence[float], window: int) -> ContractionCertificate:
     """Compute the worst window product of per-step Lipschitz constants.
 
-    With ``periodic=True`` the sequence is treated as one period of a
-    periodic schedule and every cyclic start is examined; otherwise the
-    sequence is a finite window and must be at least ``window`` long.
-    A factor >= 1 yields an invalid certificate, not an exception.
+    The sequence is one period of a periodic schedule and every cyclic start
+    is examined.  Each product multiplies left to right from 1.  A factor
+    >= 1 yields an invalid certificate, not an exception.
     """
     lams = tuple(float(v) for v in step_constants)
     if not lams:
@@ -94,20 +90,10 @@ def certify_contraction(
         raise ValueError(f"window must be >= 1, got {window}")
 
     p = len(lams)
-    if periodic:
-        starts = range(p)
-    else:
-        if p < window:
-            raise ValueError(f"need at least {window} constants, got {p}")
-        starts = range(p - window + 1)
-
-    factor = 0.0
-    for tau in starts:
-        prod = 1.0
-        for r in range(tau, tau + window):
-            prod *= lams[r % p] if periodic else lams[r]
-        factor = max(factor, prod)
-    return ContractionCertificate(int(window), lams, factor, periodic)
+    cycled = lams * (window // p + 2)
+    # the leading 0.0 makes constants of -0.0 give the factor +0.0
+    factor = max(0.0, *(math.prod(cycled[tau:tau + window]) for tau in range(p)))
+    return ContractionCertificate(int(window), factor)
 
 
 def _max_row_sum(matrix: np.ndarray) -> float:
@@ -146,16 +132,23 @@ def step_constants_closed_form(op: HammersteinOperator) -> tuple[float, ...]:
     return tuple(growth_lipschitz(op.growth, r) * m for r, m in enumerate(masses))
 
 
+def row_sum_masses(op: HammersteinOperator) -> tuple[float, ...]:
+    """Mass of the discretized operator itself in each time class.
+
+    The largest absolute row sum of the class's cached weighted kernel
+    matrix, taken once per distinct matrix.
+    """
+    mass = [_max_row_sum(m) for m in op.matrices]
+    return tuple(mass[i] for i in op.matrix_index)
+
+
 def step_constants_numeric(op: HammersteinOperator) -> tuple[float, ...]:
     """Per-step Lipschitz constants of the discretized operator itself.
 
-    Uses the cached weighted kernel matrices: the discrete mass bound is
-    the largest absolute row sum, so no kernel re-evaluation is needed.
+    The growth Lipschitz constant times :func:`row_sum_masses`, so no kernel
+    re-evaluation is needed.
     """
-    mass = [_max_row_sum(m) for m in op.matrices]
-    return tuple(
-        growth_lipschitz(op.growth, r) * mass[op.matrix_index[r]] for r in range(op.theta)
-    )
+    return tuple(growth_lipschitz(op.growth, r) * m for r, m in enumerate(row_sum_masses(op)))
 
 
 def apriori_distance_bound(
@@ -191,8 +184,7 @@ def apriori_distance_bound(
         for s in range(theta):
             state = general_solution(op, s - 1, s - window, u0)
             r = (s - 1) % theta
-            b = op.growth.scale_at(r) * op.profile_values
-            g_sup = float(np.max(np.abs(growth_curve(op.growth.family, b, state.values))))
+            g_sup = float(np.max(np.abs(op.growth_output(r, state.values))))
             l1 = max(l1, masses[r] * g_sup)
     else:
         raise ValueError(f"unknown distance bound mode {mode!r}")

@@ -59,9 +59,13 @@ class HammersteinOperator:
         if u.grid != self.grid:
             raise GridMismatchError("state lives on a different grid")
         r = t % self.theta
-        b = self.growth.scale_at(r) * self.profile_values
-        g = growth_curve(self.growth.family, b, u.values)
+        g = self.growth_output(r, u.values)
         return GridFunction(self.grid, self.matrices[self.matrix_index[r]] @ g + self.forcing[r])
+
+    def growth_output(self, t: int, values: np.ndarray) -> np.ndarray:
+        """Growth stage g_t(x, u(x)) at the nodes, for the node ``values`` of u."""
+        b = self.growth.scale_at(t % self.theta) * self.profile_values
+        return growth_curve(self.growth.family, b, values)
 
     def forcing_sup(self) -> float:
         """Largest node magnitude of the support over one period."""

@@ -23,7 +23,6 @@ __all__ = [
     "SEASON_PATTERNS",
     "KernelSpec",
     "GrowthSpec",
-    "SeasonSchedule",
     "InhomogeneitySpec",
     "kernel_eval",
     "kernel_bound",
@@ -237,33 +236,6 @@ def growth_lipschitz(spec: GrowthSpec, t: int) -> float:
 
 
 @dataclass(frozen=True)
-class SeasonSchedule:
-    """Partition of a period into equal half-open seasons (j*theta/m, (j+1)*theta/m]."""
-
-    theta: int
-    seasons: int = 4
-
-    def __post_init__(self):
-        if self.theta < 1:
-            raise ValueError(f"period must be >= 1, got {self.theta}")
-        if self.seasons < 1:
-            raise ValueError(f"season count must be >= 1, got {self.seasons}")
-
-    @property
-    def boundaries(self) -> tuple[float, ...]:
-        return tuple(k * self.theta / self.seasons for k in range(1, self.seasons))
-
-    def season(self, t: int) -> int:
-        """1-based season index of integer time ``t``.
-
-        Day ((t-1) mod theta) + 1 in (0, theta] is placed in the half-open
-        interval ((k-1) theta/m, k theta/m]; exact in integer arithmetic.
-        """
-        day = ((t - 1) % self.theta) + 1
-        return (self.seasons * day + self.theta - 1) // self.theta
-
-
-@dataclass(frozen=True)
 class InhomogeneitySpec:
     """Seasonal support: amplitude(season(t)) * cos(pi x / length).
 
@@ -295,12 +267,16 @@ class InhomogeneitySpec:
         amps = tuple(levels[i] for i in SEASON_PATTERNS[variant])
         return cls(amps, theta, variant)
 
-    @property
-    def schedule(self) -> SeasonSchedule:
-        return SeasonSchedule(self.theta, len(self.amplitudes))
-
     def amplitude_at(self, t: int) -> float:
-        return self.amplitudes[self.schedule.season(t) - 1]
+        """Amplitude of the season holding integer time ``t``.
+
+        The period splits into m = len(amplitudes) equal half-open seasons:
+        day ((t-1) mod theta) + 1 in (0, theta] lies in ((k-1) theta/m,
+        k theta/m] for k = (m day + theta - 1) // theta, exact in integers.
+        """
+        day = ((t - 1) % self.theta) + 1
+        m = len(self.amplitudes)
+        return self.amplitudes[(m * day + self.theta - 1) // self.theta - 1]
 
 
 def inhomogeneity_eval(spec: InhomogeneitySpec, t: int, x, length: float):

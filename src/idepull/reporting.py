@@ -21,6 +21,7 @@ from .attractor import (
     kernel_masses,
     pullback_fibers,
     required_iterations,
+    row_sum_masses,
     step_constants_closed_form,
     step_constants_numeric,
 )
@@ -33,7 +34,7 @@ from .config import (
 )
 from .exceptions import ConfigError, NoContractionError
 from .grid import sup_norm, total_population
-from .models import SEASON_PATTERNS, growth_lipschitz
+from .models import SEASON_PATTERNS
 from .semilinear import build_semilinear, pullback_limit
 from .dynamics import trajectory
 
@@ -255,17 +256,11 @@ def lipschitz_report(cfg: ScenarioConfig, out_dir) -> dict:
     op = build_operator(cfg, grid)
     u0 = initial_condition(cfg.initial_id, cfg.initial_params, grid)
 
-    numeric = step_constants_numeric(op)
+    masses, in_range = kernel_masses(op)
     closed = step_constants_closed_form(op)
-    _, in_range = kernel_masses(op)
-
     certificate = certify_contraction(closed, op.theta)
-    rows = []
-    for r in range(op.theta):
-        lip = growth_lipschitz(op.growth, r)
-        kb_closed = closed[r] / lip if lip else 0.0
-        kb_numeric = numeric[r] / lip if lip else 0.0
-        rows.append((r, op.growth.beta(r), kb_closed, kb_numeric, closed[r], numeric[r]))
+    rows = zip(range(op.theta), map(op.growth.beta, range(op.theta)), masses,
+               row_sum_masses(op), closed, step_constants_numeric(op))
     _write_csv(
         out / "lipschitz.csv",
         ("time_class", "beta", "kernel_bound_closed", "kernel_bound_numeric",

@@ -42,11 +42,17 @@ class TestCertify:
         cert2 = certify_contraction([2.0, 0.1], window=2)
         assert cert2.factor == pytest.approx(0.2, rel=1e-14)
 
-    def test_finite_window_mode(self):
-        cert = certify_contraction([0.5, 2.0, 0.1], window=2, periodic=False)
-        assert cert.factor == pytest.approx(1.0, rel=1e-14)
-        with pytest.raises(ValueError):
-            certify_contraction([0.5], window=2, periodic=False)
+    @pytest.mark.parametrize("window", [1, 6, 7, 8, 15])
+    def test_cyclic_factor_matches_left_to_right_loop(self, window):
+        # p = 7 constants around 1, windows 1, p - 1, p, p + 1 and 2p + 1
+        lams = np.random.default_rng(11).uniform(0.5, 1.5, size=7).tolist()
+        expected = 0.0
+        for tau in range(len(lams)):
+            prod = 1.0
+            for r in range(tau, tau + window):
+                prod *= lams[r % len(lams)]
+            expected = max(expected, prod)
+        assert certify_contraction(lams, window).factor == expected
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -61,6 +67,7 @@ class TestCertify:
         lams = ip.step_constants_numeric(op)
         mass = float(np.max(np.sum(np.abs(op.matrices[0]), axis=1)))
         assert lams[0] == op.growth.beta(0) * mass
+        assert ip.row_sum_masses(op)[0] == mass
 
     @pytest.mark.parametrize("family", ip.KERNEL_FAMILIES)
     def test_assembled_matrices_are_nonnegative(self, family):
@@ -149,6 +156,7 @@ class TestKernelMasses:
         assert lams[1] == ip.step_constants_numeric(op)[1]
         masses, closed = ip.kernel_masses(op)
         assert masses[0] == ip.kernel_bound(op.kernel, 0, 6.0)
+        assert masses[1] == ip.row_sum_masses(op)[1]
         assert not closed
 
 

@@ -9,7 +9,6 @@ from idepull import (
     GrowthSpec,
     InhomogeneitySpec,
     KernelSpec,
-    SeasonSchedule,
     build_grid,
     build_hammerstein,
     growth_eval,
@@ -227,21 +226,17 @@ class TestRicker:
 
 
 class TestSeasons:
-    def test_boundaries(self):
-        sched = SeasonSchedule(365)
-        assert sched.boundaries == (91.25, 182.5, 273.75)
-
     def test_season_assignment_full_year(self):
-        sched = SeasonSchedule(365)
-        assert sched.season(1) == 1
-        assert sched.season(91) == 1
-        assert sched.season(92) == 2
-        assert sched.season(182) == 2
-        assert sched.season(183) == 3
-        assert sched.season(273) == 3
-        assert sched.season(274) == 4
-        assert sched.season(365) == 4
-        assert sched.season(0) == 4  # t = 0 is congruent to the period
+        spec = InhomogeneitySpec((1.0, 2.0, 3.0, 4.0), 365)
+        assert spec.amplitude_at(1) == 1.0
+        assert spec.amplitude_at(91) == 1.0
+        assert spec.amplitude_at(92) == 2.0
+        assert spec.amplitude_at(182) == 2.0
+        assert spec.amplitude_at(183) == 3.0
+        assert spec.amplitude_at(273) == 3.0
+        assert spec.amplitude_at(274) == 4.0
+        assert spec.amplitude_at(365) == 4.0
+        assert spec.amplitude_at(0) == 4.0  # t = 0 is congruent to the period
 
     def test_variant_amplitudes(self):
         theta = 365

@@ -166,6 +166,28 @@ class TestLipschitzAndConvergence:
         for r in rows:
             assert abs(float(r[4]) - float(r[5])) <= 5e-3
 
+    @pytest.mark.parametrize("scenario", ["shipped-n40", "zero-growth"])
+    def test_lipschitz_cells_are_the_deciding_functions(self, scenario, tmp_path):
+        # every cell equals its deciding function exactly; with zero growth
+        # the step constants are 0 and the kernel masses are not
+        if scenario == "shipped-n40":
+            shipped = Path("configs/seasonal_beverton_holt.yaml").read_text()
+            cfg = parse_config(shipped.replace("nodes: 1000", "nodes: 40"))
+        else:
+            cfg = parse_config(
+                SMALL.replace("profile: vee", "profile: flat\n  profile_params: {value: 0.0}")
+            )
+        lipschitz_report(cfg, tmp_path)
+        _, rows = read_csv_rows(tmp_path / "lipschitz.csv")
+        op = ip.build_operator(cfg, ip.build_scenario_grid(cfg))
+        columns = [[float(r[k]) for r in rows] for k in (2, 3, 4, 5)]
+        assert columns == [
+            list(ip.kernel_masses(op)[0]),
+            list(ip.row_sum_masses(op)),
+            list(ip.step_constants_closed_form(op)),
+            list(ip.step_constants_numeric(op)),
+        ]
+
     def test_convergence_rows(self, small_cfg, tmp_path):
         rows = run_convergence(replace(small_cfg, nodes=20), tmp_path)
         assert [r["nodes"] for r in rows] == [20, 40]

@@ -30,6 +30,30 @@ export PYTHONPATH="$checkout/src"
 shipped="$checkout/configs/seasonal_beverton_holt.yaml"
 mkdir -p "$out/inputs"
 { cat "$shipped"; echo "distance_bound: trajectory"; } > "$out/inputs/trajectory_bound.yaml"
+# Tent kernel: class 0 has a closed-form mass, class 1 the row-sum fallback.
+cat > "$out/inputs/mixed_tent.yaml" <<'YAML'
+schema_version: 1
+grid: {length: 6.0, nodes: 200}
+kernel: {family: tent, dispersal: [0.2, 1.0]}
+growth: {family: beverton_holt, profile: vee, alpha: 0.05}
+inhomogeneity: {variant: h4}
+period: 2
+tolerance: 1.0e-8
+initial: {id: default}
+horizon: 3
+YAML
+# Zero growth bound: every step constant is 0, the kernel masses are not.
+cat > "$out/inputs/zero_growth.yaml" <<'YAML'
+schema_version: 1
+grid: {length: 6.0, nodes: 40}
+kernel: {family: laplace, dispersal: 2.0}
+growth: {family: beverton_holt, profile: flat, profile_params: {value: 0.0}, alpha: 0.05}
+inhomogeneity: {variant: h4}
+period: 6
+tolerance: 1.0e-8
+initial: {id: default}
+horizon: 7
+YAML
 python3 - "$checkout/perfbench" "$out/inputs/gauss_periodic_draw3.yaml" <<'EOF'
 import sys
 
@@ -60,5 +84,8 @@ run convergence_h4 convergence --config "$shipped" --nodes 100 --variant h4
 run semilinear semilinear --config "$checkout/configs/semilinear_demo.yaml"
 run trajectory_bound attractor --config "$out/inputs/trajectory_bound.yaml" --nodes 200
 run gauss_periodic_draw3 attractor --config "$out/inputs/gauss_periodic_draw3.yaml"
+run mixed_tent attractor --config "$out/inputs/mixed_tent.yaml"
+run lipschitz_mixed_tent lipschitz --config "$out/inputs/mixed_tent.yaml"
+run lipschitz_zero_growth lipschitz --config "$out/inputs/zero_growth.yaml"
 
 find "$out" -name '*.csv' -exec sed -i '/^wall_time_s,/d' {} +
