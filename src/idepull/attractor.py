@@ -1,21 +1,24 @@
 """Contraction certification and certified pullback computation of fibers.
 
-The chain is: per-step Lipschitz constants -> window contraction factor
+The chain is: per-step Lipschitz constants -> period contraction factor
 (:func:`certify_contraction`) -> a-priori distance bound
 (:func:`apriori_distance_bound`) -> iteration budget
 (:func:`required_iterations`) -> pullback sweep (:func:`pullback_fibers`).
-Every fiber artifact carries the certified error
+The window is the period theta: the log-products of the theta cyclic
+windows of any length w average w/theta times the period's, so no window
+contracts where the period does not.  Every fiber artifact carries the
+certified error
 
     factor^windows / (1 - factor) * distance_bound
 
 valid uniformly over all times, which is the quantity the budget drives
 below the requested tolerance.
 
-The sweep stops early at an exact fixed point of the period map.  A step
-depends on time only through t mod theta and is deterministic, so once one
-period maps the floating-point state to itself bit for bit, every later
-period does too: the state at time 0 is then the full budgeted sweep's, and
-the fibers, the certified error and every written byte are unchanged.
+The sweep steps whole periods and stops early at an exact fixed point of
+the period map.  A step depends on time only through t mod theta and is
+deterministic, so once one period maps the floating-point state to itself
+bit for bit, every later period does too: that period's states are the full
+budgeted sweep's fibers, byte for byte.
 """
 
 from __future__ import annotations
@@ -59,11 +62,11 @@ DISTANCE_BOUND_MODES = ("upper-bound", "trajectory")
 
 @dataclass(frozen=True)
 class ContractionCertificate:
-    """Window contraction factor for a periodic sequence of per-step constants.
+    """Period contraction factor for one period of per-step constants.
 
-    ``factor`` is the largest product of ``window`` cyclically consecutive
-    step constants (over all window starts); the certificate is usable only
-    when it is below one.
+    ``factor`` is the largest product of ``window`` = theta cyclically
+    consecutive step constants (over all starts); the certificate is usable
+    only when it is below one.
     """
 
     window: int
@@ -74,26 +77,25 @@ class ContractionCertificate:
         return self.factor < 1.0
 
 
-def certify_contraction(step_constants: Sequence[float], window: int) -> ContractionCertificate:
-    """Compute the worst window product of per-step Lipschitz constants.
+def certify_contraction(step_constants: Sequence[float]) -> ContractionCertificate:
+    """Compute the worst period product of per-step Lipschitz constants.
 
-    The sequence is one period of a periodic schedule and every cyclic start
-    is examined.  Each product multiplies left to right from 1.  A factor
-    >= 1 yields an invalid certificate, not an exception.
+    The sequence is one period of a periodic schedule, so the window is its
+    length.  Every cyclic start is examined, because the rotations multiply
+    left to right from 1 and round differently.  A factor >= 1 yields an
+    invalid certificate, not an exception.
     """
     lams = tuple(float(v) for v in step_constants)
     if not lams:
         raise ValueError("step constants must not be empty")
     if any(not math.isfinite(v) or v < 0 for v in lams):
         raise ValueError("step constants must be finite and >= 0")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
 
-    p = len(lams)
-    cycled = lams * (window // p + 2)
+    theta = len(lams)
+    cycled = lams * 2
     # the leading 0.0 makes constants of -0.0 give the factor +0.0
-    factor = max(0.0, *(math.prod(cycled[tau:tau + window]) for tau in range(p)))
-    return ContractionCertificate(int(window), factor)
+    factor = max(0.0, *(math.prod(cycled[tau:tau + theta]) for tau in range(theta)))
+    return ContractionCertificate(theta, factor)
 
 
 def _max_row_sum(matrix: np.ndarray) -> float:
@@ -154,10 +156,9 @@ def step_constants_numeric(op: HammersteinOperator) -> tuple[float, ...]:
 def apriori_distance_bound(
     op: HammersteinOperator,
     u0: GridFunction,
-    window: int,
     mode: str = "upper-bound",
 ) -> float:
-    """Bound on sup_s ||u0 - phi(s, s-window, u0)|| entering the budget.
+    """Bound on sup_s ||u0 - phi(s, s-theta, u0)|| entering the budget.
 
     Both modes return ||u0|| + sup_s l1(s-1) + sup_t ||h_t|| where l1 is the
     kernel mass bound times a bound on the growth output:
@@ -165,14 +166,12 @@ def apriori_distance_bound(
     - ``"upper-bound"``: the state-independent growth sup bound; cheap and
       matches the budget arithmetic of the seasonal example scenario.
     - ``"trajectory"``: the growth output actually reached by flowing u0
-      over one window, evaluated for every start in one period; sharper
-      but costs theta * (window - 1) steps.
+      over one period, evaluated for every start in one period; sharper
+      but costs theta * (theta - 1) steps.
 
     The supremum over all integer times collapses to one period by
     periodicity.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
     forcing_sup = op.forcing_sup()
     theta = op.theta
     masses, _ = kernel_masses(op)
@@ -182,7 +181,7 @@ def apriori_distance_bound(
     elif mode == "trajectory":
         l1 = 0.0
         for s in range(theta):
-            state = general_solution(op, s - 1, s - window, u0)
+            state = general_solution(op, s - 1, s - theta, u0)
             r = (s - 1) % theta
             g_sup = float(np.max(np.abs(op.growth_output(r, state.values))))
             l1 = max(l1, masses[r] * g_sup)
@@ -244,8 +243,9 @@ def required_iterations(
 class AttractorFibers:
     """Periodic attractor fibers with their certified sup-norm error.
 
-    ``steps_used`` counts the steps the sweep took, fiber pass included: at
-    most ``budget.total_steps + theta - 1``.
+    ``steps_used`` counts the steps the sweep took: a whole number of
+    periods when a period returned its start bit for bit, otherwise
+    ``budget.total_steps + theta - 1``.
     """
 
     theta: int
@@ -267,50 +267,49 @@ def pullback_fibers(
 ) -> AttractorFibers:
     """Approximate the periodic fibers by one pullback sweep.
 
-    Starts from ``u0`` at time -total_steps and sweeps forward; the states
-    reached at times 0, ..., theta-1 are the fibers.  Each carries the
-    certified error factor^windows / (1 - factor) * distance_bound.
+    Starts from ``u0`` at time -total_steps and sweeps forward whole
+    periods; the states reached at times 0, ..., theta-1 are the fibers.
+    Each carries the certified error factor^windows / (1 - factor) *
+    distance_bound.  Certificate and budget must have the period as window.
 
-    The sweep steps to the first period boundary, then one period at a time,
-    and stops once a period returns its start state bit for bit.  Steps
-    depend on time only through t mod theta, so every later period would
-    return it too and the state at time 0 equals the full sweep's: the
-    result is byte-identical.  The bytes are compared, not the values, so a
-    0.0 that became -0.0 does not stop the sweep.  The ``max_steps`` guard
-    reads the a-priori count total_steps + theta - 1.
+    A period whose last step returns its first state bit for bit is the
+    fixed point (see the module notes), so its states are returned.  The
+    bytes are compared, not the values, so a 0.0 that became -0.0 does not
+    stop the sweep.  Only one period's states are alive at a time.  The
+    ``max_steps`` guard reads the full count total_steps + theta - 1.
     """
     if not certificate.valid:
         raise NoContractionError(
             f"contraction factor {certificate.factor} is not below 1"
         )
-    if budget.window != certificate.window:
-        raise ValueError(
-            f"budget window {budget.window} does not match certificate window {certificate.window}"
-        )
     theta = op.theta
+    if certificate.window != theta or budget.window != theta:
+        raise ValueError(
+            f"certificate window {certificate.window} and budget window {budget.window} "
+            f"must both be the period {theta}"
+        )
     total = budget.total_steps + theta - 1
     if total > max_steps:
         raise BudgetExceededError(
             f"certified sweep needs {total} steps, above the budget of {max_steps}"
         )
 
-    start = -budget.total_steps
-    boundary = start + budget.total_steps % theta
-    state = general_solution(op, boundary, start, u0)
-    while boundary < 0:
-        previous = state
-        state = general_solution(op, boundary + theta, boundary, previous)
-        boundary += theta
-        if state.values.tobytes() == previous.values.tobytes():
+    fibers = trajectory(op, 0, theta - 1, u0)
+    steps = total
+    for periods in range(1, budget.windows + 1):
+        state = op.step(theta - 1, fibers[-1])
+        if state.values.tobytes() == fibers[0].values.tobytes():
+            steps = periods * theta
             break
-    fibers = trajectory(op, 0, theta - 1, state)
+        del fibers
+        fibers = trajectory(op, 0, theta - 1, state)
 
     certified = (
         certificate.factor**budget.windows
         / (1.0 - certificate.factor)
         * budget.distance_bound
     )
-    return AttractorFibers(theta, fibers, certified, budget, boundary - start + theta - 1)
+    return AttractorFibers(theta, fibers, certified, budget, steps)
 
 
 def attraction_rate(

@@ -312,7 +312,7 @@ def half_contraction_amplitude(
         raise ValueError(f"period must be >= 1, got {theta}")
     if rate <= 0 or length <= 0 or profile_sup <= 0:
         raise ValueError("rate, length, and profile_sup must be positive")
-    log_bound = math.log(-math.expm1(-0.5 * rate * length))
+    log_bound = math.log(kernel_bound(KernelSpec("laplace", rate), 0, length))
     log_seasonal = sum(
         math.log1p(0.5 * math.sin(2.0 * math.pi * r / theta)) for r in range(theta)
     )

@@ -147,14 +147,14 @@ def run_attractor(cfg: ScenarioConfig, out_dir) -> RunReport:
     op = build_operator(cfg, grid)
     u0 = initial_condition(cfg.initial_id, cfg.initial_params, grid)
 
-    certificate = certify_contraction(step_constants_closed_form(op), op.theta)
+    certificate = certify_contraction(step_constants_closed_form(op))
     source = "closed-form" if kernel_masses(op)[1] else "numeric"
-    numeric_factor = certify_contraction(step_constants_numeric(op), op.theta).factor
+    numeric_factor = certify_contraction(step_constants_numeric(op)).factor
     if not certificate.valid:
         raise NoContractionError(
             f"window contraction factor {certificate.factor} is not below 1"
         )
-    bound = apriori_distance_bound(op, u0, op.theta, cfg.distance_bound_mode)
+    bound = apriori_distance_bound(op, u0, cfg.distance_bound_mode)
     budget = required_iterations(certificate.factor, bound, cfg.tolerance, op.theta)
     fibers = pullback_fibers(op, certificate, budget, u0, cfg.max_steps)
 
@@ -258,7 +258,7 @@ def lipschitz_report(cfg: ScenarioConfig, out_dir) -> dict:
 
     masses, in_range = kernel_masses(op)
     closed = step_constants_closed_form(op)
-    certificate = certify_contraction(closed, op.theta)
+    certificate = certify_contraction(closed)
     rows = zip(range(op.theta), map(op.growth.beta, range(op.theta)), masses,
                row_sum_masses(op), closed, step_constants_numeric(op))
     _write_csv(
@@ -274,7 +274,7 @@ def lipschitz_report(cfg: ScenarioConfig, out_dir) -> dict:
         "closed_form_in_range": in_range,
     }
     if certificate.valid:
-        bound = apriori_distance_bound(op, u0, op.theta, cfg.distance_bound_mode)
+        bound = apriori_distance_bound(op, u0, cfg.distance_bound_mode)
         budget = required_iterations(certificate.factor, bound, cfg.tolerance, op.theta)
         summary.update(
             distance_bound=bound, windows=budget.windows, total_steps=budget.total_steps

@@ -85,8 +85,8 @@ def h4_run(seasonal_cfg):
     grid = build_scenario_grid(seasonal_cfg, 1000)
     op = build_operator(seasonal_cfg, grid, "h4")
     u0 = initial_condition(seasonal_cfg.initial_id, seasonal_cfg.initial_params, grid)
-    cert = certify_contraction(step_constants_closed_form(op), op.theta)
-    bound = apriori_distance_bound(op, u0, op.theta, "upper-bound")
+    cert = certify_contraction(step_constants_closed_form(op))
+    bound = apriori_distance_bound(op, u0, "upper-bound")
     budget = required_iterations(cert.factor, bound, seasonal_cfg.tolerance, op.theta)
     fibers = pullback_fibers(op, cert, budget, u0)
     return op, fibers
@@ -259,17 +259,17 @@ def test_criterion_02_contraction_certificate(seasonal_cfg):
         "beverton_holt", _vee, seasonal_scales(365, amplitude), profile_sup=9.0
     )
     lams = [hammerstein_lipschitz(kernel, growth, r, 6.0) for r in range(365)]
-    cert = certify_contraction(lams, 365)
+    cert = certify_contraction(lams)
     factor_ok = abs(cert.factor - 0.5) <= 1e-10
 
     grid = build_scenario_grid(seasonal_cfg, 200)
     op = build_operator(seasonal_cfg, grid, "h4")
     u0 = initial_condition(seasonal_cfg.initial_id, seasonal_cfg.initial_params, grid)
-    bound_ub = apriori_distance_bound(op, u0, 365, "upper-bound")
+    bound_ub = apriori_distance_bound(op, u0, "upper-bound")
     budget_ub = required_iterations(cert.factor, bound_ub, 1e-6, 365)
     s_ok = budget_ub.windows == 24 and budget_ub.total_steps == 8760
 
-    bound_tr = apriori_distance_bound(op, u0, 365, "trajectory")
+    bound_tr = apriori_distance_bound(op, u0, "trajectory")
     budget_tr = required_iterations(cert.factor, bound_tr, 1e-6, 365)
     # the sharper trajectory bound lands in the same window count here
     traj_ok = bound_tr <= bound_ub and budget_tr.windows == 24
@@ -327,11 +327,11 @@ def test_criterion_03_certified_error_validity():
         op, grid = _random_contractive_scenario(rng)
         theta = op.theta
         lams = step_constants_numeric(op)
-        cert = certify_contraction(lams, theta)
+        cert = certify_contraction(lams)
         assert cert.factor <= 0.9 + 1e-9
 
         u0 = GridFunction(grid, rng.uniform(0.0, 3.0, size=grid.n + 1))
-        bound = apriori_distance_bound(op, u0, theta, "upper-bound")
+        bound = apriori_distance_bound(op, u0, "upper-bound")
         budget = required_iterations(cert.factor, bound, 1e-8, theta)
 
         tight = required_iterations(cert.factor, bound, 1e-12, theta)

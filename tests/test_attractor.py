@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import idepull as ip
 from idepull import (
@@ -25,42 +26,39 @@ from conftest import make_seasonal_operator
 
 class TestCertify:
     def test_constant_sequence(self):
-        cert = certify_contraction([0.9], window=7)
+        cert = certify_contraction([0.9] * 7)
+        assert cert.window == 7
         assert cert.factor == pytest.approx(0.9**7, rel=1e-14)
         assert cert.valid
 
     def test_boundary_of_contraction(self):
-        cert = certify_contraction([1.0, 1.0], window=5)
+        cert = certify_contraction([1.0] * 5)
         assert cert.factor == 1.0
         assert not cert.valid
 
     def test_periodic_worst_start(self):
-        # products of (2, 0.1) windows of length 1: worst start is 2
-        cert = certify_contraction([2.0, 0.1], window=1)
-        assert cert.factor == 2.0
-        # window 2 covers one full period from both starts
-        cert2 = certify_contraction([2.0, 0.1], window=2)
-        assert cert2.factor == pytest.approx(0.2, rel=1e-14)
+        # one step expands by 2, but the period (2, 0.1) contracts from both starts
+        cert = certify_contraction([2.0, 0.1])
+        assert cert.window == 2
+        assert cert.factor == pytest.approx(0.2, rel=1e-14)
 
-    @pytest.mark.parametrize("window", [1, 6, 7, 8, 15])
-    def test_cyclic_factor_matches_left_to_right_loop(self, window):
-        # p = 7 constants around 1, windows 1, p - 1, p, p + 1 and 2p + 1
-        lams = np.random.default_rng(11).uniform(0.5, 1.5, size=7).tolist()
+    @pytest.mark.parametrize("period", [1, 6, 7, 8, 15])
+    def test_cyclic_factor_matches_left_to_right_loop(self, period):
+        # constants around 1, so the rotations round differently
+        lams = np.random.default_rng(11).uniform(0.5, 1.5, size=period).tolist()
         expected = 0.0
-        for tau in range(len(lams)):
+        for tau in range(period):
             prod = 1.0
-            for r in range(tau, tau + window):
-                prod *= lams[r % len(lams)]
+            for r in range(tau, tau + period):
+                prod *= lams[r % period]
             expected = max(expected, prod)
-        assert certify_contraction(lams, window).factor == expected
+        assert certify_contraction(lams).factor == expected
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            certify_contraction([], window=1)
+            certify_contraction([])
         with pytest.raises(ValueError):
-            certify_contraction([-0.1], window=1)
-        with pytest.raises(ValueError):
-            certify_contraction([0.5], window=0)
+            certify_contraction([-0.1])
 
     def test_numeric_constants_are_absolute_row_sums(self, seasonal_op):
         op, _ = seasonal_op
@@ -89,7 +87,7 @@ class TestCertify:
             profile_sup=9.0,
         )
         lams = [ip.hammerstein_lipschitz(kernel, growth, r, 6.0) for r in range(365)]
-        cert = certify_contraction(lams, window=365)
+        cert = certify_contraction(lams)
         assert abs(cert.factor - 0.5) <= 1e-10
 
 
@@ -103,13 +101,13 @@ class TestDistanceBound:
         inhom = ip.InhomogeneitySpec((0.0,), 1)
         op = ip.build_hammerstein(kernel, growth, inhom, grid, theta=1)
         u0 = GridFunction.constant(grid, 0.0)
-        assert apriori_distance_bound(op, u0, 1, "upper-bound") == 0.0
-        assert apriori_distance_bound(op, u0, 1, "trajectory") == 0.0
+        assert apriori_distance_bound(op, u0, "upper-bound") == 0.0
+        assert apriori_distance_bound(op, u0, "trajectory") == 0.0
 
     def test_upper_bound_formula(self, seasonal_op):
         op, grid = seasonal_op
         u0 = GridFunction.from_callable(grid, lambda x: np.cos(x) + 1.0)
-        got = apriori_distance_bound(op, u0, op.theta, "upper-bound")
+        got = apriori_distance_bound(op, u0, "upper-bound")
         manual = sup_norm(u0) + max(
             ip.kernel_bound(op.kernel, r, grid.length) * ip.growth_sup_bound(op.growth, r)
             for r in range(op.theta)
@@ -120,14 +118,14 @@ class TestDistanceBound:
         # beverton-holt saturates, so the reached growth cannot exceed its sup
         op, grid = seasonal_op
         u0 = GridFunction.constant(grid, 2.0)
-        loose = apriori_distance_bound(op, u0, op.theta, "upper-bound")
-        sharp = apriori_distance_bound(op, u0, op.theta, "trajectory")
+        loose = apriori_distance_bound(op, u0, "upper-bound")
+        sharp = apriori_distance_bound(op, u0, "trajectory")
         assert sharp <= loose + 1e-12
 
     def test_unknown_mode(self, seasonal_op):
         op, grid = seasonal_op
         with pytest.raises(ValueError):
-            apriori_distance_bound(op, GridFunction.constant(grid, 0.0), 1, "exact")
+            apriori_distance_bound(op, GridFunction.constant(grid, 0.0), "exact")
 
 
 class TestKernelMasses:
@@ -145,8 +143,8 @@ class TestKernelMasses:
         )
         u0 = GridFunction.constant(grid, 2.0)
         ip.step_constants_closed_form(op)
-        apriori_distance_bound(op, u0, op.theta, "upper-bound")
-        apriori_distance_bound(op, u0, op.theta, "trajectory")
+        apriori_distance_bound(op, u0, "upper-bound")
+        apriori_distance_bound(op, u0, "trajectory")
         assert calls == []
 
     def test_closed_form_or_row_sum_per_class(self, tent_op):
@@ -200,9 +198,9 @@ class TestRequiredIterations:
 
 def tight_fibers(op, grid, u0=None, tol=1e-12, lams=None):
     lams = ip.step_constants_numeric(op) if lams is None else lams
-    cert = certify_contraction(lams, op.theta)
+    cert = certify_contraction(lams)
     u0 = GridFunction.constant(grid, 1.0) if u0 is None else u0
-    bound = apriori_distance_bound(op, u0, op.theta, "upper-bound")
+    bound = apriori_distance_bound(op, u0, "upper-bound")
     budget = required_iterations(cert.factor, bound, tol, op.theta)
     return pullback_fibers(op, cert, budget, u0), cert
 
@@ -230,22 +228,29 @@ class TestPullbackFibers:
 
     def test_invalid_certificate_rejected(self, seasonal_op):
         op, grid = seasonal_op
-        cert = certify_contraction([1.2], op.theta)
+        cert = certify_contraction([1.2] * op.theta)
         budget = ip.ErrorBudget(1.0, 1e-6, op.theta, 3, 3 * op.theta)
         with pytest.raises(NoContractionError):
             pullback_fibers(op, cert, budget, GridFunction.constant(grid, 1.0))
 
     def test_window_mismatch_rejected(self, seasonal_op):
+        # the certificate and the budget must both use the period as window
         op, grid = seasonal_op
-        cert = certify_contraction(ip.step_constants_numeric(op), op.theta)
-        budget = ip.ErrorBudget(1.0, 1e-6, op.theta + 1, 3, 3 * (op.theta + 1))
-        with pytest.raises(ValueError):
-            pullback_fibers(op, cert, budget, GridFunction.constant(grid, 1.0))
+        u0 = GridFunction.constant(grid, 1.0)
+        lams = ip.step_constants_numeric(op)
+        cert = certify_contraction(lams)
+        longer = certify_contraction(lams + lams[:1])
+        budget = ip.ErrorBudget(1.0, 1e-6, op.theta, 3, 3 * op.theta)
+        other = ip.ErrorBudget(1.0, 1e-6, op.theta + 1, 3, 3 * (op.theta + 1))
+        with pytest.raises(ValueError, match="period"):
+            pullback_fibers(op, cert, other, u0)
+        with pytest.raises(ValueError, match="period"):
+            pullback_fibers(op, longer, budget, u0)
 
     def test_budget_guard(self, seasonal_op):
         op, grid = seasonal_op
-        cert = certify_contraction(ip.step_constants_numeric(op), op.theta)
-        bound = apriori_distance_bound(op, GridFunction.constant(grid, 1.0), op.theta)
+        cert = certify_contraction(ip.step_constants_numeric(op))
+        bound = apriori_distance_bound(op, GridFunction.constant(grid, 1.0))
         budget = required_iterations(cert.factor, bound, 1e-9, op.theta)
         with pytest.raises(BudgetExceededError):
             pullback_fibers(op, cert, budget, GridFunction.constant(grid, 1.0), max_steps=10)
@@ -298,7 +303,7 @@ class TestPullbackFibers:
         op, grid = seasonal_op
         theta = op.theta
         lams = ip.step_constants_numeric(op)
-        cert = certify_contraction(lams, theta)
+        cert = certify_contraction(lams)
         u0 = GridFunction(grid, rng.uniform(0, 3, size=grid.n + 1))
         fibers, _ = tight_fibers(op, grid, u0=u0, tol=1e-12)
 
@@ -316,7 +321,7 @@ class TestPullbackFibers:
 
     def test_per_window_contraction_of_pairs(self, seasonal_op, rng):
         op, grid = seasonal_op
-        cert = certify_contraction(ip.step_constants_numeric(op), op.theta)
+        cert = certify_contraction(ip.step_constants_numeric(op))
         u = GridFunction(grid, rng.uniform(0, 3, size=grid.n + 1))
         v = GridFunction(grid, rng.uniform(0, 3, size=grid.n + 1))
         for start in range(-2, 3):
@@ -330,17 +335,15 @@ class TestPullbackFibers:
         state = general_solution(op, 0, -budget.total_steps, u0)
         return [f.values.tobytes() for f in trajectory(op, 0, op.theta - 1, state)]
 
-    @pytest.mark.parametrize("extra", [0, 6, 1], ids=["theta", "2theta", "theta+1"])
-    def test_early_stop_matches_full_sweep_bits(self, seasonal_op, extra):
+    def test_early_stop_matches_full_sweep_bits(self, seasonal_op):
         op, grid = seasonal_op
-        window = op.theta + extra
         u0 = GridFunction.constant(grid, 1.0)
-        cert = certify_contraction(ip.step_constants_numeric(op), window)
-        bound = apriori_distance_bound(op, u0, window)
-        budget = required_iterations(cert.factor, bound, 1e-12, window)
-        assert (budget.total_steps % op.theta != 0) == (window % op.theta != 0)
+        cert = certify_contraction(ip.step_constants_numeric(op))
+        bound = apriori_distance_bound(op, u0)
+        budget = required_iterations(cert.factor, bound, 1e-12, op.theta)
         fibers = pullback_fibers(op, cert, budget, u0)
         assert [f.values.tobytes() for f in fibers.fibers] == self.full_sweep_bits(op, budget, u0)
+        assert fibers.steps_used % op.theta == 0
         assert fibers.steps_used < budget.total_steps + op.theta - 1
 
     def test_signed_zero_flip_does_not_stop(self):
@@ -356,7 +359,7 @@ class TestPullbackFibers:
         op = Negate()
         u0 = GridFunction(grid, np.zeros(grid.n + 1))
         budget = ip.ErrorBudget(1.0, 1e-6, 1, 10, 10)
-        fibers = pullback_fibers(op, certify_contraction([0.5], 1), budget, u0)
+        fibers = pullback_fibers(op, certify_contraction([0.5]), budget, u0)
         assert fibers.steps_used == budget.total_steps
         assert [f.values.tobytes() for f in fibers.fibers] == self.full_sweep_bits(op, budget, u0)
 
@@ -364,11 +367,50 @@ class TestPullbackFibers:
         # the test operator reaches its exact fixed point after 6 periods
         op, grid = seasonal_op
         u0 = GridFunction.constant(grid, 1.0)
-        cert = certify_contraction(ip.step_constants_numeric(op), op.theta)
+        cert = certify_contraction(ip.step_constants_numeric(op))
         budget = ip.ErrorBudget(1.0, 1e-2, op.theta, 3, 3 * op.theta)
         fibers = pullback_fibers(op, cert, budget, u0)
         assert fibers.steps_used == budget.total_steps + op.theta - 1
         assert [f.values.tobytes() for f in fibers.fibers] == self.full_sweep_bits(op, budget, u0)
+
+
+@st.composite
+def sweep_scenarios(draw):
+    """A small contractive scenario, a start state and a tolerance."""
+    theta = draw(st.integers(1, 6))
+    n = draw(st.integers(4, 32))
+    length = draw(st.floats(2.0, 6.0))
+    family = draw(st.sampled_from(["laplace", "gauss", "tent"]))
+    # tent rates reach past its closed-form range (rate * length <= 2)
+    high = 4.0 / length if family == "tent" else 4.0
+    rates = draw(st.lists(st.floats(0.3 / length, high), min_size=theta, max_size=theta))
+    scales = draw(st.lists(st.floats(0.05, 0.9), min_size=theta, max_size=theta))
+    growth = ip.GrowthSpec(draw(st.sampled_from(["beverton_holt", "logistic"])),
+                           np.ones_like, tuple(scales), profile_sup=1.0)
+    levels = (draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 2.0)))
+    inhom = ip.InhomogeneitySpec.from_variant(
+        draw(st.sampled_from(["h1", "h2", "h3", "h4"])), theta, levels)
+    grid = ip.build_grid(length, n)
+    op = ip.build_hammerstein(ip.KernelSpec(family, tuple(rates)), growth, inhom, grid, theta)
+    u0 = GridFunction.constant(grid, draw(st.floats(0.0, 3.0)))
+    return op, u0, 10.0 ** draw(st.floats(-12.0, -1.0))
+
+
+class TestSweepProperty:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(sweep_scenarios())
+    def test_sweep_matches_full_budget_bits(self, scenario):
+        op, u0, tol = scenario
+        cert = certify_contraction(ip.step_constants_closed_form(op))
+        assume(cert.valid)
+        budget = required_iterations(cert.factor, apriori_distance_bound(op, u0), tol, op.theta)
+        fibers = pullback_fibers(op, cert, budget, u0)
+
+        full = TestPullbackFibers.full_sweep_bits(op, budget, u0)
+        assert [f.values.tobytes() for f in fibers.fibers] == full
+        exhausted = budget.total_steps + op.theta - 1
+        assert fibers.steps_used == exhausted or (
+            fibers.steps_used % op.theta == 0 and fibers.steps_used < exhausted)
 
 
 class TestAttractionRate:

@@ -202,7 +202,7 @@ def test_build_operator_auto_scales_halve_product():
     cfg = parse_config(text)
     op = build_operator(cfg)
     lams = ip.step_constants_closed_form(op)
-    cert = ip.certify_contraction(lams, op.theta)
+    cert = ip.certify_contraction(lams)
     assert abs(cert.factor - 0.5) <= 1e-10
 
 

@@ -160,7 +160,7 @@ class TestLipschitzAndConvergence:
         header, rows = read_csv_rows(tmp_path / "lipschitz.csv")
         assert len(rows) == small_cfg.period
         lams_closed = [float(r[4]) for r in rows]
-        cert = ip.certify_contraction(lams_closed, small_cfg.period)
+        cert = ip.certify_contraction(lams_closed)
         assert summary["contraction_factor"] == cert.factor
         assert summary["valid"]
         for r in rows:
@@ -278,7 +278,9 @@ class TestCliExitCodes:
                      "--tol", "1e-12"]) == 0
         parsed = read_report_csv(tmp_path / "out" / "report.csv")
         theta, total = int(parsed["theta"]), int(parsed["total_steps"])
-        # the sweep stops at the exact fixed point, well inside the budget
+        # the sweep stops at the exact fixed point after whole periods,
+        # well inside the budget
+        assert int(parsed["steps_used"]) % theta == 0
         assert int(parsed["steps_used"]) < total + theta - 1
 
     def test_config_error_is_1(self, tmp_path):

@@ -54,6 +54,19 @@ tolerance: 1.0e-8
 initial: {id: default}
 horizon: 7
 YAML
+# Zero forcing: the state decays toward 0 and never returns its bits, so the
+# sweep spends its whole budget.
+cat > "$out/inputs/full_budget.yaml" <<'YAML'
+schema_version: 1
+grid: {length: 6.0, nodes: 40}
+kernel: {family: laplace, dispersal: 2.0}
+growth: {family: logistic, profile: flat, profile_params: {value: 1.0}, alpha: 0.9}
+inhomogeneity: {variant: h4, levels: [0.0, 0.0]}
+period: 3
+tolerance: 1.0e-3
+initial: {id: default}
+horizon: 4
+YAML
 python3 - "$checkout/perfbench" "$out/inputs/gauss_periodic_draw3.yaml" <<'EOF'
 import sys
 
@@ -87,5 +100,6 @@ run gauss_periodic_draw3 attractor --config "$out/inputs/gauss_periodic_draw3.ya
 run mixed_tent attractor --config "$out/inputs/mixed_tent.yaml"
 run lipschitz_mixed_tent lipschitz --config "$out/inputs/mixed_tent.yaml"
 run lipschitz_zero_growth lipschitz --config "$out/inputs/zero_growth.yaml"
+run full_budget attractor --config "$out/inputs/full_budget.yaml"
 
 find "$out" -name '*.csv' -exec sed -i '/^wall_time_s,/d' {} +
