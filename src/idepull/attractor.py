@@ -165,6 +165,8 @@ def apriori_distance_bound(
 
     - ``"upper-bound"``: the state-independent growth sup bound; cheap and
       matches the budget arithmetic of the seasonal example scenario.
+      Ricker growth with a profile node value of 0 has no such bound and
+      raises ``BoundFormulaOutOfRangeError``.
     - ``"trajectory"``: the growth output actually reached by flowing u0
       over one period, evaluated for every start in one period; sharper
       but costs theta * (theta - 1) steps.
@@ -177,7 +179,8 @@ def apriori_distance_bound(
     masses, _ = kernel_masses(op)
 
     if mode == "upper-bound":
-        l1 = max(masses[r] * growth_sup_bound(op.growth, r) for r in range(theta))
+        profile_min = float(np.min(op.profile_values))
+        l1 = max(masses[r] * growth_sup_bound(op.growth, r, profile_min) for r in range(theta))
     elif mode == "trajectory":
         l1 = 0.0
         for s in range(theta):

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 no contraction,
-3 iteration budget exceeded.
+Exit codes: 0 success, 1 configuration, usage or output error, 2 no
+contraction, 3 iteration budget exceeded.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from pathlib import Path
 
 from .exceptions import BudgetExceededError, ConfigError, NoContractionError
 from .config import load_config
@@ -77,6 +78,8 @@ def main(argv=None) -> int:
             k: v for k in ("nodes", "tolerance", "variant")
             if (v := getattr(args, k, None)) is not None
         })
+        # an --out that cannot be a directory fails here, not after the run
+        Path(args.out).mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
             report = reporting.run_simulation(cfg, args.out)
             print(f"simulated {report.steps} steps (variant {report.variant}, "
@@ -110,8 +113,11 @@ def main(argv=None) -> int:
                 print(f"n={row['nodes']}: mean total population "
                       f"{row['mean_total_population']:.6f} "
                       f"(delta {row['delta_vs_previous']:.3g})")
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 1
     except NoContractionError as exc:
         print(f"no contraction: {exc}", file=sys.stderr)

@@ -466,8 +466,12 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
+    return parse_config(text)
 
 
 def _initial_builder(name: str, params: Mapping[str, Any], path: str) -> Callable:

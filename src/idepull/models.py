@@ -208,19 +208,25 @@ def growth_eval(spec: GrowthSpec, t: int, x, z):
     return growth_curve(spec.family, b, z)
 
 
-def growth_sup_bound(spec: GrowthSpec, t: int) -> float:
-    """Bound on sup_{x,z} |g_t(x, z)|.
+def growth_sup_bound(spec: GrowthSpec, t: int, profile_min: float) -> float:
+    """Bound on sup_{x,z} |g_t(x, z)| over profile values of at least ``profile_min``.
 
-    beta/4 (logistic), beta (beverton_holt), beta/e (ricker).  The ricker
-    value is only a valid bound when beta_t >= 1 and the profile stays
-    above 1/beta_t.
+    beta/4 (logistic), beta (beverton_holt).  For ricker, |z| exp(-b |z|)
+    peaks at |z| = 1/b with value 1/(e b), largest where b is smallest, so
+    the exact sup is 1/(e scale_t profile_min).  A ricker profile reaching 0
+    leaves g_t(x, z) = z unbounded and raises
+    ``BoundFormulaOutOfRangeError``.
     """
     beta = spec.beta(t)
     if spec.family == "logistic":
         return 0.25 * beta
     if spec.family == "beverton_holt":
         return beta
-    return beta / math.e
+    if profile_min <= 0:
+        raise BoundFormulaOutOfRangeError(
+            "ricker growth is unbounded where the profile is 0, so it has no sup bound"
+        )
+    return 1.0 / (math.e * spec.scale_at(t) * profile_min)
 
 
 def growth_lipschitz(spec: GrowthSpec, t: int) -> float:

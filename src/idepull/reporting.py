@@ -1,8 +1,13 @@
 """Run drivers and CSV artifacts.
 
-Rows carry Python ``int``, ``float`` and ``str`` values, and ``csv.writer``
-writes a float as its shortest round-trip text (``repr``), so re-parsing an
-emitted file reproduces the in-memory values bit for bit.
+A float cell is the float's shortest round-trip text (``repr``), so
+re-parsing an emitted file reproduces the in-memory values bit for bit.
+A states file (``fibers.csv``, ``trajectory.csv``) is written one day at a
+time as one joined string of ``repr`` cells, with each node's ``node`` and
+``x`` cells formatted once per file.  Every other CSV goes through
+``csv.writer``, with rows of Python ``int``, ``float`` and ``str`` values.
+Both paths write the same bytes for the same cells, ``\r\n`` line ends
+included.
 """
 
 from __future__ import annotations
@@ -10,12 +15,12 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, fields, replace
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .attractor import (
+    ErrorBudget,
     apriori_distance_bound,
     certify_contraction,
     kernel_masses,
@@ -32,7 +37,7 @@ from .config import (
     build_scenario_grid,
     initial_condition,
 )
-from .exceptions import ConfigError, NoContractionError
+from .exceptions import BoundFormulaOutOfRangeError, ConfigError, NoContractionError
 from .grid import sup_norm, total_population
 from .models import SEASON_PATTERNS
 from .semilinear import build_semilinear, pullback_limit
@@ -127,16 +132,33 @@ def _write_report_csv(path: Path, command: str, report: RunReport) -> None:
 def _write_states_csv(out: Path, name: str, states, grid) -> tuple[float, ...]:
     """Write ``<name>.csv`` (one row per node per day) and ``totals.csv``.
 
+    Writes the bytes ``csv.writer`` would (``repr`` cells, ``\\r\\n`` line
+    ends), one joined string per day: each row is the day, then the
+    node's ``,{i},{x!r},`` tail formatted once per file, then the value.
     Returns the total population of each day.
     """
-    nodes = grid.nodes.tolist()
-    index = range(len(nodes))
-    _write_csv(out / f"{name}.csv", ("t", "node", "x", "value"), chain.from_iterable(
-        zip(repeat(t), index, nodes, s.values.tolist()) for t, s in enumerate(states)
-    ))
+    out.mkdir(parents=True, exist_ok=True)
+    tails = [f",{i},{x!r}," for i, x in enumerate(grid.nodes.tolist())]
+    with open(out / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
+        fh.write("t,node,x,value\r\n")
+        for t, s in enumerate(states):
+            sep = f"\r\n{t}"
+            cells = map(repr, s.values.tolist())
+            fh.write(f"{t}{sep.join(map(str.__add__, tails, cells))}\r\n")
     totals = tuple(total_population(s) for s in states)
     _write_csv(out / "totals.csv", ("t", "total_population"), enumerate(totals))
     return totals
+
+
+def _budget(op, u0, cfg: ScenarioConfig, factor: float) -> ErrorBudget:
+    """The iteration budget under the configured distance bound mode."""
+    try:
+        bound = apriori_distance_bound(op, u0, cfg.distance_bound_mode)
+    except BoundFormulaOutOfRangeError as exc:
+        raise ConfigError(
+            f"config.distance_bound: {exc}; use distance_bound: trajectory"
+        ) from exc
+    return required_iterations(factor, bound, cfg.tolerance, op.theta)
 
 
 def run_attractor(cfg: ScenarioConfig, out_dir) -> RunReport:
@@ -154,8 +176,7 @@ def run_attractor(cfg: ScenarioConfig, out_dir) -> RunReport:
         raise NoContractionError(
             f"window contraction factor {certificate.factor} is not below 1"
         )
-    bound = apriori_distance_bound(op, u0, cfg.distance_bound_mode)
-    budget = required_iterations(certificate.factor, bound, cfg.tolerance, op.theta)
+    budget = _budget(op, u0, cfg, certificate.factor)
     fibers = pullback_fibers(op, certificate, budget, u0, cfg.max_steps)
 
     extension = trajectory(
@@ -163,9 +184,10 @@ def run_attractor(cfg: ScenarioConfig, out_dir) -> RunReport:
     )
     states = (fibers.fibers + extension[1:])[: cfg.horizon + 1]
 
-    _write_states_csv(out, "fibers", states, grid)
-
-    totals = tuple(total_population(f) for f in fibers.fibers)
+    # the states open with the fibers; a horizon shorter than the period
+    # leaves the last fibers' totals to compute here
+    written = _write_states_csv(out, "fibers", states, grid)
+    totals = written[: op.theta] + tuple(map(total_population, fibers.fibers[len(written):]))
     sups = tuple(sup_norm(f) for f in fibers.fibers)
     report = RunReport(
         variant=cfg.variant or "custom",
@@ -274,11 +296,9 @@ def lipschitz_report(cfg: ScenarioConfig, out_dir) -> dict:
         "closed_form_in_range": in_range,
     }
     if certificate.valid:
-        bound = apriori_distance_bound(op, u0, cfg.distance_bound_mode)
-        budget = required_iterations(certificate.factor, bound, cfg.tolerance, op.theta)
-        summary.update(
-            distance_bound=bound, windows=budget.windows, total_steps=budget.total_steps
-        )
+        budget = _budget(op, u0, cfg, certificate.factor)
+        summary.update(distance_bound=budget.distance_bound, windows=budget.windows,
+                       total_steps=budget.total_steps)
     return summary
 
 

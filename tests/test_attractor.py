@@ -109,7 +109,8 @@ class TestDistanceBound:
         u0 = GridFunction.from_callable(grid, lambda x: np.cos(x) + 1.0)
         got = apriori_distance_bound(op, u0, "upper-bound")
         manual = sup_norm(u0) + max(
-            ip.kernel_bound(op.kernel, r, grid.length) * ip.growth_sup_bound(op.growth, r)
+            ip.kernel_bound(op.kernel, r, grid.length)
+            * ip.growth_sup_bound(op.growth, r, float(np.min(op.profile_values)))
             for r in range(op.theta)
         ) + op.forcing_sup()
         assert got == pytest.approx(manual, rel=1e-14)
@@ -121,6 +122,26 @@ class TestDistanceBound:
         loose = apriori_distance_bound(op, u0, "upper-bound")
         sharp = apriori_distance_bound(op, u0, "trajectory")
         assert sharp <= loose + 1e-12
+
+    def test_ricker_upper_bound_not_below_trajectory(self):
+        # beta_t * min b_t = 0.25 < 1: the old ricker sup beta_t / e gave an
+        # upper bound of 3.116 below the trajectory mode's 3.465
+        cfg = ip.parse_config("""
+schema_version: 1
+grid: {length: 1.0, nodes: 40}
+kernel: {family: laplace, dispersal: 2.0}
+growth: {family: ricker, profile: flat, profile_params: {value: 0.5}, alpha: 1.0}
+inhomogeneity: {variant: h4}
+period: 4
+tolerance: 1.0e-8
+initial: {id: default}
+""")
+        grid = ip.build_scenario_grid(cfg)
+        op = ip.build_operator(cfg, grid)
+        u0 = ip.initial_condition(cfg.initial_id, cfg.initial_params, grid)
+        loose = apriori_distance_bound(op, u0, "upper-bound")
+        sharp = apriori_distance_bound(op, u0, "trajectory")
+        assert loose >= sharp > 3.4
 
     def test_unknown_mode(self, seasonal_op):
         op, grid = seasonal_op

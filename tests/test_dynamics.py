@@ -76,7 +76,7 @@ class TestHammersteinApply:
         for t in range(op.theta):
             bound = (
                 ip.kernel_bound_numeric(op.kernel, t, grid)
-                * ip.growth_sup_bound(op.growth, t)
+                * ip.growth_sup_bound(op.growth, t, float(np.min(op.profile_values)))
                 + float(np.max(np.abs(op.forcing[t])))
             )
             for scale in (0.1, 1.0, 25.0):

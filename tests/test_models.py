@@ -141,11 +141,22 @@ class TestGrowth:
 
     def test_sup_bounds(self):
         logi = GrowthSpec("logistic", flat(4.0), (1.0,), profile_sup=4.0)
-        assert growth_sup_bound(logi, 0) == pytest.approx(1.0, abs=1e-15)
+        assert growth_sup_bound(logi, 0, 4.0) == pytest.approx(1.0, abs=1e-15)
         bh = GrowthSpec("beverton_holt", flat(2.0), (1.0,), profile_sup=2.0)
-        assert growth_sup_bound(bh, 0) == pytest.approx(2.0, abs=1e-15)
+        assert growth_sup_bound(bh, 0, 2.0) == pytest.approx(2.0, abs=1e-15)
+        # sup_z z exp(-e z) = 1/e^2, at z = 1/e
         ricker = GrowthSpec("ricker", flat(math.e), (1.0,), profile_sup=math.e)
-        assert growth_sup_bound(ricker, 0) == pytest.approx(1.0, abs=1e-14)
+        assert growth_sup_bound(ricker, 0, math.e) == pytest.approx(math.exp(-2), abs=1e-15)
+
+    def test_ricker_sup_bound_is_set_by_the_smallest_profile_value(self):
+        # beta_t * min b_t = 0.5 * 0.25 < 1, where beta_t / e is no bound
+        spec = GrowthSpec("ricker", flat(0.5), (0.5,), profile_sup=0.5)
+        bound = growth_sup_bound(spec, 0, 0.5)
+        assert bound == pytest.approx(4.0 / math.e, rel=1e-15)
+        assert growth_eval(spec, 0, 0.0, 4.0) == pytest.approx(bound, rel=1e-15)
+        assert bound > spec.beta(0) / math.e
+        with pytest.raises(BoundFormulaOutOfRangeError):
+            growth_sup_bound(spec, 0, 0.0)
 
     @pytest.mark.parametrize(
         "family,scale,profile_value",
@@ -172,11 +183,12 @@ class TestGrowth:
             ("logistic", 1.0, 3.0),
             ("beverton_holt", 0.7, 2.0),
             ("ricker", 1.0, 1.5),
+            ("ricker", 0.5, 0.5),
         ],
     )
     def test_sup_bound_sampled(self, family, scale, profile_value):
         spec = GrowthSpec(family, flat(profile_value), (scale,), profile_sup=profile_value)
-        bound = growth_sup_bound(spec, 0)
+        bound = growth_sup_bound(spec, 0, profile_value)
         rng = np.random.default_rng(100)
         x = rng.uniform(-3, 3, size=1000)
         z = rng.uniform(-8, 8, size=1000)

@@ -1,3 +1,6 @@
+import csv
+import io
+import math
 import time
 from dataclasses import fields, replace
 from pathlib import Path
@@ -91,15 +94,24 @@ class TestRunAttractor:
             assert type(value)(cell) == value, key
 
     def test_wall_time_includes_emission(self, small_cfg, tmp_path, monkeypatch):
-        write = reporting._write_csv
+        write = reporting._write_states_csv
 
-        def slow_fibers(path, header, rows):
-            if path.name == "fibers.csv":
+        def slow_fibers(out, name, states, grid):
+            if name == "fibers":
                 time.sleep(0.2)
-            write(path, header, rows)
+            return write(out, name, states, grid)
 
-        monkeypatch.setattr(reporting, "_write_csv", slow_fibers)
+        monkeypatch.setattr(reporting, "_write_states_csv", slow_fibers)
         assert run_attractor(small_cfg, tmp_path).wall_time_s >= 0.2
+
+    def test_horizon_shorter_than_period(self, small_cfg, tmp_path):
+        # fibers.csv holds 3 of the 6 fibers; the report still totals all 6
+        full = run_attractor(small_cfg, tmp_path / "full")
+        short = run_attractor(replace(small_cfg, horizon=2), tmp_path / "short")
+        assert len(short.fiber_totals) == short.theta == 6
+        assert short.fiber_totals == full.fiber_totals
+        _, totals = read_totals_csv(tmp_path / "short" / "totals.csv")
+        assert tuple(totals) == full.fiber_totals[:3]
 
     def test_mean_matches_totals_recomputation(self, small_cfg, tmp_path):
         report = run_attractor(small_cfg, tmp_path)
@@ -113,6 +125,37 @@ class TestRunAttractor:
         assert report.tolerance == 1e-5
         assert report.variant == "h1"
         assert report.certified_error <= 1e-5
+
+
+class TestStatesWriter:
+    # signed zero, the smallest subnormal, a large exponent, a small
+    # exponent, a long shortest repr, and the non-finite values
+    EDGE = (-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, math.inf, math.nan, -2.5)
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_bytes_match_csv_writer(self, tmp_path, n):
+        grid = build_grid(3.0, n)
+        days = 12  # two-digit day indices from t = 10
+        states = [
+            ip.GridFunction(grid, [self.EDGE[(t + i) % len(self.EDGE)] for i in range(n + 1)])
+            for t in range(days)
+        ]
+        out = tmp_path / "new" / "dir"
+        totals = reporting._write_states_csv(out, "fibers", states, grid)
+
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(("t", "node", "x", "value"))
+        writer.writerows(
+            (t, i, x, v)
+            for t, s in enumerate(states)
+            for i, (x, v) in enumerate(zip(grid.nodes.tolist(), s.values.tolist()))
+        )
+        assert (out / "fibers.csv").read_bytes() == expected.getvalue().encode("utf-8")
+        assert len(totals) == days
+        t, written = read_totals_csv(out / "totals.csv")
+        assert list(t) == list(range(days))
+        assert np.array_equal(written, np.array(totals), equal_nan=True)
 
 
 class TestSimulate:
@@ -283,11 +326,14 @@ class TestCliExitCodes:
         assert int(parsed["steps_used"]) % theta == 0
         assert int(parsed["steps_used"]) < total + theta - 1
 
-    def test_config_error_is_1(self, tmp_path):
+    def test_config_error_is_1(self, tmp_path, capsys):
         bad = self.write(tmp_path, SMALL.replace("tolerance: 1.0e-8", "tolerance: 0"))
         assert main(["attractor", "--config", bad, "--out", str(tmp_path / "out")]) == 1
+        capsys.readouterr()
         missing = str(tmp_path / "nope.yaml")
         assert main(["attractor", "--config", missing, "--out", str(tmp_path / "out")]) == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("configuration error: ") and "nope.yaml" in stderr
 
     def test_bad_registry_value_is_config_error(self, tmp_path, capsys):
         bad = self.write(tmp_path, SMALL.replace("family: beverton_holt", "family: hassell"))
@@ -353,6 +399,34 @@ class TestCliExitCodes:
         stderr = capsys.readouterr().err
         assert "configuration error: config.semilinear" in stderr
         assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("blocked", ["file", "file/below"])
+    def test_unwritable_out_is_1_before_the_run(self, tmp_path, capsys, monkeypatch, blocked):
+        cfg = self.write(tmp_path, SMALL)
+        (tmp_path / "file").write_text("")
+
+        def no_run(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(reporting, "run_attractor", no_run)
+        assert main(["attractor", "--config", cfg, "--out", str(tmp_path / blocked)]) == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("cannot write output: ")
+        assert stderr.count("\n") == 1
+
+    def test_ricker_zero_profile_needs_trajectory_bound(self, tmp_path, capsys):
+        # ricker output is z itself where the profile is 0, so there is no sup bound
+        text = SMALL.replace("family: beverton_holt", "family: ricker").replace(
+            "profile: vee", "profile: vee\n  profile_params: {offset: 0.0, slope: 1.0}")
+        cfg = self.write(tmp_path, text)
+        for command in ("attractor", "lipschitz"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+            stderr = capsys.readouterr().err
+            assert stderr.startswith("configuration error: config.distance_bound")
+            assert "distance_bound: trajectory" in stderr
+            assert stderr.count("\n") == 1
+        cfg = self.write(tmp_path, text + "distance_bound: trajectory\n")
+        assert main(["attractor", "--config", cfg, "--out", str(tmp_path / "traj")]) == 0
 
     def test_no_contraction_is_2(self, tmp_path):
         text = SMALL.replace("alpha: 0.05", "alpha: 3.0")
