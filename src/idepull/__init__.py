@@ -61,10 +61,8 @@ from .attractor import (
     attraction_rate,
     certify_contraction,
     fixed_point_iterate,
-    kernel_masses,
     pullback_fibers,
     required_iterations,
-    row_sum_masses,
     step_constants_closed_form,
     step_constants_numeric,
 )

@@ -30,13 +30,12 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .exceptions import (
-    BoundFormulaOutOfRangeError,
     BudgetExceededError,
     DivergentInputError,
     NoContractionError,
 )
 from .grid import GridFunction, hausdorff_semidistance, sup_norm
-from .models import growth_lipschitz, growth_sup_bound, kernel_bound
+from .models import growth_lipschitz, growth_sup_bound
 from .dynamics import HammersteinOperator, general_solution, trajectory
 
 __all__ = [
@@ -45,8 +44,6 @@ __all__ = [
     "AttractorFibers",
     "IterateContractionProblem",
     "certify_contraction",
-    "kernel_masses",
-    "row_sum_masses",
     "step_constants_closed_form",
     "step_constants_numeric",
     "apriori_distance_bound",
@@ -98,59 +95,23 @@ def certify_contraction(step_constants: Sequence[float]) -> ContractionCertifica
     return ContractionCertificate(theta, factor)
 
 
-def _max_row_sum(matrix: np.ndarray) -> float:
-    # The registered kernels and the quadrature weights are nonnegative, so
-    # the plain row sums are the absolute row sums.
-    return float(np.max(np.sum(matrix, axis=1)))
-
-
-def kernel_masses(op: HammersteinOperator) -> tuple[tuple[float, ...], bool]:
-    """Kernel mass bound sup_x int |k_t(x, y)| dy of each time class.
-
-    Takes each distinct cached matrix once: its mass is the closed form
-    :func:`kernel_bound` of a class using it or, where that formula is out
-    of range (tent kernels on wide supports), the largest absolute row sum
-    of the matrix itself.  Also returns whether every mass is closed-form.
-    """
-    per_matrix: dict[int, float] = {}
-    closed = True
-    for r, i in enumerate(op.matrix_index):
-        if i not in per_matrix:
-            try:
-                per_matrix[i] = kernel_bound(op.kernel, r, op.grid.length)
-            except BoundFormulaOutOfRangeError:
-                per_matrix[i] = _max_row_sum(op.matrices[i])
-                closed = False
-    return tuple(per_matrix[i] for i in op.matrix_index), closed
-
-
 def step_constants_closed_form(op: HammersteinOperator) -> tuple[float, ...]:
     """Closed-form per-step Lipschitz constants over one period.
 
-    Uses the row-sum mass of the discretized operator for time classes
-    where the closed form is out of range (see :func:`kernel_masses`).
+    The growth Lipschitz constant times the certified kernel mass
+    ``op.kernel_masses``, which is the row-sum mass of the discretized
+    operator for time classes where the closed form is out of range.
     """
-    masses, _ = kernel_masses(op)
-    return tuple(growth_lipschitz(op.growth, r) * m for r, m in enumerate(masses))
-
-
-def row_sum_masses(op: HammersteinOperator) -> tuple[float, ...]:
-    """Mass of the discretized operator itself in each time class.
-
-    The largest absolute row sum of the class's cached weighted kernel
-    matrix, taken once per distinct matrix.
-    """
-    mass = [_max_row_sum(m) for m in op.matrices]
-    return tuple(mass[i] for i in op.matrix_index)
+    return tuple(growth_lipschitz(op.growth, r) * m for r, m in enumerate(op.kernel_masses))
 
 
 def step_constants_numeric(op: HammersteinOperator) -> tuple[float, ...]:
     """Per-step Lipschitz constants of the discretized operator itself.
 
-    The growth Lipschitz constant times :func:`row_sum_masses`, so no kernel
+    The growth Lipschitz constant times ``op.row_sum_masses``, so no kernel
     re-evaluation is needed.
     """
-    return tuple(growth_lipschitz(op.growth, r) * m for r, m in enumerate(row_sum_masses(op)))
+    return tuple(growth_lipschitz(op.growth, r) * m for r, m in enumerate(op.row_sum_masses))
 
 
 def apriori_distance_bound(
@@ -176,7 +137,7 @@ def apriori_distance_bound(
     """
     forcing_sup = op.forcing_sup()
     theta = op.theta
-    masses, _ = kernel_masses(op)
+    masses = op.kernel_masses
 
     if mode == "upper-bound":
         profile_min = float(np.min(op.profile_values))
@@ -219,8 +180,8 @@ def required_iterations(
         raise NoContractionError(f"contraction factor {factor} is not below 1")
     if distance_bound < 0 or not math.isfinite(distance_bound):
         raise ValueError(f"distance bound must be finite and >= 0, got {distance_bound}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
 
@@ -373,8 +334,8 @@ def fixed_point_iterate(
         raise ValueError(f"contraction factor must be >= 0, got {problem.factor}")
     if problem.factor >= 1.0:
         raise NoContractionError(f"contraction factor {problem.factor} is not below 1")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
     def advance(state):
         for _ in range(problem.order):

@@ -2,7 +2,9 @@
 
 The Hammerstein step replaces the dispersal integral by the quadrature sum
 and collocates at the nodes, so one step is a dense matrix-vector product
-against a kernel matrix cached per distinct rate value.
+against a kernel matrix cached per distinct rate value.  Both kernel masses
+of each matrix are decided once, when it is assembled, and the operator
+carries them per time class.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import GridMismatchError, TimeOrderError
+from .exceptions import BoundFormulaOutOfRangeError, GridMismatchError, TimeOrderError
 from .grid import Grid, GridFunction
 from .models import (
     GrowthSpec,
@@ -21,6 +23,7 @@ from .models import (
     KernelSpec,
     growth_curve,
     inhomogeneity_eval,
+    kernel_bound,
     kernel_eval,
 )
 
@@ -43,6 +46,13 @@ class HammersteinOperator:
     the weighted kernel matrix of the time class t mod theta.  Matrices,
     forcing vectors, and the growth profile samples are precomputed; the
     operator is immutable.
+
+    Per time class, ``row_sum_masses`` is the mass of the discretized
+    operator itself, the largest absolute row sum of the class's matrix.
+    ``kernel_masses`` is the certified mass bound sup_x int |k_t(x, y)| dy:
+    the closed form :func:`~idepull.models.kernel_bound` or, where that is
+    out of range (tent kernels on wide supports), the row-sum mass.
+    ``masses_closed_form`` tells whether every class has its closed form.
     """
 
     kernel: KernelSpec
@@ -54,6 +64,9 @@ class HammersteinOperator:
     matrix_index: tuple[int, ...]
     forcing: tuple[np.ndarray, ...]
     profile_values: np.ndarray
+    kernel_masses: tuple[float, ...]
+    row_sum_masses: tuple[float, ...]
+    masses_closed_form: bool
 
     def step(self, t: int, u: GridFunction) -> GridFunction:
         if u.grid != self.grid:
@@ -81,10 +94,12 @@ def build_hammerstein(
 ) -> HammersteinOperator:
     """Assemble the collocated operator, caching one matrix per distinct rate.
 
+    Both masses of each matrix are taken right after it is assembled.
     ``theta`` defaults to the least common multiple of the component
     periods; an explicit value must be a common multiple of them.  The
-    profile must be nonnegative at the nodes and at most ``growth.profile_sup``
-    there, since the certificate reads its bounds from ``profile_sup``.
+    profile must be finite and nonnegative at the nodes and at most
+    ``growth.profile_sup`` there, since the certificate reads its bounds
+    from ``profile_sup``.
     """
     periods = (kernel.period, growth.period, inhomogeneity.theta)
     if theta is None:
@@ -96,6 +111,8 @@ def build_hammerstein(
             )
 
     profile_values = np.asarray(growth.profile(grid.nodes), dtype=float)
+    if not np.all(np.isfinite(profile_values)):
+        raise ValueError("growth profile must be finite on the habitat")
     if np.min(profile_values) < 0:
         raise ValueError("growth profile must be nonnegative on the habitat")
     if np.max(profile_values) > growth.profile_sup:
@@ -107,8 +124,8 @@ def build_hammerstein(
     x = grid.nodes[:, None]
     y = grid.nodes[None, :]
     distinct: dict[float, int] = {}
-    matrices = []
-    index = []
+    matrices, row_sums, bounds, index = [], [], [], []
+    closed = True
     for r in range(theta):
         a = kernel.rate_at(r)
         if a not in distinct:
@@ -117,6 +134,14 @@ def build_hammerstein(
             mat *= grid.weights
             mat.setflags(write=False)
             matrices.append(mat)
+            # the registered kernels and the weights are nonnegative, so the
+            # plain row sums are the absolute row sums
+            row_sums.append(float(np.max(np.sum(mat, axis=1))))
+            try:
+                bounds.append(kernel_bound(kernel, r, grid.length))
+            except BoundFormulaOutOfRangeError:
+                bounds.append(row_sums[-1])
+                closed = False
         index.append(distinct[a])
 
     forcing = []
@@ -135,6 +160,9 @@ def build_hammerstein(
         matrix_index=tuple(index),
         forcing=tuple(forcing),
         profile_values=profile_values,
+        kernel_masses=tuple(bounds[i] for i in index),
+        row_sum_masses=tuple(row_sums[i] for i in index),
+        masses_closed_form=closed,
     )
 
 

@@ -23,10 +23,8 @@ from .attractor import (
     ErrorBudget,
     apriori_distance_bound,
     certify_contraction,
-    kernel_masses,
     pullback_fibers,
     required_iterations,
-    row_sum_masses,
     step_constants_closed_form,
     step_constants_numeric,
 )
@@ -170,7 +168,7 @@ def run_attractor(cfg: ScenarioConfig, out_dir) -> RunReport:
     u0 = initial_condition(cfg.initial_id, cfg.initial_params, grid)
 
     certificate = certify_contraction(step_constants_closed_form(op))
-    source = "closed-form" if kernel_masses(op)[1] else "numeric"
+    source = "closed-form" if op.masses_closed_form else "numeric"
     numeric_factor = certify_contraction(step_constants_numeric(op)).factor
     if not certificate.valid:
         raise NoContractionError(
@@ -278,11 +276,10 @@ def lipschitz_report(cfg: ScenarioConfig, out_dir) -> dict:
     op = build_operator(cfg, grid)
     u0 = initial_condition(cfg.initial_id, cfg.initial_params, grid)
 
-    masses, in_range = kernel_masses(op)
     closed = step_constants_closed_form(op)
     certificate = certify_contraction(closed)
-    rows = zip(range(op.theta), map(op.growth.beta, range(op.theta)), masses,
-               row_sum_masses(op), closed, step_constants_numeric(op))
+    rows = zip(range(op.theta), map(op.growth.beta, range(op.theta)), op.kernel_masses,
+               op.row_sum_masses, closed, step_constants_numeric(op))
     _write_csv(
         out / "lipschitz.csv",
         ("time_class", "beta", "kernel_bound_closed", "kernel_bound_numeric",
@@ -293,7 +290,7 @@ def lipschitz_report(cfg: ScenarioConfig, out_dir) -> dict:
     summary = {
         "contraction_factor": certificate.factor,
         "valid": certificate.valid,
-        "closed_form_in_range": in_range,
+        "closed_form_in_range": op.masses_closed_form,
     }
     if certificate.valid:
         budget = _budget(op, u0, cfg, certificate.factor)

@@ -65,7 +65,7 @@ class TestCertify:
         lams = ip.step_constants_numeric(op)
         mass = float(np.max(np.sum(np.abs(op.matrices[0]), axis=1)))
         assert lams[0] == op.growth.beta(0) * mass
-        assert ip.row_sum_masses(op)[0] == mass
+        assert op.row_sum_masses[0] == mass
 
     @pytest.mark.parametrize("family", ip.KERNEL_FAMILIES)
     def test_assembled_matrices_are_nonnegative(self, family):
@@ -173,10 +173,33 @@ class TestKernelMasses:
         lams = ip.step_constants_closed_form(op)
         assert lams[0] == op.growth.beta(0) * ip.kernel_bound(op.kernel, 0, 6.0)
         assert lams[1] == ip.step_constants_numeric(op)[1]
-        masses, closed = ip.kernel_masses(op)
-        assert masses[0] == ip.kernel_bound(op.kernel, 0, 6.0)
-        assert masses[1] == ip.row_sum_masses(op)[1]
-        assert not closed
+        assert op.kernel_masses[0] == ip.kernel_bound(op.kernel, 0, 6.0)
+        assert op.kernel_masses[1] == op.row_sum_masses[1]
+        assert not op.masses_closed_form
+
+    @pytest.mark.parametrize("family", ip.KERNEL_FAMILIES)
+    def test_assembled_masses(self, family, monkeypatch):
+        # periodic rates; the tent rates lie on both sides of its support edge a L = 2
+        calls = []
+        real = ip.dynamics.kernel_eval
+        monkeypatch.setattr(
+            ip.dynamics, "kernel_eval", lambda *args: calls.append(args) or real(*args)
+        )
+        op, grid = make_seasonal_operator(n=40, theta=6, rate=(0.1, 0.5, 4.0),
+                                          kernel_family=family)
+        assert len(calls) == 3
+        fallback = False
+        for r in range(op.theta):
+            matrix = op.matrices[op.matrix_index[r]]
+            row_sum = float(np.max(np.sum(np.abs(matrix), axis=1)))
+            assert op.row_sum_masses[r] == row_sum
+            try:
+                assert op.kernel_masses[r] == ip.kernel_bound(op.kernel, r, grid.length)
+            except ip.BoundFormulaOutOfRangeError:
+                assert op.kernel_masses[r] == row_sum
+                fallback = True
+        assert fallback == (family == "tent")
+        assert op.masses_closed_form == (not fallback)
 
 
 class TestRequiredIterations:
@@ -193,6 +216,11 @@ class TestRequiredIterations:
     def test_no_contraction(self):
         with pytest.raises(NoContractionError):
             required_iterations(1.0, 1.0, 1e-6, window=2)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            required_iterations(0.5, 1.0, tol, window=2)
 
     def test_half_factor_closed_form(self):
         rng = np.random.default_rng(17)
@@ -550,6 +578,14 @@ class TestFixedPointIterate:
         )
         with pytest.raises(NoContractionError):
             fixed_point_iterate(problem, 1.0, 1e-6)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_tolerance(self, tol):
+        problem = IterateContractionProblem(
+            step=lambda x: 0.5 * x, distance=lambda a, b: abs(a - b), order=1, factor=0.5
+        )
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            fixed_point_iterate(problem, 1.0, tol)
 
     def test_divergent_input(self):
         problem = IterateContractionProblem(

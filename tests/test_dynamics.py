@@ -120,6 +120,18 @@ class TestHammersteinApply:
         with pytest.raises(ValueError, match="profile_sup"):
             build_hammerstein(kernel, growth, inhom, build_grid(6.0, 100), theta=365)
 
+    def test_non_finite_profile_refused(self):
+        # NaN passes both range checks, and all-NaN fibers repeat their bytes,
+        # so the sweep would stop early with a finite certified error
+        kernel = ip.KernelSpec("laplace", 10.0)
+        growth = ip.GrowthSpec(
+            "beverton_holt", lambda x: np.where(np.abs(x) < 1, np.nan, 2 * np.abs(x) + 3),
+            (0.6,), profile_sup=9.0,
+        )
+        inhom = ip.InhomogeneitySpec.from_variant("h4", 4)
+        with pytest.raises(ValueError, match="finite"):
+            build_hammerstein(kernel, growth, inhom, build_grid(6.0, 50), theta=4)
+
 
 class TestGeneralSolution:
     def test_identity_at_equal_times(self, seasonal_op, rng):

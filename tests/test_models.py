@@ -20,7 +20,6 @@ from idepull import (
     kernel_bound,
     kernel_bound_numeric,
     kernel_eval,
-    kernel_masses,
     seasonal_scales,
     step_constants_closed_form,
 )
@@ -220,8 +219,7 @@ class TestRicker:
         grid = build_grid(6.0, 40)
         support = InhomogeneitySpec.from_variant("h4", 4)
         op = build_hammerstein(KernelSpec("laplace", 2.0), self.spec(), support, grid)
-        masses, _ = kernel_masses(op)
-        assert step_constants_closed_form(op) == masses
+        assert step_constants_closed_form(op) == op.kernel_masses
 
     def test_shipped_scenario_with_ricker_growth_exceeds_budget(self, tmp_path, capsys):
         text = (

@@ -225,8 +225,8 @@ class TestLipschitzAndConvergence:
         op = ip.build_operator(cfg, ip.build_scenario_grid(cfg))
         columns = [[float(r[k]) for r in rows] for k in (2, 3, 4, 5)]
         assert columns == [
-            list(ip.kernel_masses(op)[0]),
-            list(ip.row_sum_masses(op)),
+            list(op.kernel_masses),
+            list(op.row_sum_masses),
             list(ip.step_constants_closed_form(op)),
             list(ip.step_constants_numeric(op)),
         ]

@@ -220,6 +220,12 @@ class TestPullbackLimit:
         cfg.write_text(text)
         assert main(["semilinear", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_tolerance(self, tol):
+        sys = build_semilinear([np.array([[0.5]])], lambda u: np.array([1.0]), kappas=(0.0,))
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            pullback_limit(sys, tol)
+
     def test_max_periods_guard(self):
         sys = build_semilinear([np.array([[0.9]])], lambda u: np.array([1.0]), kappas=(0.0,))
         with pytest.raises(BudgetExceededError):

@@ -97,6 +97,7 @@ run convergence_h4 convergence --config "$shipped" --nodes 100 --variant h4
 run semilinear semilinear --config "$checkout/configs/semilinear_demo.yaml"
 run trajectory_bound attractor --config "$out/inputs/trajectory_bound.yaml" --nodes 200
 run gauss_periodic_draw3 attractor --config "$out/inputs/gauss_periodic_draw3.yaml"
+run lipschitz_gauss_periodic_draw3 lipschitz --config "$out/inputs/gauss_periodic_draw3.yaml"
 run mixed_tent attractor --config "$out/inputs/mixed_tent.yaml"
 run lipschitz_mixed_tent lipschitz --config "$out/inputs/mixed_tent.yaml"
 run lipschitz_zero_growth lipschitz --config "$out/inputs/zero_growth.yaml"
