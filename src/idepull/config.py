@@ -115,7 +115,7 @@ class SemilinearConfig:
     matrices: tuple
     nonlinearity: str
     nonlinearity_params: dict
-    kappas: tuple | None
+    kappas: tuple[float, ...]
     gamma: float | None
     alphas: tuple | None
     tolerance: float
@@ -124,6 +124,10 @@ class SemilinearConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A parsed scenario with every setting resolved: ``growth_scales`` is the
+    growth scale schedule (``alpha: auto`` already tuned) and ``profile_sup``
+    the profile bound the certificate uses."""
+
     length: float
     nodes: int
     rule: str
@@ -132,8 +136,8 @@ class ScenarioConfig:
     growth_family: str
     profile_id: str
     profile_params: dict
-    profile_sup: float | None
-    alpha: Any
+    profile_sup: float
+    growth_scales: tuple[float, ...]
     variant: str | None
     amplitudes: tuple[float, ...] | None
     levels: tuple[float, float]
@@ -227,6 +231,21 @@ def _number_list(value, path: str) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _schedule(value, path: str, period: int) -> tuple[float, ...]:
+    """A positive schedule: a number, or a list of 1 or ``period`` numbers."""
+    if isinstance(value, (list, tuple)):
+        entries = _number_list(value, path)
+        if len(entries) not in (1, period):
+            raise _err(path, f"schedule length {len(entries)} must be 1 or the period {period}")
+    elif _is_number(value):
+        entries = (float(value),)
+    else:
+        raise _err(path, f"expected a finite number or a list of numbers, got {value!r}")
+    if any(v <= 0 for v in entries):
+        raise _err(path, f"must be positive, got {value!r}")
+    return entries
+
+
 def _parse_semilinear(raw, path: str) -> SemilinearConfig:
     raw = _require_mapping(raw, path)
     allowed = {
@@ -267,7 +286,10 @@ def _parse_semilinear(raw, path: str) -> SemilinearConfig:
         else:
             _get_number(params, key, nl_path)
 
-    kappas = _number_list(raw["kappas"], f"{path}.kappas") if raw.get("kappas") is not None else None
+    if raw.get("kappas") is not None:
+        kappas = _number_list(raw["kappas"], f"{path}.kappas")
+    else:
+        kappas = (NONLINEARITIES[name][1](params, dim)[1],) * len(matrices)
     alphas = _number_list(raw["alphas"], f"{path}.alphas") if raw.get("alphas") is not None else None
     gamma = _get_number(raw, "gamma", path, required=False)
     tol = _get_number(raw, "tolerance", path, required=False, default=1e-10, positive=True)
@@ -325,7 +347,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     grid_raw = _require_mapping(raw["grid"], "config.grid")
     _reject_unknown(grid_raw, {"length", "nodes", "rule"}, "config.grid")
-    length = _get_number(grid_raw, "length", "config.grid", positive=True)
+    length = float(_get_number(grid_raw, "length", "config.grid", positive=True))
     nodes = _get_int(grid_raw, "nodes", "config.grid", least=1)
     rule = _get_str(grid_raw, "rule", "config.grid", required=False, default="trapezoid")
     _require_known(rule, QUADRATURE_RULES, "config.grid.rule", "quadrature rule")
@@ -336,18 +358,7 @@ def parse_config(text: str) -> ScenarioConfig:
     _require_known(kfamily, KERNEL_FAMILIES, "config.kernel.family", "kernel family")
     if "dispersal" not in kernel_raw:
         raise _err("config.kernel", "missing required key 'dispersal'")
-    disp_raw = kernel_raw["dispersal"]
-    if isinstance(disp_raw, (list, tuple)):
-        dispersal = _number_list(disp_raw, "config.kernel.dispersal")
-        if len(dispersal) not in (1, period):
-            raise _err(
-                "config.kernel.dispersal",
-                f"schedule length {len(dispersal)} must be 1 or the period {period}",
-            )
-    else:
-        dispersal = (float(_get_number(kernel_raw, "dispersal", "config.kernel")),)
-    if any(a <= 0 for a in dispersal):
-        raise _err("config.kernel.dispersal", "rates must be positive")
+    dispersal = _schedule(kernel_raw["dispersal"], "config.kernel.dispersal", period)
 
     growth_raw = _require_mapping(raw["growth"], "config.growth")
     _reject_unknown(
@@ -368,37 +379,32 @@ def parse_config(text: str) -> ScenarioConfig:
     if low < 0:
         raise _err("config.growth.profile_params",
                    f"profile {profile_id!r} falls to {low} on the habitat; it must be >= 0")
-    profile_sup = _get_number(growth_raw, "profile_sup", "config.growth", required=False)
-    if profile_sup is not None and (profile_sup <= 0 or profile_sup < high):
-        raise _err("config.growth.profile_sup", f"must be positive and at least the "
-                   f"profile's maximum {high} on the habitat, got {profile_sup}")
+    profile_sup = float(_get_number(growth_raw, "profile_sup", "config.growth", required=False,
+                                    default=high, positive=True))
+    if profile_sup < high:
+        raise _err("config.growth.profile_sup", f"must be at least the profile's maximum "
+                   f"{high} on the habitat, got {profile_sup}")
 
     if "alpha" not in growth_raw:
         raise _err("config.growth", "missing required key 'alpha'")
     alpha = growth_raw["alpha"]
-    if isinstance(alpha, str):
-        if alpha != "auto":
-            raise _err("config.growth.alpha", f"unknown schedule {alpha!r}; use 'auto', "
-                       "a number, a list, or {sinusoidal: C}")
+    if alpha == "auto":
+        if kfamily != "laplace" or len(dispersal) != 1:
+            raise _err("config.growth.alpha",
+                       "'auto' requires a laplace kernel with a constant dispersal rate")
+        if profile_sup <= 0:
+            raise _err("config.growth.alpha", "'auto' needs a profile whose maximum is > 0")
+        growth_scales = seasonal_scales(period, half_contraction_amplitude(
+            period, dispersal[0], length, profile_sup))
+    elif isinstance(alpha, str):
+        raise _err("config.growth.alpha", f"unknown schedule {alpha!r}; use 'auto', "
+                   "a number, a list, or {sinusoidal: C}")
     elif isinstance(alpha, dict):
         _reject_unknown(alpha, {"sinusoidal"}, "config.growth.alpha")
         c = _get_number(alpha, "sinusoidal", "config.growth.alpha", positive=True)
-        alpha = {"sinusoidal": float(c)}
-    elif isinstance(alpha, (list, tuple)):
-        alpha = _number_list(alpha, "config.growth.alpha")
-        if len(alpha) not in (1, period):
-            raise _err(
-                "config.growth.alpha",
-                f"schedule length {len(alpha)} must be 1 or the period {period}",
-            )
-        if any(a <= 0 for a in alpha):
-            raise _err("config.growth.alpha", "entries must be positive")
-    elif _is_number(alpha):
-        if alpha <= 0:
-            raise _err("config.growth.alpha", f"must be positive, got {alpha}")
-        alpha = float(alpha)
+        growth_scales = seasonal_scales(period, float(c))
     else:
-        raise _err("config.growth.alpha", f"unsupported value {alpha!r}")
+        growth_scales = _schedule(alpha, "config.growth.alpha", period)
 
     inhom_raw = _require_mapping(raw["inhomogeneity"], "config.inhomogeneity")
     _reject_unknown(inhom_raw, {"variant", "amplitudes", "levels"}, "config.inhomogeneity")
@@ -441,7 +447,7 @@ def parse_config(text: str) -> ScenarioConfig:
         semilinear = _parse_semilinear(raw["semilinear"], "config.semilinear")
 
     return ScenarioConfig(
-        length=float(length),
+        length=length,
         nodes=nodes,
         rule=rule,
         kernel_family=kfamily,
@@ -449,8 +455,8 @@ def parse_config(text: str) -> ScenarioConfig:
         growth_family=gfamily,
         profile_id=profile_id,
         profile_params=dict(profile_params),
-        profile_sup=float(profile_sup) if profile_sup is not None else None,
-        alpha=alpha,
+        profile_sup=profile_sup,
+        growth_scales=growth_scales,
         variant=variant,
         amplitudes=amplitudes,
         levels=(levels[0], levels[1]),
@@ -499,27 +505,6 @@ def build_scenario_grid(cfg: ScenarioConfig, nodes: int | None = None) -> Grid:
     return build_grid(cfg.length, nodes if nodes is not None else cfg.nodes, cfg.rule)
 
 
-def _resolve_scales(cfg: ScenarioConfig, profile_sup: float) -> tuple[float, ...]:
-    alpha = cfg.alpha
-    if alpha == "auto":
-        if cfg.kernel_family != "laplace" or len(cfg.dispersal) != 1:
-            raise ConfigError(
-                "config.growth.alpha: 'auto' requires a laplace kernel with a "
-                "constant dispersal rate"
-            )
-        if profile_sup <= 0:
-            raise ConfigError("config.growth.alpha: 'auto' needs a profile whose maximum is > 0")
-        amplitude = half_contraction_amplitude(
-            cfg.period, cfg.dispersal[0], cfg.length, profile_sup
-        )
-        return seasonal_scales(cfg.period, amplitude)
-    if isinstance(alpha, dict):
-        return seasonal_scales(cfg.period, alpha["sinusoidal"])
-    if isinstance(alpha, tuple):
-        return alpha
-    return (float(alpha),)
-
-
 def build_operator(
     cfg: ScenarioConfig,
     grid: Grid | None = None,
@@ -534,10 +519,8 @@ def build_operator(
     names the run in its reports.
     """
     grid = build_scenario_grid(cfg) if grid is None else grid
-    profile, (_, sup) = PROFILES[cfg.profile_id][1](cfg.profile_params, cfg.length)
-    if cfg.profile_sup is not None:
-        sup = cfg.profile_sup
-    growth = GrowthSpec(cfg.growth_family, profile, _resolve_scales(cfg, sup), sup)
+    profile = PROFILES[cfg.profile_id][1](cfg.profile_params, cfg.length)[0]
+    growth = GrowthSpec(cfg.growth_family, profile, cfg.growth_scales, cfg.profile_sup)
 
     if cfg.amplitudes is not None:
         inhom = InhomogeneitySpec(cfg.amplitudes, cfg.period)

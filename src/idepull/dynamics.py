@@ -201,7 +201,11 @@ def build_pointwise(
         scales = (float(scales),)
     else:
         scales = tuple(float(s) for s in scales)
+    if not all(math.isfinite(s) and s >= 0 for s in scales):
+        raise ValueError(f"pointwise scales must be finite and >= 0, got {scales}")
     values = np.asarray(profile(grid.nodes), dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("pointwise profile must be finite on the habitat")
     if np.min(values) < 0:
         raise ValueError("pointwise profile must be nonnegative")
     values.setflags(write=False)

@@ -341,14 +341,12 @@ def run_semilinear(cfg: ScenarioConfig, out_dir) -> SemilinearRunReport:
     sc = cfg.semilinear
     out = Path(out_dir)
 
-    make = NONLINEARITIES[sc.nonlinearity][1]
-    nonlinearity, kappa = make(sc.nonlinearity_params, sc.dimension)
-    kappas = sc.kappas if sc.kappas is not None else (kappa,) * len(sc.matrices)
+    nonlinearity = NONLINEARITIES[sc.nonlinearity][1](sc.nonlinearity_params, sc.dimension)[0]
     try:
         system = build_semilinear(
             [np.array(m, dtype=float) for m in sc.matrices],
             nonlinearity,
-            kappas=kappas,
+            kappas=sc.kappas,
             gamma=sc.gamma,
             alphas=sc.alphas,
         )

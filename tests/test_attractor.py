@@ -159,9 +159,11 @@ class TestKernelMasses:
         op, grid = tent_op
         calls = []
         real = ip.models.kernel_eval
-        monkeypatch.setattr(
-            ip.models, "kernel_eval", lambda *args: calls.append(args) or real(*args)
-        )
+        # dynamics binds kernel_eval by name, so both modules are patched
+        for module in (ip.models, ip.dynamics):
+            monkeypatch.setattr(
+                module, "kernel_eval", lambda *args: calls.append(args) or real(*args)
+            )
         u0 = GridFunction.constant(grid, 2.0)
         ip.step_constants_closed_form(op)
         apriori_distance_bound(op, u0, "upper-bound")

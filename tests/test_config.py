@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,11 @@ from idepull import (
     ConfigError,
     build_grid,
     build_operator,
+    half_contraction_amplitude,
     initial_condition,
     load_config,
     parse_config,
+    seasonal_scales,
 )
 
 GOOD = """
@@ -38,7 +41,10 @@ def test_parse_shipped_seasonal_config():
     assert cfg.dispersal == (10.0,)
     assert cfg.growth_family == "beverton_holt"
     assert cfg.profile_id == "vee"
-    assert cfg.alpha == "auto"
+    assert cfg.profile_sup == 9.0
+    # alpha: auto is resolved at parse time
+    assert cfg.growth_scales == seasonal_scales(
+        365, half_contraction_amplitude(365, 10.0, 6.0, 9.0))
     assert cfg.variant == "h4"
     assert cfg.initial_id == "default"
     assert cfg.horizon == 366
@@ -47,7 +53,8 @@ def test_parse_shipped_seasonal_config():
 def test_parse_small_config():
     cfg = parse_config(GOOD)
     assert cfg.period == 6
-    assert cfg.alpha == 0.05
+    assert cfg.growth_scales == (0.05,)
+    assert cfg.profile_sup == 9.0
     assert cfg.levels == (1.0, 2.0)
     assert cfg.distance_bound_mode == "upper-bound"
     assert cfg.max_steps == 10_000_000
@@ -124,23 +131,41 @@ def test_variant_xor_amplitudes():
 
 
 def test_alpha_forms():
-    assert parse_config(GOOD.replace("alpha: 0.05", "alpha: [0.05, 0.06, 0.05, 0.04, 0.05, 0.06]")).alpha \
-        == (0.05, 0.06, 0.05, 0.04, 0.05, 0.06)
-    assert parse_config(GOOD.replace("alpha: 0.05", "alpha: {sinusoidal: 0.1}")).alpha \
-        == {"sinusoidal": 0.1}
+    def scales(alpha):
+        return parse_config(GOOD.replace("alpha: 0.05", f"alpha: {alpha}")).growth_scales
+
+    assert scales("[0.05, 0.06, 0.05, 0.04, 0.05, 0.06]") == (0.05, 0.06, 0.05, 0.04, 0.05, 0.06)
+    assert scales("[0.05]") == (0.05,)
+    assert scales("3") == (3.0,)
+    assert scales("{sinusoidal: 0.1}") == seasonal_scales(6, 0.1)
     with pytest.raises(ConfigError, match="alpha"):
-        parse_config(GOOD.replace("alpha: 0.05", "alpha: [0.05, 0.06]"))
+        scales("[0.05, 0.06]")
     with pytest.raises(ConfigError, match="alpha"):
-        parse_config(GOOD.replace("alpha: 0.05", "alpha: tuned"))
+        scales("tuned")
+
+
+@pytest.mark.parametrize("key, old", [
+    ("config.kernel.dispersal", "dispersal: 2.0"),
+    ("config.growth.alpha", "alpha: 0.05"),
+], ids=["dispersal", "alpha"])
+@pytest.mark.parametrize("value", [
+    "true", "fast", "[]", "[1.0, 2.0]", "0", "[0.5, -1.0, 0.5, 0.5, 0.5, 0.5]", ".nan", ".inf",
+], ids=["bool", "string", "empty", "length", "zero", "negative-entry", "nan", "inf"])
+def test_schedule_errors_name_the_key(key, old, value):
+    name = key.rsplit(".", 1)[1]
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+        parse_config(GOOD.replace(old, f"{name}: {value}"))
 
 
 def test_auto_alpha_needs_constant_laplace():
-    bad = GOOD.replace("alpha: 0.05", "alpha: auto").replace(
-        "family: laplace", "family: gauss"
-    )
-    cfg = parse_config(bad)
-    with pytest.raises(ConfigError, match="auto"):
-        build_operator(cfg)
+    auto = GOOD.replace("alpha: 0.05", "alpha: auto")
+    for old, new in [
+        ("family: laplace", "family: gauss"),
+        ("dispersal: 2.0", "dispersal: [2.0, 3.0, 2.0, 3.0, 2.0, 3.0]"),
+        ("profile: vee", "profile: flat\n  profile_params: {value: 0.0}"),  # maximum 0
+    ]:
+        with pytest.raises(ConfigError, match=r"^config\.growth\.alpha: .*auto"):
+            parse_config(auto.replace(old, new))
 
 
 def test_dispersal_schedule_length():
@@ -220,6 +245,20 @@ semilinear:
     cfg = parse_config(text)
     assert cfg.semilinear.dimension == 2
     assert cfg.semilinear.nonlinearity == "constant"
+    assert cfg.semilinear.kappas == (0.0,)
+
+
+def test_undeclared_kappas_are_the_registry_constant():
+    base = GOOD + """
+semilinear:
+  dimension: 2
+  matrices:
+    - [[0.5, 0.0], [0.0, 0.5]]
+    - [[0.4, 0.0], [0.0, 0.4]]
+"""
+    assert parse_config(base).semilinear.kappas == (0.0, 0.0)
+    sigmoid = base + "  nonlinearity: {name: bounded-sigmoid, scale: -0.7}\n"
+    assert parse_config(sigmoid).semilinear.kappas == (0.7, 0.7)
 
 
 def test_nonlinearity_keys_checked_against_name():

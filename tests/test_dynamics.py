@@ -206,6 +206,17 @@ class TestPointwise:
         v = op.step(0, GridFunction.constant(grid, 1.0))
         assert np.allclose(v.values, 0.5, atol=1e-15)
 
+    @pytest.mark.parametrize("scales", [(0.5, np.nan, -2.0), (np.inf,), (-0.1,), np.nan],
+                             ids=["nan-and-negative", "inf", "negative", "scalar-nan"])
+    def test_bad_scales_refused(self, scales):
+        with pytest.raises(ValueError, match="scales"):
+            self.make(scales=scales)
+
+    def test_non_finite_profile_refused(self):
+        grid = build_grid(6.0, 40)
+        with pytest.raises(ValueError, match="finite"):
+            build_pointwise(lambda x: np.where(x == x[0], np.nan, 1.0), (1.0,), grid)
+
     def test_contraction_ratio(self, rng):
         op, grid = self.make(scales=(0.9, 1.4))
         for t in (0, 1):

@@ -376,6 +376,15 @@ class TestCliExitCodes:
         assert f"configuration error: {path}" in stderr
         assert "Traceback" not in stderr
 
+    def test_auto_alpha_on_gauss_refused_at_load(self, tmp_path, capsys):
+        # semilinear never builds the operator, so only the parse can refuse this
+        text = SEMI.replace("alpha: 0.05", "alpha: auto").replace("family: laplace",
+                                                                  "family: gauss")
+        cfg = self.write(tmp_path, text)
+        assert main(["semilinear", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "configuration error: config.growth.alpha" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_profile_sup_below_maximum_is_config_error(self, tmp_path, capsys):
         # the exact maximum of the shipped vee profile is 9.0; with alpha 0.6
         # (no contraction) a declared 1.0 used to certify a factor of 1.06e-81

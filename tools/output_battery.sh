@@ -67,6 +67,19 @@ tolerance: 1.0e-3
 initial: {id: default}
 horizon: 4
 YAML
+# Per-day growth scales: the list form of alpha (auto, {sinusoidal} and a
+# number are covered by the shipped config, gauss draw 3 and mixed_tent).
+cat > "$out/inputs/alpha_list.yaml" <<'YAML'
+schema_version: 1
+grid: {length: 6.0, nodes: 60}
+kernel: {family: laplace, dispersal: 2.0}
+growth: {family: beverton_holt, profile: vee, alpha: [0.04, 0.05, 0.06]}
+inhomogeneity: {variant: h2}
+period: 3
+tolerance: 1.0e-8
+initial: {id: default}
+horizon: 4
+YAML
 python3 - "$checkout/perfbench" "$out/inputs/gauss_periodic_draw3.yaml" <<'EOF'
 import sys
 
@@ -102,5 +115,6 @@ run mixed_tent attractor --config "$out/inputs/mixed_tent.yaml"
 run lipschitz_mixed_tent lipschitz --config "$out/inputs/mixed_tent.yaml"
 run lipschitz_zero_growth lipschitz --config "$out/inputs/zero_growth.yaml"
 run full_budget attractor --config "$out/inputs/full_budget.yaml"
+run alpha_list attractor --config "$out/inputs/alpha_list.yaml"
 
 find "$out" -name '*.csv' -exec sed -i '/^wall_time_s,/d' {} +
