@@ -2,16 +2,17 @@
 
 The Hammerstein step replaces the dispersal integral by the quadrature sum
 and collocates at the nodes, so one step is a dense matrix-vector product
-against a kernel matrix cached per distinct rate value.  Both kernel masses
-of each matrix are decided once, when it is assembled, and the operator
-carries them per time class.
+against a kernel matrix cached per distinct rate value; a block of states
+whose time classes share a matrix steps as one matrix product.  Both
+kernel masses of each matrix are decided once, when it is assembled, and
+the operator carries them per time class.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -75,9 +76,51 @@ class HammersteinOperator:
         g = self.growth_output(r, u.values)
         return GridFunction(self.grid, self.matrices[self.matrix_index[r]] @ g + self.forcing[r])
 
-    def growth_output(self, t: int, values: np.ndarray) -> np.ndarray:
-        """Growth stage g_t(x, u(x)) at the nodes, for the node ``values`` of u."""
-        b = self.growth.scale_at(t % self.theta) * self.profile_values
+    def step_block(self, times: Sequence[int], values: np.ndarray) -> np.ndarray:
+        """Step an (n+1) x m block whose column j is a state at time ``times[j]``.
+
+        Returns the block of next states, column j at time ``times[j] + 1``.
+        Columns whose time classes share a kernel matrix go through one
+        ``@`` (a GEMM), which adds in another order than ``step`` and may
+        differ from it in the last digits.  A column alone with its matrix
+        goes through the ``matrix @ vector`` call of ``step``, so it keeps
+        ``step``'s bits.
+        """
+        if values.shape != (self.grid.n + 1, len(times)):
+            raise ValueError(
+                f"block of shape {values.shape} does not hold {len(times)} states on the grid"
+            )
+        classes = [t % self.theta for t in times]
+        g = self.growth_output(times, values)
+        groups: dict[int, list[int]] = {}
+        for j, r in enumerate(classes):
+            groups.setdefault(self.matrix_index[r], []).append(j)
+        forcing = np.array([self.forcing[r] for r in classes])
+        if len(groups) == 1 and len(times) > 1:
+            (i,) = groups
+            out = self.matrices[i] @ g
+            out += forcing.T
+            return out
+        # one contiguous row per state: a lone state is the vector ``step`` passes
+        g_rows = g.T.copy()
+        rows = np.empty_like(g_rows)
+        for i, cols in groups.items():
+            if len(cols) == 1:
+                rows[cols[0]] = self.matrices[i] @ g_rows[cols[0]]
+            else:
+                rows[cols] = (self.matrices[i] @ g[:, cols]).T
+        rows += forcing
+        return rows.T
+
+    def growth_output(self, t: int | Sequence[int], values: np.ndarray) -> np.ndarray:
+        """Growth stage g_t(x, u(x)) at the nodes, for the node ``values`` of u.
+
+        ``t`` is one time, or one time per column of an (n+1) x m ``values``.
+        """
+        if np.ndim(t) == 0:
+            b = self.growth.scale_at(t) * self.profile_values
+        else:
+            b = np.multiply.outer(self.profile_values, [self.growth.scale_at(s) for s in t])
         return growth_curve(self.growth.family, b, values)
 
     def forcing_sup(self) -> float:

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +150,70 @@ initial: {id: default}
         op, grid = seasonal_op
         with pytest.raises(ValueError):
             apriori_distance_bound(op, GridFunction.constant(grid, 0.0), "exact")
+
+
+def stepwise_trajectory_bound(op, u0):
+    """The trajectory distance bound flowing each start alone, one step at a time."""
+    theta = op.theta
+    l1 = 0.0
+    for s in range(theta):
+        state = general_solution(op, s - 1, s - theta, u0)
+        r = (s - 1) % theta
+        g_sup = float(np.max(np.abs(op.growth_output(r, state.values))))
+        l1 = max(l1, op.kernel_masses[r] * g_sup)
+    return sup_norm(u0) + l1 + op.forcing_sup()
+
+
+class TestTrajectoryBoundBlocks:
+    @pytest.mark.parametrize("theta", [1, 2, 3, 6])
+    @pytest.mark.parametrize("family", ["beverton_holt", "logistic", "ricker"])
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_matches_stepwise_oracle(self, family, theta, periodic):
+        rate = tuple(1.5 + 0.5 * r for r in range(theta)) if periodic else 2.0
+        op, grid = make_seasonal_operator(n=40, theta=theta, rate=rate, family=family)
+        u0 = GridFunction.from_callable(grid, lambda x: 0.6 + 0.4 * np.cos(x))
+        got = apriori_distance_bound(op, u0, "trajectory")
+        expected = stepwise_trajectory_bound(op, u0)
+        if len(op.matrices) == theta:
+            # every column is alone with its matrix and keeps the step's bits
+            assert got == expected
+        else:
+            assert got == pytest.approx(expected, rel=1e-14, abs=0)
+        for tol in (1e-6, 1e-10):
+            assert (required_iterations(0.5, got, tol, theta).windows
+                    == required_iterations(0.5, expected, tol, theta).windows)
+
+    def test_blocks_split_the_starts(self, monkeypatch):
+        # blocks of 4 and 2 starts give the bound of one block of 6
+        op, grid = make_seasonal_operator(n=40, theta=6, rate=tuple(1.0 + r for r in range(6)))
+        u0 = GridFunction.from_callable(grid, lambda x: 0.6 + 0.4 * np.cos(x))
+        whole = apriori_distance_bound(op, u0, "trajectory")
+        monkeypatch.setattr(ip.attractor, "BOUND_BLOCK_COLUMNS", 4)
+        assert apriori_distance_bound(op, u0, "trajectory") == whole
+        assert whole == stepwise_trajectory_bound(op, u0)
+
+    def test_grid_mismatch(self, seasonal_op):
+        op, _ = seasonal_op
+        with pytest.raises(ip.GridMismatchError):
+            apriori_distance_bound(op, GridFunction.constant(ip.build_grid(6.0, 12), 1.0),
+                                   "trajectory")
+
+    def test_block_memory_stays_small(self):
+        # shipped config at n = 200: 365 starts flow as blocks of at most 64
+        # columns, so the bound holds a few (n+1) x 64 arrays, not a 365-wide one
+        path = Path(__file__).resolve().parents[1] / "configs" / "seasonal_beverton_holt.yaml"
+        cfg = dataclasses.replace(ip.load_config(path), nodes=200)
+        grid = ip.build_scenario_grid(cfg)
+        op = ip.build_operator(cfg, grid)
+        u0 = ip.initial_condition(cfg.initial_id, cfg.initial_params, grid)
+        tracemalloc.start()
+        try:
+            apriori_distance_bound(op, u0, "trajectory")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.theta == 365
+        assert peak < 1_000_000
 
 
 class TestKernelMasses:

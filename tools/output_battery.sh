@@ -80,6 +80,12 @@ tolerance: 1.0e-8
 initial: {id: default}
 horizon: 4
 YAML
+# The trajectory distance bound on blocks whose columns split across two
+# matrices (mixed_tent) and carry per-day growth scales (alpha_list).
+for base in mixed_tent alpha_list; do
+    { cat "$out/inputs/$base.yaml"; echo "distance_bound: trajectory"; } \
+        > "$out/inputs/trajectory_bound_$base.yaml"
+done
 python3 - "$checkout/perfbench" "$out/inputs/gauss_periodic_draw3.yaml" <<'EOF'
 import sys
 
@@ -116,5 +122,7 @@ run lipschitz_mixed_tent lipschitz --config "$out/inputs/mixed_tent.yaml"
 run lipschitz_zero_growth lipschitz --config "$out/inputs/zero_growth.yaml"
 run full_budget attractor --config "$out/inputs/full_budget.yaml"
 run alpha_list attractor --config "$out/inputs/alpha_list.yaml"
+run trajectory_bound_mixed_tent attractor --config "$out/inputs/trajectory_bound_mixed_tent.yaml"
+run trajectory_bound_alpha_list attractor --config "$out/inputs/trajectory_bound_alpha_list.yaml"
 
 find "$out" -name '*.csv' -exec sed -i '/^wall_time_s,/d' {} +
