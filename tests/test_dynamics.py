@@ -135,6 +135,67 @@ class TestHammersteinApply:
             build_hammerstein(kernel, growth, inhom, build_grid(6.0, 50), theta=4)
 
 
+# periodic rates per family; rates repeat so that the cache dedupes them.
+# Tent at a L = 0.6, 1.8 | 2.4, 12 sits on both sides of the support edge,
+# and its clamp writes zeros; gauss at rate 15 on length 6 underflows to
+# subnormals and 0.
+PERIODIC_RATES = {
+    "laplace": (2.0, 0.5, 2.0, 15.0),
+    "gauss": (2.0, 0.5, 2.0, 15.0),
+    "tent": (0.1, 0.3, 0.4, 2.0),
+}
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    @pytest.mark.parametrize("family", sorted(PERIODIC_RATES))
+    def test_gathered_matrices_keep_direct_bits(self, family, n):
+        rates = PERIODIC_RATES[family]
+        op, grid = make_seasonal_operator(n=n, theta=len(rates), rate=rates,
+                                          kernel_family=family)
+        assert len(op.matrices) == len(set(rates))
+        x, y = grid.nodes[:, None], grid.nodes[None, :]
+        for r in range(op.theta):
+            direct = ip.models.kernel_eval(op.kernel, r, x, y) * grid.weights
+            assert op.matrices[op.matrix_index[r]].tobytes() == direct.tobytes()
+        last = op.matrices[op.matrix_index[-1]]
+        if family != "laplace":
+            assert np.any(last == 0.0)
+        if family == "gauss" and n == 40:
+            assert np.any((last > 0.0) & (last < np.finfo(float).tiny))
+
+    def test_lone_rate_evaluates_the_node_grid(self, monkeypatch):
+        # a single-rate operator skips the distance table: its sort would cost
+        # more than the one direct evaluation it replaces
+        shapes = []
+
+        def recording_eval(spec, t, x, y):
+            shapes.append((np.shape(x), np.shape(y)))
+            return ip.models.kernel_eval(spec, t, x, y)
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a single-rate operator built a distance table")
+
+        monkeypatch.setattr(ip.dynamics, "kernel_eval", recording_eval)
+        monkeypatch.setattr(ip.dynamics.np, "unique", no_table)
+        op, grid = make_seasonal_operator(n=30, theta=4, rate=2.0)
+        assert len(op.matrices) == 1
+        assert shapes == [((31, 1), (1, 31))]
+
+    def test_periodic_rates_evaluate_the_table(self, monkeypatch):
+        shapes = []
+
+        def recording_eval(spec, t, x, y):
+            shapes.append(np.shape(x))
+            return ip.models.kernel_eval(spec, t, x, y)
+
+        monkeypatch.setattr(ip.dynamics, "kernel_eval", recording_eval)
+        make_seasonal_operator(n=30, theta=2, rate=(1.0, 2.0))
+        # one evaluation per rate, each on the 1-D table of distinct distances
+        assert len(shapes) == 2
+        assert all(len(s) == 1 and s[0] < 31 * 31 for s in shapes)
+
+
 class TestGeneralSolution:
     def test_identity_at_equal_times(self, seasonal_op, rng):
         op, grid = seasonal_op

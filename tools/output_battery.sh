@@ -80,6 +80,19 @@ tolerance: 1.0e-8
 initial: {id: default}
 horizon: 4
 YAML
+# Periodic Laplace rates: three matrices gathered from one distance table
+# (gauss draw 3 and mixed_tent cover the other two kernel families).
+cat > "$out/inputs/laplace_periodic.yaml" <<'YAML'
+schema_version: 1
+grid: {length: 6.0, nodes: 150}
+kernel: {family: laplace, dispersal: [2.0, 5.0, 10.0]}
+growth: {family: beverton_holt, profile: vee, alpha: 0.05}
+inhomogeneity: {variant: h4}
+period: 3
+tolerance: 1.0e-8
+initial: {id: default}
+horizon: 4
+YAML
 # The trajectory distance bound on blocks whose columns split across two
 # matrices (mixed_tent) and carry per-day growth scales (alpha_list).
 for base in mixed_tent alpha_list; do
@@ -119,6 +132,8 @@ run gauss_periodic_draw3 attractor --config "$out/inputs/gauss_periodic_draw3.ya
 run lipschitz_gauss_periodic_draw3 lipschitz --config "$out/inputs/gauss_periodic_draw3.yaml"
 run mixed_tent attractor --config "$out/inputs/mixed_tent.yaml"
 run lipschitz_mixed_tent lipschitz --config "$out/inputs/mixed_tent.yaml"
+run laplace_periodic attractor --config "$out/inputs/laplace_periodic.yaml"
+run lipschitz_laplace_periodic lipschitz --config "$out/inputs/laplace_periodic.yaml"
 run lipschitz_zero_growth lipschitz --config "$out/inputs/zero_growth.yaml"
 run full_budget attractor --config "$out/inputs/full_budget.yaml"
 run alpha_list attractor --config "$out/inputs/alpha_list.yaml"
