@@ -3,12 +3,12 @@
 The Hammerstein step replaces the dispersal integral by the quadrature sum
 and collocates at the nodes, so one step is a dense matrix-vector product
 against a kernel matrix cached per distinct rate value; a block of states
-whose time classes share a matrix steps as one matrix product.  A lone
-rate's matrix is evaluated directly on the node grid; with two or more
-rates, each is evaluated on the table of distinct node distances and
-gathered, which gives the same bits.  Both kernel masses of each matrix
-are decided once, when it is assembled, and the operator carries them per
-time class.
+whose time classes share a matrix steps as one matrix product.  With
+fewer than ``DISTANCE_TABLE_MIN_RATES`` distinct rates each matrix is
+evaluated directly on the node grid; with more, each is evaluated on the
+table of distinct node distances and gathered, which gives the same bits.
+Both kernel masses of each matrix are decided once, when it is assembled,
+and the operator carries them per time class.
 """
 
 from __future__ import annotations
@@ -40,6 +40,12 @@ __all__ = [
     "trajectory",
     "replay_matches",
 ]
+
+# fewest distinct kernel rates whose matrices are gathered from a table of
+# distinct node distances; with fewer, the table's sort and gather index
+# cost more memory than the evaluations they replace, and for laplace and
+# tent more time (see build_hammerstein)
+DISTANCE_TABLE_MIN_RATES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,14 +147,19 @@ def build_hammerstein(
     """Assemble the collocated operator, caching one matrix per distinct rate.
 
     The kernels depend on |x - y| alone and :func:`~idepull.models.kernel_eval`
-    is elementwise.  So with two or more distinct rates the distinct node
-    distances are sorted into a table once (1 349 of them at n = 400), each
-    rate is evaluated on the table, and the (n+1) x (n+1) matrix is gathered
-    from it, with the same bits as a direct evaluation.  A lone rate is
-    evaluated directly on the node grid: at n = 1000 the sort costs as much
-    as about 15 direct evaluations and allocates about 49 MB at its peak,
-    which would lengthen and enlarge every single-rate run.  Each matrix is
-    then multiplied by the quadrature weights.
+    is elementwise.  So with at least ``DISTANCE_TABLE_MIN_RATES`` (64)
+    distinct rates the distinct node distances are sorted into a table once
+    (1 349 of them at n = 400), each rate is evaluated on the table, and the
+    (n+1) x (n+1) matrix is gathered from it, with the same bits as a direct
+    evaluation.  Fewer rates are evaluated directly on the node grid: the
+    sort and the int64 gather index are paid once, and each gather saves
+    only part of an evaluation, most for gauss, whose exp underflows on a
+    slow path.  At n = 1000 the sort alone takes as long as about 15 direct
+    evaluations and allocates about 49 MB at its peak.  Measured at n = 200,
+    400 and 1000, the table pays off for gauss from about 16 rates and for
+    laplace and tent from about 48 rates at n = 1000, but for laplace and
+    tent at n <= 400 it is about even with the direct build up to 365
+    rates.  Each matrix is then multiplied by the quadrature weights.
 
     Both masses of each matrix are taken right after it is assembled.
     ``theta`` defaults to the least common multiple of the component
@@ -180,8 +191,8 @@ def build_hammerstein(
     x = grid.nodes[:, None]
     y = grid.nodes[None, :]
     rates = [kernel.rate_at(r) for r in range(theta)]
-    n_distinct = len(set(rates))
-    if n_distinct > 1:
+    gather = len(set(rates)) >= DISTANCE_TABLE_MIN_RATES
+    if gather:
         # one table of the distinct |x - y|, gathered into every matrix
         table, inv = np.unique(np.abs(x - y), return_inverse=True)
         inv = inv.reshape(x.size, y.size)
@@ -191,12 +202,10 @@ def build_hammerstein(
     for r, a in enumerate(rates):
         if a not in distinct:
             distinct[a] = len(matrices)
-            if n_distinct == 1:
-                mat = kernel_eval(kernel, r, x, y)
-            else:
+            if gather:
                 mat = kernel_eval(kernel, r, table, 0.0)[inv]
-                if len(matrices) + 1 == n_distinct:
-                    del inv  # the last matrix is gathered
+            else:
+                mat = kernel_eval(kernel, r, x, y)
             mat *= grid.weights
             mat.setflags(write=False)
             matrices.append(mat)

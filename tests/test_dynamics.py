@@ -146,54 +146,67 @@ PERIODIC_RATES = {
 }
 
 
+def distinct_rates(count, first=1.0):
+    return tuple(first + 0.25 * i for i in range(count))
+
+
+def recorded_shapes(monkeypatch):
+    """Record the shapes of the x and y arguments of every kernel evaluation."""
+    shapes = []
+
+    def recording_eval(spec, t, x, y):
+        shapes.append((np.shape(x), np.shape(y)))
+        return ip.models.kernel_eval(spec, t, x, y)
+
+    monkeypatch.setattr(ip.dynamics, "kernel_eval", recording_eval)
+    return shapes
+
+
 class TestAssembly:
     @pytest.mark.parametrize("n", [1, 7, 40])
     @pytest.mark.parametrize("family", sorted(PERIODIC_RATES))
     def test_gathered_matrices_keep_direct_bits(self, family, n):
-        rates = PERIODIC_RATES[family]
+        # the edge rates, then enough larger rates for the distance table
+        edge = PERIODIC_RATES[family]
+        extra = ip.dynamics.DISTANCE_TABLE_MIN_RATES - len(set(edge))
+        rates = edge + distinct_rates(extra, first=2 * max(edge))
         op, grid = make_seasonal_operator(n=n, theta=len(rates), rate=rates,
                                           kernel_family=family)
-        assert len(op.matrices) == len(set(rates))
+        assert len(op.matrices) == ip.dynamics.DISTANCE_TABLE_MIN_RATES
         x, y = grid.nodes[:, None], grid.nodes[None, :]
         for r in range(op.theta):
             direct = ip.models.kernel_eval(op.kernel, r, x, y) * grid.weights
             assert op.matrices[op.matrix_index[r]].tobytes() == direct.tobytes()
-        last = op.matrices[op.matrix_index[-1]]
+        widest = op.matrices[op.matrix_index[len(edge) - 1]]
         if family != "laplace":
-            assert np.any(last == 0.0)
+            assert np.any(widest == 0.0)
         if family == "gauss" and n == 40:
-            assert np.any((last > 0.0) & (last < np.finfo(float).tiny))
+            assert np.any((widest > 0.0) & (widest < np.finfo(float).tiny))
+
+    @pytest.mark.parametrize("count", [2, "below"])
+    def test_few_rates_evaluate_the_node_grid(self, monkeypatch, count):
+        # below the minimum the table's sort and index would cost more than
+        # the direct evaluations they replace
+        if count == "below":
+            count = ip.dynamics.DISTANCE_TABLE_MIN_RATES - 1
+        shapes = recorded_shapes(monkeypatch)
+        op, grid = make_seasonal_operator(n=30, theta=count, rate=distinct_rates(count))
+        assert len(op.matrices) == count
+        assert shapes == [((31, 1), (1, 31))] * count
 
     def test_lone_rate_evaluates_the_node_grid(self, monkeypatch):
-        # a single-rate operator skips the distance table: its sort would cost
-        # more than the one direct evaluation it replaces
-        shapes = []
-
-        def recording_eval(spec, t, x, y):
-            shapes.append((np.shape(x), np.shape(y)))
-            return ip.models.kernel_eval(spec, t, x, y)
-
-        def no_table(*args, **kwargs):
-            raise AssertionError("a single-rate operator built a distance table")
-
-        monkeypatch.setattr(ip.dynamics, "kernel_eval", recording_eval)
-        monkeypatch.setattr(ip.dynamics.np, "unique", no_table)
+        shapes = recorded_shapes(monkeypatch)
         op, grid = make_seasonal_operator(n=30, theta=4, rate=2.0)
         assert len(op.matrices) == 1
         assert shapes == [((31, 1), (1, 31))]
 
-    def test_periodic_rates_evaluate_the_table(self, monkeypatch):
-        shapes = []
-
-        def recording_eval(spec, t, x, y):
-            shapes.append(np.shape(x))
-            return ip.models.kernel_eval(spec, t, x, y)
-
-        monkeypatch.setattr(ip.dynamics, "kernel_eval", recording_eval)
-        make_seasonal_operator(n=30, theta=2, rate=(1.0, 2.0))
+    def test_many_rates_evaluate_the_table(self, monkeypatch):
+        count = ip.dynamics.DISTANCE_TABLE_MIN_RATES
+        shapes = recorded_shapes(monkeypatch)
+        make_seasonal_operator(n=30, theta=count, rate=distinct_rates(count))
         # one evaluation per rate, each on the 1-D table of distinct distances
-        assert len(shapes) == 2
-        assert all(len(s) == 1 and s[0] < 31 * 31 for s in shapes)
+        assert len(shapes) == count
+        assert all(len(sx) == 1 and sx[0] < 31 * 31 and sy == () for sx, sy in shapes)
 
 
 class TestGeneralSolution:

@@ -80,19 +80,26 @@ tolerance: 1.0e-8
 initial: {id: default}
 horizon: 4
 YAML
-# Periodic Laplace rates: three matrices gathered from one distance table
-# (gauss draw 3 and mixed_tent cover the other two kernel families).
-cat > "$out/inputs/laplace_periodic.yaml" <<'YAML'
+# Periodic Laplace and tent rates: 64 matrices each, gathered from one
+# distance table (dynamics.DISTANCE_TABLE_MIN_RATES; gauss draw 3 covers the
+# third family, and mixed_tent the direct path of a few rates).  The tent
+# rates run from a L = 0.6 to 2.49, across the support edge at a L = 2.
+for spec in "laplace 2 0.125" "tent 0.1 0.005"; do
+    set -- $spec
+    rates=$(LC_ALL=C awk -v a="$2" -v d="$3" \
+        'BEGIN { for (i = 0; i < 64; i++) printf "%s%.3f", (i ? ", " : ""), a + d * i }')
+    cat > "$out/inputs/$1_periodic.yaml" <<YAML
 schema_version: 1
 grid: {length: 6.0, nodes: 150}
-kernel: {family: laplace, dispersal: [2.0, 5.0, 10.0]}
+kernel: {family: $1, dispersal: [$rates]}
 growth: {family: beverton_holt, profile: vee, alpha: 0.05}
 inhomogeneity: {variant: h4}
-period: 3
+period: 64
 tolerance: 1.0e-8
 initial: {id: default}
 horizon: 4
 YAML
+done
 # The trajectory distance bound on blocks whose columns split across two
 # matrices (mixed_tent) and carry per-day growth scales (alpha_list).
 for base in mixed_tent alpha_list; do
@@ -134,6 +141,8 @@ run mixed_tent attractor --config "$out/inputs/mixed_tent.yaml"
 run lipschitz_mixed_tent lipschitz --config "$out/inputs/mixed_tent.yaml"
 run laplace_periodic attractor --config "$out/inputs/laplace_periodic.yaml"
 run lipschitz_laplace_periodic lipschitz --config "$out/inputs/laplace_periodic.yaml"
+run tent_periodic attractor --config "$out/inputs/tent_periodic.yaml"
+run lipschitz_tent_periodic lipschitz --config "$out/inputs/tent_periodic.yaml"
 run lipschitz_zero_growth lipschitz --config "$out/inputs/zero_growth.yaml"
 run full_budget attractor --config "$out/inputs/full_budget.yaml"
 run alpha_list attractor --config "$out/inputs/alpha_list.yaml"
