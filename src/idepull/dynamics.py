@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import count, islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "PointwiseOperator",
     "build_hammerstein",
     "build_pointwise",
+    "orbit",
     "general_solution",
     "trajectory",
     "replay_matches",
@@ -287,6 +289,19 @@ def build_pointwise(
     return PointwiseOperator(profile, scales, grid, values)
 
 
+def orbit(op, tau: int, u0: GridFunction) -> Iterator[GridFunction]:
+    """Forward solution states u_tau, u_{tau+1}, ... through ``(tau, u0)``.
+
+    The one loop that steps a forward orbit of one state.  It is lazy and
+    endless: each state is stepped only when it is asked for, so a consumer
+    that takes k + 1 states (``itertools.islice``) makes k steps.
+    """
+    state = u0
+    for s in count(tau):
+        yield state
+        state = op.step(s, state)
+
+
 def general_solution(op, t: int, tau: int, u: GridFunction) -> GridFunction:
     """State at time ``t`` of the solution through ``(tau, u)``.
 
@@ -295,22 +310,14 @@ def general_solution(op, t: int, tau: int, u: GridFunction) -> GridFunction:
     """
     if t < tau:
         raise TimeOrderError(f"target time {t} precedes initial time {tau}")
-    state = u
-    for s in range(tau, t):
-        state = op.step(s, state)
-    return state
+    return next(islice(orbit(op, tau, u), t - tau, None))
 
 
 def trajectory(op, tau: int, steps: int, u0: GridFunction) -> tuple[GridFunction, ...]:
     """Forward solution states u_tau, ..., u_{tau+steps} through ``(tau, u0)``."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    states = [u0]
-    state = u0
-    for s in range(tau, tau + steps):
-        state = op.step(s, state)
-        states.append(state)
-    return tuple(states)
+    return tuple(islice(orbit(op, tau, u0), steps + 1))
 
 
 def replay_matches(op, tau: int, states) -> bool:

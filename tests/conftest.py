@@ -35,3 +35,33 @@ def make_seasonal_operator(
 @pytest.fixture
 def seasonal_op():
     return make_seasonal_operator()
+
+
+def first_repeat_steps(op, u0, total_steps):
+    """Steps a sweep from ``u0`` takes under the exact-repeat stop rule.
+
+    An explicit ``op.step`` loop, independent of the library's orbit loop:
+    the first t >= theta whose state equals the state at t - theta by
+    bytes, or the exhausted count total_steps + theta - 1.
+    """
+    theta = op.theta
+    exhausted = total_steps + theta - 1
+    seen = [u0.values.tobytes()]
+    state = u0
+    for t in range(1, exhausted + 1):
+        state = op.step(t - 1, state)
+        seen.append(state.values.tobytes())
+        if t >= theta and seen[t] == seen[t - theta]:
+            return t
+    return exhausted
+
+
+class CountingOperator:
+    """Delegates ``step`` to an operator and counts the calls."""
+
+    def __init__(self, op):
+        self.op, self.theta, self.calls = op, op.theta, 0
+
+    def step(self, t, u):
+        self.calls += 1
+        return self.op.step(t, u)

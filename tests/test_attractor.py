@@ -25,7 +25,7 @@ from idepull import (
     sup_norm,
     trajectory,
 )
-from conftest import make_seasonal_operator
+from conftest import CountingOperator, first_repeat_steps, make_seasonal_operator
 
 class TestCertify:
     def test_constant_sequence(self):
@@ -314,6 +314,17 @@ class TestRequiredIterations:
                 assert factor ** (t - 1) * l2 / (1 - factor) > tol
 
 
+class Countdown:
+    """u -> max(u - 1, 0) at every node, with a declared period; counts its steps."""
+
+    def __init__(self, theta):
+        self.theta, self.calls = theta, 0
+
+    def step(self, t, u):
+        self.calls += 1
+        return GridFunction(u.grid, np.maximum(u.values - 1.0, 0.0))
+
+
 def tight_fibers(op, grid, u0=None, tol=1e-12, lams=None):
     lams = ip.step_constants_numeric(op) if lams is None else lams
     cert = certify_contraction(lams)
@@ -450,8 +461,16 @@ class TestPullbackFibers:
 
     @staticmethod
     def full_sweep_bits(op, budget, u0):
-        state = general_solution(op, 0, -budget.total_steps, u0)
-        return [f.values.tobytes() for f in trajectory(op, 0, op.theta - 1, state)]
+        # an explicit op.step loop over the whole budget, independent of the
+        # orbit loop the sweep steps through
+        state = u0
+        for t in range(-budget.total_steps, 0):
+            state = op.step(t, state)
+        bits = [state.values.tobytes()]
+        for t in range(op.theta - 1):
+            state = op.step(t, state)
+            bits.append(state.values.tobytes())
+        return bits
 
     def test_early_stop_matches_full_sweep_bits(self, seasonal_op):
         op, grid = seasonal_op
@@ -461,8 +480,70 @@ class TestPullbackFibers:
         budget = required_iterations(cert.factor, bound, 1e-12, op.theta)
         fibers = pullback_fibers(op, cert, budget, u0)
         assert [f.values.tobytes() for f in fibers.fibers] == self.full_sweep_bits(op, budget, u0)
-        assert fibers.steps_used % op.theta == 0
+        assert fibers.steps_used == first_repeat_steps(op, u0, budget.total_steps)
         assert fibers.steps_used < budget.total_steps + op.theta - 1
+
+    def test_mid_period_stop_keeps_class_order(self, seasonal_op):
+        # the first repeat comes 2 days into a period, u(32) == u(26) with
+        # theta = 6, and the sweep makes no step past it
+        op, grid = seasonal_op
+        counting = CountingOperator(op)
+        u0 = GridFunction.constant(grid, 1.0)
+        cert = certify_contraction(ip.step_constants_numeric(op))
+        budget = required_iterations(cert.factor, apriori_distance_bound(op, u0), 1e-12, op.theta)
+        fibers = pullback_fibers(counting, cert, budget, u0)
+        assert counting.calls == fibers.steps_used == 32
+        assert fibers.steps_used == first_repeat_steps(op, u0, budget.total_steps)
+        assert [f.values.tobytes() for f in fibers.fibers] == self.full_sweep_bits(op, budget, u0)
+        for t in range(op.theta):
+            stepped = op.step(t, fibers.fiber(t))
+            assert stepped.values.tobytes() == fibers.fiber(t + 1).values.tobytes()
+
+    def test_period_one_stops_at_fixed_point(self):
+        op, grid = make_seasonal_operator(theta=1)
+        u0 = GridFunction.constant(grid, 1.0)
+        fibers, _ = tight_fibers(op, grid, u0=u0)
+        assert fibers.steps_used == first_repeat_steps(op, u0, fibers.budget.total_steps)
+        assert fibers.steps_used < fibers.budget.total_steps
+        assert [f.values.tobytes() for f in fibers.fibers] == self.full_sweep_bits(
+            op, fibers.budget, u0)
+        assert op.step(0, fibers.fiber(0)).values.tobytes() == fibers.fiber(0).values.tobytes()
+
+    def test_zero_windows_compares_no_step(self, seasonal_op):
+        # a budget of no windows sweeps theta - 1 steps from u0, and no state
+        # is old enough to be compared
+        op, grid = seasonal_op
+        counting = CountingOperator(op)
+        u0 = GridFunction.constant(grid, 1.0)
+        cert = certify_contraction(ip.step_constants_numeric(op))
+        budget = ip.ErrorBudget(0.0, 1e-6, op.theta, 0, 0)
+        fibers = pullback_fibers(counting, cert, budget, u0)
+        assert fibers.steps_used == counting.calls == op.theta - 1
+        assert [f.values.tobytes() for f in fibers.fibers] == [
+            f.values.tobytes() for f in trajectory(op, 0, op.theta - 1, u0)]
+
+    @pytest.mark.parametrize("theta", [1, 3])
+    def test_match_on_last_budgeted_step(self, theta):
+        # u(t) = max(c - t, 0) first repeats at t = c + theta: with c =
+        # theta * windows - 1 that is the last budgeted step, and one window
+        # fewer runs out one step short of it
+        grid = ip.build_grid(1.0, 4)
+        windows = 4
+        op = Countdown(theta)
+        u0 = GridFunction.constant(grid, float(theta * windows - 1))
+        cert = certify_contraction([0.5] * theta)
+        exhausted = theta * windows + theta - 1
+        budget = ip.ErrorBudget(1.0, 1e-6, theta, windows, theta * windows)
+        fibers = pullback_fibers(op, cert, budget, u0)
+        assert op.calls == fibers.steps_used == exhausted
+        assert fibers.steps_used == first_repeat_steps(op, u0, budget.total_steps)
+        assert [f.values.tobytes() for f in fibers.fibers] == self.full_sweep_bits(op, budget, u0)
+        assert all(np.all(f.values == 0.0) for f in fibers.fibers)
+
+        short = ip.ErrorBudget(1.0, 1e-6, theta, windows - 1, theta * (windows - 1))
+        fibers = pullback_fibers(Countdown(theta), cert, short, u0)
+        assert fibers.steps_used == exhausted - theta
+        assert [f.values.tobytes() for f in fibers.fibers] == self.full_sweep_bits(op, short, u0)
 
     def test_signed_zero_flip_does_not_stop(self):
         # P(u) = -u from zeros alternates 0.0 and -0.0: equal values, unequal bits
@@ -526,9 +607,7 @@ class TestSweepProperty:
 
         full = TestPullbackFibers.full_sweep_bits(op, budget, u0)
         assert [f.values.tobytes() for f in fibers.fibers] == full
-        exhausted = budget.total_steps + op.theta - 1
-        assert fibers.steps_used == exhausted or (
-            fibers.steps_used % op.theta == 0 and fibers.steps_used < exhausted)
+        assert fibers.steps_used == first_repeat_steps(op, u0, budget.total_steps)
 
 
 class TestAttractionRate:

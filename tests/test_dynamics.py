@@ -15,7 +15,8 @@ from idepull import (
     sup_norm,
     trajectory,
 )
-from conftest import make_seasonal_operator
+from idepull.dynamics import orbit
+from conftest import CountingOperator, make_seasonal_operator
 
 
 def zero_growth(grid_length=6.0, theta=4, variant="h1"):
@@ -263,6 +264,25 @@ class TestTrajectory:
         op, grid = seasonal_op
         with pytest.raises(ValueError):
             trajectory(op, 0, -1, GridFunction.constant(grid, 0.0))
+
+
+class TestOrbit:
+    def test_steps_only_on_demand(self, seasonal_op):
+        # k + 1 states cost k steps, through each consumer
+        op, grid = seasonal_op
+        u = GridFunction.constant(grid, 1.0)
+        counting = CountingOperator(op)
+        states = orbit(counting, 0, u)
+        assert next(states) is u and counting.calls == 0
+        next(states)
+        assert counting.calls == 1
+        for consume, steps in [(lambda o: trajectory(o, 2, 5, u), 5),
+                               (lambda o: trajectory(o, 2, 0, u), 0),
+                               (lambda o: general_solution(o, 9, 2, u), 7),
+                               (lambda o: general_solution(o, 2, 2, u), 0)]:
+            counting = CountingOperator(op)
+            consume(counting)
+            assert counting.calls == steps
 
 
 def block_of(rng, grid, m):

@@ -23,6 +23,7 @@ from idepull.reporting import (
     run_semilinear,
     run_simulation,
 )
+from conftest import first_repeat_steps
 
 SMALL = """
 schema_version: 1
@@ -321,9 +322,13 @@ class TestCliExitCodes:
                      "--tol", "1e-12"]) == 0
         parsed = read_report_csv(tmp_path / "out" / "report.csv")
         theta, total = int(parsed["theta"]), int(parsed["total_steps"])
-        # the sweep stops at the exact fixed point after whole periods,
-        # well inside the budget
-        assert int(parsed["steps_used"]) % theta == 0
+        # the sweep stops on the first day whose state repeats the state one
+        # period earlier bit for bit, well inside the budget
+        cfg = parse_config(SMALL)
+        grid = ip.build_scenario_grid(cfg)
+        u0 = ip.initial_condition(cfg.initial_id, cfg.initial_params, grid)
+        op = ip.build_operator(cfg, grid)
+        assert int(parsed["steps_used"]) == first_repeat_steps(op, u0, total)
         assert int(parsed["steps_used"]) < total + theta - 1
 
     def test_config_error_is_1(self, tmp_path, capsys):
