@@ -3,7 +3,11 @@
 Constants follow one norm family throughout: vectors carry the max-norm
 and matrices its induced operator norm (max absolute row sum).  The
 pullback limit is certified through the per-period contraction factor
-gamma * prod (alpha_r + gamma * kappa_r) < 1.
+gamma * prod (alpha_r + gamma * kappa_r) < 1.  The induced norm is
+submultiplicative, so ||Phi(t, tau)|| <= prod ||L_r|| and gamma = 1 holds
+whenever every alpha_r >= ||L_r||, as the default alphas are; the
+products over the windows of one period are formed only when some
+declared alpha_r is below its matrix's norm.
 """
 
 from __future__ import annotations
@@ -72,12 +76,30 @@ class SemilinearSystem:
         return self.matrices[r] @ u + self.nonlinearities[r](u)
 
 
-def _norm_pairs(k: Nonlinearity, dim: int, rng: np.random.Generator, pairs: int):
-    """(||k(a) - k(b)||, ||a - b||) over random pairs (a, b) drawn from ``rng``."""
+def _norm_pairs(
+    k: Nonlinearity, dim: int, rng: np.random.Generator, pairs: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays of ||k(a) - k(b)|| and ||a - b|| over random pairs (a, b).
+
+    The ``pairs`` states a, then the ``pairs`` states b, are drawn from
+    ``rng`` as one block each; ``k`` is called once per state.  A non-finite
+    ||k(a) - k(b)|| (``k`` returned NaN or inf, or the difference overflowed)
+    raises ``ValueError``.
+    """
     u = rng.normal(scale=3.0, size=(pairs, dim))
     v = rng.normal(scale=3.0, size=(pairs, dim))
-    for a, b in zip(u, v):
-        yield _vec_norm(np.asarray(k(a)) - np.asarray(k(b))), _vec_norm(a - b)
+    ku = np.array([k(a) for a in u], dtype=float).reshape(pairs, -1)
+    kv = np.array([k(b) for b in v], dtype=float).reshape(pairs, -1)
+    num = np.max(np.abs(ku - kv), axis=1, initial=0.0)
+    if not np.isfinite(num).all():
+        raise ValueError("nonlinearity gave a non-finite value on sampled states")
+    return num, np.max(np.abs(u - v), axis=1, initial=0.0)
+
+
+def _sampled_kappa(num: np.ndarray, den: np.ndarray) -> float:
+    """Largest difference quotient num / den over the pairs with den > 0 (0.0 if none)."""
+    moved = den > 0
+    return float(np.max(num[moved] / den[moved], initial=0.0))
 
 
 def _per_slot(values, theta: int, what: str) -> tuple:
@@ -104,18 +126,25 @@ def build_semilinear(
     Defaults: alpha_r is the row-sum norm of L_r, gamma the largest ratio
     ||Phi(t, tau)|| / prod alpha_r over the windows of one period (at
     least 1), and kappa_r the largest difference quotient of K_r over
-    random pairs.  Sampled constants are recorded in ``estimated`` and are
-    not certificates, so sampled kappas are not checked again.  A declared
-    gamma below that ratio, or a declared kappa_r below a sampled
-    difference quotient, raises ``ValueError``.
+    random pairs.  When every alpha_r >= ||L_r||, as the default alphas
+    are, that ratio is at most 1 because the induced norm is
+    submultiplicative, so gamma is 1 and no window product is formed; the
+    windows are multiplied out only when some alpha_r is below its
+    matrix's norm.  Sampled constants are recorded in ``estimated`` and
+    are not certificates, so sampled kappas are not checked again.  A
+    declared gamma below that ratio, or a declared kappa_r below a sampled
+    difference quotient, raises ``ValueError``, as does a non-finite
+    matrix entry, declared constant or nonlinearity value.
     """
     mats = tuple(np.array(m, dtype=float) for m in matrices)
     if not mats:
         raise ValueError("need at least one matrix")
     d = mats[0].shape[0]
-    for m in mats:
+    for r, m in enumerate(mats):
         if m.shape != (d, d):
             raise ValueError(f"matrices must share shape ({d}, {d}), got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError(f"matrix {r} has a non-finite entry")
         m.setflags(write=False)
 
     theta = len(mats)
@@ -126,29 +155,31 @@ def build_semilinear(
     estimated = set()
 
     if kappas is None:
-        kappas = tuple(
-            max((num / den for num, den in _norm_pairs(k, d, rng, 10_000) if den > 0), default=0.0)
-            for k in nls
-        )
+        kappas = tuple(_sampled_kappa(*_norm_pairs(k, d, rng, 10_000)) for k in nls)
         estimated.add("kappas")
     kappas = _per_slot((float(k) for k in kappas), theta, "kappas")
-    if any(k < 0 for k in kappas):
-        raise ValueError(f"kappas must be nonnegative, got {kappas}")
+    if not all(0 <= k < math.inf for k in kappas):
+        raise ValueError(f"kappas must be finite and nonnegative, got {kappas}")
 
+    norms = [_mat_norm(m) for m in mats]
     if alphas is None:
-        alphas = tuple(max(_mat_norm(m), np.finfo(float).tiny) for m in mats)
+        alphas = tuple(max(n, np.finfo(float).tiny) for n in norms)
         estimated.add("alphas")
     alphas = _per_slot((float(a) for a in alphas), theta, "alphas")
-    if any(a <= 0 for a in alphas):
-        raise ValueError(f"alphas must be positive, got {alphas}")
+    if not all(0 < a < math.inf for a in alphas):
+        raise ValueError(f"alphas must be finite and positive, got {alphas}")
 
-    ratio, window = _worst_transition_ratio(mats, alphas)
+    if all(a >= n for a, n in zip(alphas, norms)):
+        # ||Phi|| <= prod ||L_r|| <= prod alpha_r on every window
+        ratio, window = 1.0, None
+    else:
+        ratio, window = _worst_transition_ratio(mats, alphas)
     if gamma is None:
         gamma = max(1.0, ratio)
         estimated.add("gamma")
     gamma = float(gamma)
-    if gamma < 1.0:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    if not 1.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
     if ratio > gamma * _SLACK:
         raise ValueError(
             f"transition norm bound violated on window {window}: "
@@ -163,7 +194,9 @@ def build_semilinear(
 def _worst_transition_ratio(mats, alphas) -> tuple[float, tuple[int, int] | None]:
     """Largest ||Phi(s, tau)|| / prod alpha_r over the windows of one period.
 
-    Returns the ratio and the window (tau, s) on which it is reached.
+    Returns the ratio and the window (tau, s) on which it is reached.  A
+    window whose prod alpha underflows to 0, or whose ||Phi|| overflows,
+    raises ``ValueError``.
     """
     theta, d = len(mats), mats[0].shape[0]
     worst, window = 0.0, None
@@ -173,7 +206,13 @@ def _worst_transition_ratio(mats, alphas) -> tuple[float, tuple[int, int] | None
         for s in range(tau, tau + theta):
             phi = mats[s % theta] @ phi
             prod *= alphas[s % theta]
-            ratio = _mat_norm(phi) / prod
+            norm = _mat_norm(phi)
+            if prod == 0.0 or not math.isfinite(norm):
+                raise ValueError(
+                    f"||Phi|| / prod alpha is out of float range on window {(tau, s + 1)}: "
+                    f"||Phi|| = {norm}, prod alpha = {prod}"
+                )
+            ratio = norm / prod
             if ratio > worst:
                 worst, window = ratio, (tau, s + 1)
     return worst, window
@@ -181,9 +220,9 @@ def _worst_transition_ratio(mats, alphas) -> tuple[float, tuple[int, int] | None
 
 def _check_kappas(nls, kappas, d: int, rng: np.random.Generator, samples: int = 200) -> None:
     for r, k in enumerate(nls):
-        for lhs, den in _norm_pairs(k, d, rng, samples):
-            if lhs > kappas[r] * den * _SLACK + 1e-15:
-                raise ValueError(f"declared kappa {kappas[r]} violated at slot {r}")
+        lhs, den = _norm_pairs(k, d, rng, samples)
+        if np.any(lhs > kappas[r] * den * _SLACK + 1e-15):
+            raise ValueError(f"declared kappa {kappas[r]} violated at slot {r}")
 
 
 def transition(sys: SemilinearSystem, t: int, tau: int) -> np.ndarray:

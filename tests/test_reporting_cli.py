@@ -405,7 +405,10 @@ class TestCliExitCodes:
         ("kappas: [0.0, 0.0]", "kappas: [0.0, 0.0]\n  gamma: 0.5"),
         # with alphas 0.5 one step has ||Phi|| / alpha = 1.8 > gamma
         ("kappas: [0.0, 0.0]", "kappas: [0.0, 0.0]\n  alphas: [0.5, 0.5]\n  gamma: 1.0"),
-    ], ids=["kappas-length", "gamma-below-one", "gamma-below-transition-ratio"])
+        # prod alpha underflows to 0 on a two-step window
+        ("kappas: [0.0, 0.0]", "kappas: [0.0, 0.0]\n  alphas: [1.0e-201]"),
+    ], ids=["kappas-length", "gamma-below-one", "gamma-below-transition-ratio",
+            "alpha-product-underflow"])
     def test_refused_semilinear_constants_are_config_errors(self, tmp_path, capsys, old, new):
         demo = Path("configs/semilinear_demo.yaml").read_text()
         cfg = self.write(tmp_path, demo.replace(old, new))

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import idepull.semilinear as semilinear
 from idepull import (
     BudgetExceededError,
     NoContractionError,
@@ -284,3 +286,137 @@ class TestBuilder:
     def test_gamma_below_one_rejected(self):
         with pytest.raises(ValueError):
             build_semilinear([np.eye(2)], lambda u: np.zeros(2), kappas=(0.0,), gamma=0.5)
+
+    def test_zero_alpha_product_refused_not_divided(self):
+        # alpha = 1e-201 < ||L|| = 1e-200: the window loop runs, and prod alpha
+        # underflows to 0 on the two-step window
+        with pytest.raises(ValueError, match=r"window \(0, 2\)"):
+            build_semilinear(
+                [1e-200 * np.eye(2)] * 2, lambda u: np.zeros(2), kappas=(0.0,), alphas=(1e-201,)
+            )
+
+    def test_nan_matrix_entry_refused(self):
+        with pytest.raises(ValueError, match="matrix 1 has a non-finite entry"):
+            build_semilinear(
+                [np.eye(2), np.array([[0.5, np.nan], [0.0, 0.5]])], lambda u: np.zeros(2),
+                kappas=(0.0,),
+            )
+
+    @pytest.mark.parametrize("key", ["kappas", "alphas", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_declared_constant_refused(self, key, value):
+        declared = {"kappas": (0.0,), key: value if key == "gamma" else (value,)}
+        with pytest.raises(ValueError, match=f"{key[:5]}.* must be finite"):
+            build_semilinear([0.5 * np.eye(2)], lambda u: np.zeros(2), **declared)
+
+    @pytest.mark.parametrize("kappas", [(0.0,), None], ids=["declared", "sampled"])
+    def test_nan_nonlinearity_refused(self, kappas):
+        with pytest.raises(ValueError, match="non-finite value on sampled states"):
+            build_semilinear([0.5 * np.eye(2)], lambda u: np.full(2, np.nan), kappas=kappas)
+
+
+@st.composite
+def dominated_systems(draw):
+    """Signed matrices of one period and alphas at or above their row-sum norms."""
+    dim = draw(st.integers(1, 8))
+    theta = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    mats = list(np.random.default_rng(seed).normal(scale=draw(st.floats(0.1, 3.0)),
+                                                   size=(theta, dim, dim)))
+    stretch = draw(st.lists(st.sampled_from([1.0, 1.0 + 1e-12, 1.5, 4.0]),
+                            min_size=theta, max_size=theta))
+    return mats, tuple(float(np.linalg.norm(m, ord=np.inf)) * c for m, c in zip(mats, stretch))
+
+
+class TestWindowProducts:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(dominated_systems())
+    def test_dominating_alphas_give_gamma_one(self, system):
+        mats, alphas = system
+        ratio, _ = semilinear._worst_transition_ratio(mats, alphas)
+        assert ratio <= 1.0 + 1e-12
+        for declared in (alphas, None):
+            sys = build_semilinear(mats, lambda u: np.zeros(len(u)), kappas=(0.0,),
+                                   alphas=declared)
+            assert sys.gamma == 1.0
+
+    @pytest.fixture
+    def window_calls(self, monkeypatch):
+        calls = []
+        loop = semilinear._worst_transition_ratio
+
+        def counted(mats, alphas):
+            calls.append(alphas)
+            return loop(mats, alphas)
+
+        monkeypatch.setattr(semilinear, "_worst_transition_ratio", counted)
+        return calls
+
+    def test_loop_skipped_when_alphas_bound_the_norms(self, rng, window_calls):
+        mats = [rng.normal(size=(4, 4)) for _ in range(3)]
+        norms = [float(np.linalg.norm(m, ord=np.inf)) for m in mats]
+        build_semilinear(mats, lambda u: np.zeros(4), kappas=(0.0,))
+        build_semilinear(mats, lambda u: np.zeros(4), kappas=(0.0,), alphas=norms, gamma=2.0)
+        assert window_calls == []
+
+    def test_loop_runs_when_an_alpha_is_below_its_norm(self, rng, window_calls):
+        mats = [rng.normal(size=(4, 4)) for _ in range(3)]
+        alphas = [float(np.linalg.norm(m, ord=np.inf)) for m in mats]
+        alphas[1] *= 0.9
+        sys = build_semilinear(mats, lambda u: np.zeros(4), kappas=(0.0,), alphas=alphas)
+        assert window_calls == [tuple(alphas)]
+        assert sys.gamma > 1.0
+
+
+def reference_pairs(k, dim, rng, pairs):
+    """The per-pair sampler loop: the same draws, one pair at a time."""
+    u = rng.normal(scale=3.0, size=(pairs, dim))
+    v = rng.normal(scale=3.0, size=(pairs, dim))
+    for a, b in zip(u, v):
+        yield norm(np.asarray(k(a)) - np.asarray(k(b))), norm(a - b)
+
+
+NONLINEARITIES = {
+    "array": (3, lambda u: 0.4 * np.tanh(u) + 0.1 * np.sin(3.0 * u[::-1])),
+    "scalar": (1, lambda u: float(0.7 * np.sin(u[0]))),
+    "list": (2, lambda u: [0.3 * np.tanh(u[0] - u[1]), 0.2 * u[0]]),
+}
+
+
+class TestPairSampler:
+    @pytest.mark.parametrize("name", NONLINEARITIES)
+    def test_sampled_kappa_matches_per_pair_loop(self, name):
+        dim, k = NONLINEARITIES[name]
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        sys = build_semilinear([0.5 * np.eye(dim)] * 2, [k, k], rng=rng)
+        expected = tuple(
+            max((num / den for num, den in reference_pairs(k, dim, ref_rng, 10_000) if den > 0),
+                default=0.0)
+            for _ in range(2)
+        )
+        assert sys.kappas == expected
+        assert rng.normal() == ref_rng.normal()
+
+    @pytest.mark.parametrize("name", NONLINEARITIES)
+    @pytest.mark.parametrize("shrink", [1.0, 1.0 - 1e-6])
+    def test_declared_check_matches_per_pair_loop(self, name, shrink):
+        # kappas at the worst quotient the check draws pass (its slack admits
+        # them); slot 1 slightly below it fails, and the check stops there
+        dim, k = NONLINEARITIES[name]
+        draws = np.random.default_rng(11)
+        kappas = [max(n / d for n, d in reference_pairs(k, dim, draws, 200)) for _ in range(3)]
+        kappas[1] *= shrink
+
+        ref_rng = np.random.default_rng(11)
+        failing = next((r for r, kappa in enumerate(kappas)
+                        if any(n > kappa * d * semilinear._SLACK + 1e-15
+                               for n, d in reference_pairs(k, dim, ref_rng, 200))), None)
+        assert failing == (None if shrink == 1.0 else 1)
+
+        rng = np.random.default_rng(11)
+        if failing is None:
+            build_semilinear([0.5 * np.eye(dim)] * 3, k, kappas=kappas, rng=rng)
+        else:
+            with pytest.raises(ValueError, match=f"violated at slot {failing}"):
+                build_semilinear([0.5 * np.eye(dim)] * 3, k, kappas=kappas, rng=rng)
+        assert rng.normal() == ref_rng.normal()

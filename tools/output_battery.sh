@@ -106,6 +106,33 @@ for base in mixed_tent alpha_list; do
     { cat "$out/inputs/$base.yaml"; echo "distance_bound: trajectory"; } \
         > "$out/inputs/trajectory_bound_$base.yaml"
 done
+# Semilinear systems on the demo's scenario block.  bounded-sigmoid has default
+# alphas, so gamma = 1 without window products, and its registry kappa is
+# checked on sampled pairs; the second declares alphas below the matrix norms
+# and a gamma, so the transition products over the windows are formed.
+demo="$checkout/configs/semilinear_demo.yaml"
+{ sed '/^semilinear:/,$d' "$demo"; cat <<'YAML'; } > "$out/inputs/semilinear_sigmoid.yaml"
+semilinear:
+  dimension: 3
+  matrices:
+    - [[0.3, -0.1, 0.1], [0.0, 0.4, -0.1], [0.2, 0.1, 0.2]]
+    - [[0.2, 0.2, 0.0], [-0.3, 0.1, 0.1], [0.0, 0.1, -0.4]]
+    - [[-0.4, 0.0, 0.1], [0.1, 0.3, 0.0], [0.1, -0.2, 0.2]]
+  nonlinearity: {name: bounded-sigmoid, scale: 0.3}
+  initial: [1.0, -2.0, 0.5]
+  tolerance: 1.0e-12
+YAML
+{ sed '/^semilinear:/,$d' "$demo"; cat <<'YAML'; } > "$out/inputs/semilinear_window_gamma.yaml"
+semilinear:
+  dimension: 2
+  matrices:
+    - [[0.5, 0.3], [0.0, 0.5]]
+    - [[0.4, 0.0], [0.35, 0.3]]
+  nonlinearity: {name: constant, value: [1.0, 0.5]}
+  alphas: [0.7, 0.6]
+  gamma: 1.2
+  tolerance: 1.0e-12
+YAML
 python3 - "$checkout/perfbench" "$out/inputs/gauss_periodic_draw3.yaml" <<'EOF'
 import sys
 
@@ -133,7 +160,9 @@ run compare compare --config "$shipped" --nodes 200
 run simulate_h1 simulate --config "$shipped" --nodes 200 --variant h1
 run lipschitz_h3 lipschitz --config "$shipped" --nodes 200 --variant h3
 run convergence_h4 convergence --config "$shipped" --nodes 100 --variant h4
-run semilinear semilinear --config "$checkout/configs/semilinear_demo.yaml"
+run semilinear semilinear --config "$demo"
+run semilinear_sigmoid semilinear --config "$out/inputs/semilinear_sigmoid.yaml"
+run semilinear_window_gamma semilinear --config "$out/inputs/semilinear_window_gamma.yaml"
 run trajectory_bound attractor --config "$out/inputs/trajectory_bound.yaml" --nodes 200
 run gauss_periodic_draw3 attractor --config "$out/inputs/gauss_periodic_draw3.yaml"
 run lipschitz_gauss_periodic_draw3 lipschitz --config "$out/inputs/gauss_periodic_draw3.yaml"
