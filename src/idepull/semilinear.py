@@ -82,18 +82,24 @@ def _norm_pairs(
     """Arrays of ||k(a) - k(b)|| and ||a - b|| over random pairs (a, b).
 
     The ``pairs`` states a, then the ``pairs`` states b, are drawn from
-    ``rng`` as one block each; ``k`` is called once per state.  A non-finite
-    ||k(a) - k(b)|| (``k`` returned NaN or inf, or the difference overflowed)
-    raises ``ValueError``.
+    ``rng`` as one block each; ``k`` is called once per state, and its
+    value is broadcast to ``dim`` entries, which leaves the norm as it is.
+    The differences are formed in place, so the sampler holds three
+    blocks of ``pairs`` x ``dim``.  A non-finite ||k(a) - k(b)|| (``k``
+    returned NaN or inf, or the difference overflowed) raises
+    ``ValueError``.
     """
     u = rng.normal(scale=3.0, size=(pairs, dim))
     v = rng.normal(scale=3.0, size=(pairs, dim))
-    ku = np.array([k(a) for a in u], dtype=float).reshape(pairs, -1)
-    kv = np.array([k(b) for b in v], dtype=float).reshape(pairs, -1)
-    num = np.max(np.abs(ku - kv), axis=1, initial=0.0)
+    diff = np.empty_like(u)
+    for row, a, b in zip(diff, u, v):
+        row[...] = k(a)
+        row -= k(b)
+    num = np.max(np.abs(diff, out=diff), axis=1, initial=0.0)
     if not np.isfinite(num).all():
         raise ValueError("nonlinearity gave a non-finite value on sampled states")
-    return num, np.max(np.abs(u - v), axis=1, initial=0.0)
+    u -= v
+    return num, np.max(np.abs(u, out=u), axis=1, initial=0.0)
 
 
 def _sampled_kappa(num: np.ndarray, den: np.ndarray) -> float:
