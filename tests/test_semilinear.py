@@ -378,7 +378,8 @@ def reference_pairs(k, dim, rng, pairs):
 
 NONLINEARITIES = {
     "array": (3, lambda u: 0.4 * np.tanh(u) + 0.1 * np.sin(3.0 * u[::-1])),
-    "scalar": (1, lambda u: float(0.7 * np.sin(u[0]))),
+    # a scalar value steps by broadcasting, so it serves every dimension
+    "scalar": (3, lambda u: float(0.7 * np.sin(u[0] - u[2]))),
     "list": (2, lambda u: [0.3 * np.tanh(u[0] - u[1]), 0.2 * u[0]]),
 }
 
