@@ -60,9 +60,10 @@ __all__ = [
 
 DEFAULT_MAX_STEPS = 10_000_000
 DISTANCE_BOUND_MODES = ("upper-bound", "trajectory")
-# starts per block of the trajectory distance bound: wider blocks gain little
-# GEMM speed and hold more memory (all 365 starts of the shipped config at
-# n = 200 hold about 2.4 MB, 64 of them about 0.5 MB)
+# starts per step_block call of the trajectory distance bound: wider chunks
+# gain little GEMM speed and make larger temporaries (a growth output and a
+# product of (n+1) x 64 are about 0.1 MB each at n = 200, beside the 0.6 MB
+# array holding all 365 starts of the shipped config)
 BOUND_BLOCK_COLUMNS = 64
 
 
@@ -139,14 +140,13 @@ def apriori_distance_bound(
       raises ``BoundFormulaOutOfRangeError``.
     - ``"trajectory"``: the growth output actually reached by flowing u0
       over one period, evaluated for every start in one period; sharper.
-      The theta starts flow together as the columns of blocks of at most
-      ``BOUND_BLOCK_COLUMNS`` (64), and each block takes theta - 1
-      ``step_block`` calls, not one ``step`` per start and day, which
-      would be theta * (theta - 1) steps.  Columns share a matrix product
-      only where their rates agree: with periodic rates (theta distinct
-      matrices) every column goes alone through a matrix-vector product,
-      so that schedule stays GEMV-bound, about as slow as theta *
-      (theta - 1) single steps.
+      Start s flows from time s - theta to s - 1, so at each time t every
+      live start is at t: the theta starts are the columns of one array,
+      start t + theta joins with u0 at t < 0, start t + 1 is read at t,
+      and the later live starts take one ``step_block`` at t, in chunks
+      of at most ``BOUND_BLOCK_COLUMNS`` (64) columns.  Each of the
+      2 theta - 1 times has one matrix whatever the rate schedule, so the
+      theta * (theta - 1) column steps go through GEMMs, not single steps.
 
     The supremum over all integer times collapses to one period by
     periodicity.
@@ -161,16 +161,19 @@ def apriori_distance_bound(
     elif mode == "trajectory":
         if u0.grid != op.grid:
             raise GridMismatchError("state lives on a different grid")
+        # column s holds start s, which is at time t for s - theta <= t <= s - 1
+        block = np.empty((op.grid.n + 1, theta))
         l1 = 0.0
-        for first in range(0, theta, BOUND_BLOCK_COLUMNS):
-            starts = range(first, min(first + BOUND_BLOCK_COLUMNS, theta))
-            block = np.repeat(u0.values[:, None], len(starts), axis=1)
-            for k in range(theta - 1):
-                block = op.step_block([s - theta + k for s in starts], block)
-            ends = [s - 1 for s in starts]
-            g_sups = np.max(np.abs(op.growth_output(ends, block)), axis=0)
-            for t, g_sup in zip(ends, g_sups.tolist()):
+        for t in range(-theta, theta - 1):
+            if t < 0:
+                block[:, t + theta] = u0.values
+            if t >= -1:
+                g_sup = float(np.max(np.abs(op.growth_output(t, block[:, t + 1]))))
                 l1 = max(l1, masses[t % theta] * g_sup)
+            live_end = min(theta, t + theta + 1)
+            for first in range(max(0, t + 2), live_end, BOUND_BLOCK_COLUMNS):
+                cols = slice(first, min(first + BOUND_BLOCK_COLUMNS, live_end))
+                block[:, cols] = op.step_block(t, block[:, cols])
     else:
         raise ValueError(f"unknown distance bound mode {mode!r}")
 

@@ -3,10 +3,10 @@
 The Hammerstein step replaces the dispersal integral by the quadrature sum
 and collocates at the nodes, so one step is a dense matrix-vector product
 against a kernel matrix cached per distinct rate value; a block of states
-whose time classes share a matrix steps as one matrix product.  With
-fewer than ``DISTANCE_TABLE_MIN_RATES`` distinct rates each matrix is
-evaluated directly on the node grid; with more, each is evaluated on the
-table of distinct node distances and gathered, which gives the same bits.
+at one time steps as one matrix product.  With fewer than
+``DISTANCE_TABLE_MIN_RATES`` distinct rates each matrix is evaluated
+directly on the node grid; with more, each is evaluated on the table of
+distinct node distances and gathered, which gives the same bits.
 Both kernel masses of each matrix are decided once, when it is assembled,
 and the operator carries them per time class.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count, islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -87,51 +87,31 @@ class HammersteinOperator:
         g = self.growth_output(r, u.values)
         return GridFunction(self.grid, self.matrices[self.matrix_index[r]] @ g + self.forcing[r])
 
-    def step_block(self, times: Sequence[int], values: np.ndarray) -> np.ndarray:
-        """Step an (n+1) x m block whose column j is a state at time ``times[j]``.
+    def step_block(self, t: int, values: np.ndarray) -> np.ndarray:
+        """Step an (n+1) x m block whose columns are states at time ``t``.
 
-        Returns the block of next states, column j at time ``times[j] + 1``.
-        Columns whose time classes share a kernel matrix go through one
-        ``@`` (a GEMM), which adds in another order than ``step`` and may
-        differ from it in the last digits.  A column alone with its matrix
-        goes through the ``matrix @ vector`` call of ``step``, so it keeps
-        ``step``'s bits.
+        Returns the block of next states at time ``t + 1``, through one
+        ``@`` with the kernel matrix of ``t``.  A block of several columns
+        is a GEMM, which adds in another order than ``step`` and may differ
+        from it in the last digits; a block of one column keeps ``step``'s
+        bits.
         """
-        if values.shape != (self.grid.n + 1, len(times)):
-            raise ValueError(
-                f"block of shape {values.shape} does not hold {len(times)} states on the grid"
-            )
-        classes = [t % self.theta for t in times]
-        g = self.growth_output(times, values)
-        groups: dict[int, list[int]] = {}
-        for j, r in enumerate(classes):
-            groups.setdefault(self.matrix_index[r], []).append(j)
-        forcing = np.array([self.forcing[r] for r in classes])
-        if len(groups) == 1 and len(times) > 1:
-            (i,) = groups
-            out = self.matrices[i] @ g
-            out += forcing.T
-            return out
-        # one contiguous row per state: a lone state is the vector ``step`` passes
-        g_rows = g.T.copy()
-        rows = np.empty_like(g_rows)
-        for i, cols in groups.items():
-            if len(cols) == 1:
-                rows[cols[0]] = self.matrices[i] @ g_rows[cols[0]]
-            else:
-                rows[cols] = (self.matrices[i] @ g[:, cols]).T
-        rows += forcing
-        return rows.T
+        if values.ndim != 2 or values.shape[0] != self.grid.n + 1:
+            raise ValueError(f"block of shape {values.shape} does not hold states on the grid")
+        r = t % self.theta
+        out = self.matrices[self.matrix_index[r]] @ self.growth_output(r, values)
+        out += self.forcing[r][:, None]
+        return out
 
-    def growth_output(self, t: int | Sequence[int], values: np.ndarray) -> np.ndarray:
+    def growth_output(self, t: int, values: np.ndarray) -> np.ndarray:
         """Growth stage g_t(x, u(x)) at the nodes, for the node ``values`` of u.
 
-        ``t`` is one time, or one time per column of an (n+1) x m ``values``.
+        ``values`` is a node vector or an (n+1) x m block of them; the
+        profile runs down axis 0.
         """
-        if np.ndim(t) == 0:
-            b = self.growth.scale_at(t) * self.profile_values
-        else:
-            b = np.multiply.outer(self.profile_values, [self.growth.scale_at(s) for s in t])
+        b = self.growth.scale_at(t) * self.profile_values
+        if np.ndim(values) == 2:
+            b = b[:, None]
         return growth_curve(self.growth.family, b, values)
 
     def forcing_sup(self) -> float:

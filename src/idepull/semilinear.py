@@ -51,9 +51,12 @@ class SemilinearSystem:
     """Periodic semilinear system with its estimate constants.
 
     ``gamma`` and ``alphas`` bound the transition operators via
-    ||Phi(t, tau)|| <= gamma * prod alpha_r; ``kappas`` are per-slot
-    Lipschitz constants of the nonlinearities.  ``estimated`` names the
-    constants that were sampled rather than user-certified.
+    ||Phi(t, tau)|| <= gamma * prod alpha_r on windows of at most theta
+    steps (t - tau <= theta), so a longer window takes one factor gamma
+    per piece of at most theta steps; ``kappas`` are per-slot Lipschitz
+    constants of the nonlinearities.  ``estimated`` names the constants
+    that were sampled rather than declared or exact, which only
+    ``kappas`` can be.
     """
 
     matrices: tuple[np.ndarray, ...]
@@ -136,11 +139,12 @@ def build_semilinear(
     are, that ratio is at most 1 because the induced norm is
     submultiplicative, so gamma is 1 and no window product is formed; the
     windows are multiplied out only when some alpha_r is below its
-    matrix's norm.  Sampled constants are recorded in ``estimated`` and
-    are not certificates, so sampled kappas are not checked again.  A
-    declared gamma below that ratio, or a declared kappa_r below a sampled
-    difference quotient, raises ``ValueError``, as does a non-finite
-    matrix entry, declared constant or nonlinearity value.
+    matrix's norm.  Default alphas and gamma are exact; sampled kappas
+    are recorded in ``estimated`` and are not certificates, so they are
+    not checked again.  A declared gamma below that ratio, or a declared
+    kappa_r below a sampled difference quotient, raises ``ValueError``, as
+    does a non-finite matrix entry, declared constant or nonlinearity
+    value.
     """
     mats = tuple(np.array(m, dtype=float) for m in matrices)
     if not mats:
@@ -158,11 +162,9 @@ def build_semilinear(
                     theta, "nonlinearities")
 
     rng = np.random.default_rng(0) if rng is None else rng
-    estimated = set()
-
-    if kappas is None:
+    sampled = kappas is None
+    if sampled:
         kappas = tuple(_sampled_kappa(*_norm_pairs(k, d, rng, 10_000)) for k in nls)
-        estimated.add("kappas")
     kappas = _per_slot((float(k) for k in kappas), theta, "kappas")
     if not all(0 <= k < math.inf for k in kappas):
         raise ValueError(f"kappas must be finite and nonnegative, got {kappas}")
@@ -170,7 +172,6 @@ def build_semilinear(
     norms = [_mat_norm(m) for m in mats]
     if alphas is None:
         alphas = tuple(max(n, np.finfo(float).tiny) for n in norms)
-        estimated.add("alphas")
     alphas = _per_slot((float(a) for a in alphas), theta, "alphas")
     if not all(0 < a < math.inf for a in alphas):
         raise ValueError(f"alphas must be finite and positive, got {alphas}")
@@ -182,7 +183,6 @@ def build_semilinear(
         ratio, window = _worst_transition_ratio(mats, alphas)
     if gamma is None:
         gamma = max(1.0, ratio)
-        estimated.add("gamma")
     gamma = float(gamma)
     if not 1.0 <= gamma < math.inf:
         raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
@@ -192,9 +192,10 @@ def build_semilinear(
             f"||Phi|| / prod alpha = {ratio} > gamma = {gamma}"
         )
 
-    if "kappas" not in estimated:
+    if not sampled:
         _check_kappas(nls, kappas, d, rng)
-    return SemilinearSystem(mats, nls, kappas, gamma, alphas, frozenset(estimated))
+    return SemilinearSystem(mats, nls, kappas, gamma, alphas,
+                            frozenset({"kappas"} if sampled else ()))
 
 
 def _worst_transition_ratio(mats, alphas) -> tuple[float, tuple[int, int] | None]:
@@ -265,7 +266,12 @@ def variation_of_constants(sys: SemilinearSystem, t: int, tau: int, u: np.ndarra
 
 
 def gronwall_bound(sys: SemilinearSystem, t: int, tau: int, delta0: float) -> float:
-    """Certified separation bound gamma * delta0 * prod (alpha_r + gamma kappa_r)."""
+    """Certified separation bound gamma^m * delta0 * prod (alpha_r + gamma kappa_r).
+
+    gamma bounds ||Phi|| / prod alpha_r only on windows of at most theta
+    steps, so the bound chains m = max(1, ceil((t - tau) / theta)) pieces
+    of at most theta steps, each with its own factor gamma.
+    """
     if t < tau:
         raise TimeOrderError(f"target time {t} precedes initial time {tau}")
     if delta0 < 0:
@@ -273,7 +279,8 @@ def gronwall_bound(sys: SemilinearSystem, t: int, tau: int, delta0: float) -> fl
     prod = 1.0
     for r in range(tau, t):
         prod *= sys.alphas[r % sys.theta] + sys.gamma * sys.kappas[r % sys.theta]
-    return sys.gamma * delta0 * prod
+    pieces = max(1, math.ceil((t - tau) / sys.theta))
+    return sys.gamma**pieces * delta0 * prod
 
 
 def contraction_product(sys: SemilinearSystem) -> float:

@@ -165,7 +165,8 @@ def stepwise_trajectory_bound(op, u0):
 
 
 class TestTrajectoryBoundBlocks:
-    @pytest.mark.parametrize("theta", [1, 2, 3, 6])
+    # theta = 70 holds more live starts than one BOUND_BLOCK_COLUMNS chunk
+    @pytest.mark.parametrize("theta", [1, 2, 3, 6, 70])
     @pytest.mark.parametrize("family", ["beverton_holt", "logistic", "ricker"])
     @pytest.mark.parametrize("periodic", [False, True])
     def test_matches_stepwise_oracle(self, family, theta, periodic):
@@ -175,7 +176,8 @@ class TestTrajectoryBoundBlocks:
         got = apriori_distance_bound(op, u0, "trajectory")
         expected = stepwise_trajectory_bound(op, u0)
         if len(op.matrices) == theta:
-            # every column is alone with its matrix and keeps the step's bits
+            # periodic rates: held to the oracle's bits (the GEMM columns of
+            # step_block match step's GEMV at these sizes); one rate to rounding
             assert got == expected
         else:
             assert got == pytest.approx(expected, rel=1e-14, abs=0)
@@ -184,7 +186,7 @@ class TestTrajectoryBoundBlocks:
                     == required_iterations(0.5, expected, tol, theta).windows)
 
     def test_blocks_split_the_starts(self, monkeypatch):
-        # blocks of 4 and 2 starts give the bound of one block of 6
+        # chunks of at most 4 live starts give the bound of unchunked steps
         op, grid = make_seasonal_operator(n=40, theta=6, rate=tuple(1.0 + r for r in range(6)))
         u0 = GridFunction.from_callable(grid, lambda x: 0.6 + 0.4 * np.cos(x))
         whole = apriori_distance_bound(op, u0, "trajectory")
@@ -199,8 +201,9 @@ class TestTrajectoryBoundBlocks:
                                    "trajectory")
 
     def test_block_memory_stays_small(self):
-        # shipped config at n = 200: 365 starts flow as blocks of at most 64
-        # columns, so the bound holds a few (n+1) x 64 arrays, not a 365-wide one
+        # shipped config at n = 200: the 365 starts are one (n+1) x 365 array
+        # (0.59 MB) and step in chunks of at most 64 columns, so the temporaries
+        # are (n+1) x 64 arrays, not 365-wide ones
         path = Path(__file__).resolve().parents[1] / "configs" / "seasonal_beverton_holt.yaml"
         cfg = dataclasses.replace(ip.load_config(path), nodes=200)
         grid = ip.build_scenario_grid(cfg)

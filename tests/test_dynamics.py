@@ -289,53 +289,30 @@ def block_of(rng, grid, m):
     return rng.uniform(0.0, 3.0, size=(grid.n + 1, m))
 
 
-def stepped_columns(op, grid, times, block):
-    return [op.step(t, GridFunction(grid, block[:, j].copy())).values for j, t in enumerate(times)]
+def stepped_columns(op, grid, t, block):
+    return [op.step(t, GridFunction(grid, block[:, j].copy())).values
+            for j in range(block.shape[1])]
 
 
 class TestStepBlock:
     def test_lone_column_keeps_step_bits(self, seasonal_op, rng):
         op, grid = seasonal_op
         block = block_of(rng, grid, 1)
-        (expected,) = stepped_columns(op, grid, [5], block)
-        assert op.step_block([5], block)[:, 0].tobytes() == expected.tobytes()
+        (expected,) = stepped_columns(op, grid, 5, block)
+        assert op.step_block(5, block)[:, 0].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("theta", [6, 1])
     def test_shared_matrix_block_near_step(self, theta, rng):
-        # one laplace rate: every column goes through one GEMM
+        # several columns go through one GEMM
         op, grid = make_seasonal_operator(theta=theta)
-        times = [-7, -1, 0, 2, 3, 11, 4, 4]
-        block = block_of(rng, grid, len(times))
-        got = op.step_block(times, block)
-        for j, expected in enumerate(stepped_columns(op, grid, times, block)):
-            np.testing.assert_allclose(got[:, j], expected, rtol=1e-13, atol=0)
-
-    def test_columns_split_across_two_matrices(self, rng):
-        # classes 0 and 1 use different tent matrices; class 0 is alone
-        op, grid = make_seasonal_operator(n=60, theta=2, rate=(0.2, 1.0), kernel_family="tent")
-        assert len(op.matrices) == 2
-        times = [1, 0, 3, -1]
-        block = block_of(rng, grid, len(times))
-        got = op.step_block(times, block)
-        expected = stepped_columns(op, grid, times, block)
-        assert got[:, 1].tobytes() == expected[1].tobytes()
-        for j in (0, 2, 3):
-            np.testing.assert_allclose(got[:, j], expected[j], rtol=1e-13, atol=0)
-
-    def test_periodic_rates_keep_step_bits(self, rng):
-        # theta distinct gauss matrices: every column is alone with its matrix
-        op, grid = make_seasonal_operator(
-            n=40, theta=6, rate=tuple(1.0 + 0.25 * r for r in range(6)), kernel_family="gauss"
-        )
-        assert len(op.matrices) == 6
-        times = [-6, 7, 2, 3, 10, 5]
-        block = block_of(rng, grid, len(times))
-        got = op.step_block(times, block)
-        for j, expected in enumerate(stepped_columns(op, grid, times, block)):
-            assert got[:, j].tobytes() == expected.tobytes()
+        block = block_of(rng, grid, 8)
+        for t in (-7, 0, 4, 11):
+            got = op.step_block(t, block)
+            for j, expected in enumerate(stepped_columns(op, grid, t, block)):
+                np.testing.assert_allclose(got[:, j], expected, rtol=1e-13, atol=0)
 
     def test_per_day_scales(self, rng):
-        # alpha list: one matrix, a growth scale per column
+        # alpha list: one matrix, a growth scale per day
         cfg = ip.parse_config("""
 schema_version: 1
 grid: {length: 6.0, nodes: 30}
@@ -348,21 +325,21 @@ initial: {id: default}
 """)
         grid = ip.build_scenario_grid(cfg)
         op = ip.build_operator(cfg, grid)
-        times = [0, 1, 2, 4, -1]
-        block = block_of(rng, grid, len(times))
-        g = op.growth_output(times, block)
-        for j, t in enumerate(times):
-            assert g[:, j].tobytes() == op.growth_output(t, block[:, j].copy()).tobytes()
-        got = op.step_block(times, block)
-        for j, expected in enumerate(stepped_columns(op, grid, times, block)):
-            np.testing.assert_allclose(got[:, j], expected, rtol=1e-13, atol=0)
+        block = block_of(rng, grid, 5)
+        for t in (0, 1, 2, 4, -1):
+            g = op.growth_output(t, block)
+            for j in range(block.shape[1]):
+                assert g[:, j].tobytes() == op.growth_output(t, block[:, j].copy()).tobytes()
+            got = op.step_block(t, block)
+            for j, expected in enumerate(stepped_columns(op, grid, t, block)):
+                np.testing.assert_allclose(got[:, j], expected, rtol=1e-13, atol=0)
 
     def test_block_shape_checked(self, seasonal_op, rng):
         op, grid = seasonal_op
         with pytest.raises(ValueError):
-            op.step_block([0, 1], block_of(rng, grid, 3))
+            op.step_block(0, rng.uniform(size=(grid.n, 1)))
         with pytest.raises(ValueError):
-            op.step_block([0], rng.uniform(size=(grid.n, 1)))
+            op.step_block(0, rng.uniform(size=grid.n + 1))
 
 
 class TestPointwise:

@@ -106,6 +106,17 @@ class TestGronwall:
         sys = random_system(rng, dim=2)
         assert gronwall_bound(sys, 3, 3, 2.0) == sys.gamma * 2.0
 
+    @pytest.mark.parametrize("t", range(6))
+    def test_window_gamma_per_period(self, t):
+        # gamma = 2.5 bounds ||L^k|| / 0.6^k only for k <= theta = 1: u = (0, 1)
+        # and v = 0 are 1.0 apart after two steps, above 2.5 * 0.6^2 = 0.9
+        sys = build_semilinear([[[0.5, 1.0], [0.0, 0.5]]], lambda u: np.zeros(2),
+                               kappas=[0.0], alphas=[0.6])
+        assert sys.gamma == 2.5
+        u = np.array([0.0, 1.0])
+        separation = norm(general_solution(sys, t, 0, u) - general_solution(sys, t, 0, 0 * u))
+        assert separation <= gronwall_bound(sys, t, 0, 1.0)
+
     def test_dominates_measured_separation(self, rng):
         for _ in range(100):
             sys = random_system(rng)
@@ -243,7 +254,8 @@ class TestBuilder:
     def test_estimated_constants_are_flagged(self, rng):
         mats = [rng.normal(scale=0.2, size=(3, 3))]
         sys = build_semilinear(mats, lambda u: 0.1 * np.tanh(u), rng=rng)
-        assert {"kappas", "alphas", "gamma"} == set(sys.estimated)
+        # default alphas are the exact norms and gamma is exactly 1: not sampled
+        assert {"kappas"} == set(sys.estimated)
         assert sys.gamma >= 1.0
         assert sys.kappas[0] <= 0.1 + 1e-12
 

@@ -100,9 +100,10 @@ initial: {id: default}
 horizon: 4
 YAML
 done
-# The trajectory distance bound on blocks whose columns split across two
-# matrices (mixed_tent) and carry per-day growth scales (alpha_list).
-for base in mixed_tent alpha_list; do
+# The trajectory distance bound under two matrices (mixed_tent), per-day
+# growth scales (alpha_list) and 64 distinct matrices, one per day
+# (laplace_periodic, tent_periodic).
+for base in mixed_tent alpha_list laplace_periodic tent_periodic; do
     { cat "$out/inputs/$base.yaml"; echo "distance_bound: trajectory"; } \
         > "$out/inputs/trajectory_bound_$base.yaml"
 done
@@ -177,5 +178,8 @@ run full_budget attractor --config "$out/inputs/full_budget.yaml"
 run alpha_list attractor --config "$out/inputs/alpha_list.yaml"
 run trajectory_bound_mixed_tent attractor --config "$out/inputs/trajectory_bound_mixed_tent.yaml"
 run trajectory_bound_alpha_list attractor --config "$out/inputs/trajectory_bound_alpha_list.yaml"
+run trajectory_bound_laplace_periodic attractor \
+    --config "$out/inputs/trajectory_bound_laplace_periodic.yaml"
+run trajectory_bound_tent_periodic attractor --config "$out/inputs/trajectory_bound_tent_periodic.yaml"
 
 find "$out" -name '*.csv' -exec sed -i '/^wall_time_s,/d' {} +
