@@ -3,11 +3,14 @@
 A float cell is the float's shortest round-trip text (``repr``), so
 re-parsing an emitted file reproduces the in-memory values bit for bit.
 A states file (``fibers.csv``, ``trajectory.csv``) is written one day at a
-time as one joined string of ``repr`` cells, with each node's ``node`` and
-``x`` cells formatted once per file.  Every other CSV goes through
-``csv.writer``, with rows of Python ``int``, ``float`` and ``str`` values.
-Both paths write the same bytes for the same cells, ``\r\n`` line ends
-included.
+time as one joined string, with each node's ``node`` and ``x`` cells
+formatted once per file.  A day's value cells come from one ``orjson``
+call, whose shortest digits are ``repr``'s; the cells that ``repr`` writes
+in exponent or non-finite notation (nonzero ``|v|`` outside
+``[1e-4, 1e16)``, and NaN) are then overwritten with their ``repr``.
+Every other CSV goes through ``csv.writer``, with rows of Python ``int``,
+``float`` and ``str`` values.  Both paths write the same bytes for the
+same cells, ``\r\n`` line ends included.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .attractor import (
     ErrorBudget,
@@ -133,6 +137,10 @@ def _write_states_csv(out: Path, name: str, states, grid) -> tuple[float, ...]:
     Writes the bytes ``csv.writer`` would (``repr`` cells, ``\\r\\n`` line
     ends), one joined string per day: each row is the day, then the
     node's ``,{i},{x!r},`` tail formatted once per file, then the value.
+    One ``orjson.dumps`` formats a day's values with ``repr``'s digits; it
+    writes ``1e-5``, ``1e16`` and ``null`` where ``repr`` writes ``1e-05``,
+    ``1e+16`` and ``nan``, so the cells outside ``1e-4 <= |v| < 1e16``
+    (zeros aside) are overwritten with their ``repr``.
     Returns the total population of each day.
     """
     out.mkdir(parents=True, exist_ok=True)
@@ -141,7 +149,11 @@ def _write_states_csv(out: Path, name: str, states, grid) -> tuple[float, ...]:
         fh.write("t,node,x,value\r\n")
         for t, s in enumerate(states):
             sep = f"\r\n{t}"
-            cells = map(repr, s.values.tolist())
+            values = s.values
+            cells = orjson.dumps(values.tolist()).decode()[1:-1].split(",")
+            magnitude = np.abs(values)
+            for i in np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16)) & (values != 0)):
+                cells[i] = repr(float(values[i]))
             fh.write(f"{t}{sep.join(map(str.__add__, tails, cells))}\r\n")
     totals = tuple(total_population(s) for s in states)
     _write_csv(out / "totals.csv", ("t", "total_population"), enumerate(totals))

@@ -1,12 +1,14 @@
 import csv
 import io
 import math
+import tempfile
 import time
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import idepull as ip
 from idepull import build_grid, parse_config, reporting
@@ -128,10 +130,39 @@ class TestRunAttractor:
         assert report.certified_error <= 1e-5
 
 
+def _csv_writer_bytes(states, grid) -> bytes:
+    """What ``csv.writer`` writes for a states file's rows."""
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(("t", "node", "x", "value"))
+    writer.writerows(
+        (t, i, x, v)
+        for t, s in enumerate(states)
+        for i, (x, v) in enumerate(zip(grid.nodes.tolist(), s.values.tolist()))
+    )
+    return expected.getvalue().encode("utf-8")
+
+
 class TestStatesWriter:
     # signed zero, the smallest subnormal, a large exponent, a small
     # exponent, a long shortest repr, and the non-finite values
     EDGE = (-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, math.inf, math.nan, -2.5)
+    # zeros of both signs and the floats on each side of the two bounds where
+    # repr switches between fixed and exponent notation
+    NOTATION_EDGES = (
+        0.0, -0.0,
+        1e-4, float(np.nextafter(1e-4, 0)),
+        1e16, float(np.nextafter(1e16, 0)),
+    )
+
+    @staticmethod
+    def _written_bytes(out: Path, days) -> tuple[bytes, bytes]:
+        """The written file's bytes and ``csv.writer``'s, one grid node per value."""
+        grid = build_grid(3.0, len(days[0]) - 1)
+        states = [ip.GridFunction(grid, values) for values in days]
+        with np.errstate(invalid="ignore", over="ignore"):  # the totals of inf and -inf
+            reporting._write_states_csv(out, "fibers", states, grid)
+        return (out / "fibers.csv").read_bytes(), _csv_writer_bytes(states, grid)
 
     @pytest.mark.parametrize("n", [1, 6])
     def test_bytes_match_csv_writer(self, tmp_path, n):
@@ -144,19 +175,30 @@ class TestStatesWriter:
         out = tmp_path / "new" / "dir"
         totals = reporting._write_states_csv(out, "fibers", states, grid)
 
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(("t", "node", "x", "value"))
-        writer.writerows(
-            (t, i, x, v)
-            for t, s in enumerate(states)
-            for i, (x, v) in enumerate(zip(grid.nodes.tolist(), s.values.tolist()))
-        )
-        assert (out / "fibers.csv").read_bytes() == expected.getvalue().encode("utf-8")
+        assert (out / "fibers.csv").read_bytes() == _csv_writer_bytes(states, grid)
         assert len(totals) == days
         t, written = read_totals_csv(out / "totals.csv")
         assert list(t) == list(range(days))
         assert np.array_equal(written, np.array(totals), equal_nan=True)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        | st.sampled_from(NOTATION_EDGES),
+        min_size=2,
+        max_size=40,
+    ))
+    def test_any_floats_match_csv_writer(self, values):
+        # each day mixes cells of both notations; the second day reverses the first
+        with tempfile.TemporaryDirectory() as out:
+            written, expected = self._written_bytes(Path(out), [values, values[::-1]])
+        assert written == expected
+
+    def test_random_bit_patterns_match_csv_writer(self, tmp_path):
+        bits = np.random.default_rng(20).integers(0, 2**64, 10**5, dtype=np.uint64)
+        days = bits.view(np.float64).reshape(100, 1000)
+        written, expected = self._written_bytes(tmp_path, days)
+        assert written == expected
 
 
 class TestSimulate:

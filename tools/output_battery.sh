@@ -43,6 +43,8 @@ initial: {id: default}
 horizon: 3
 YAML
 # Zero growth bound: every step constant is 0, the kernel masses are not.
+# Its fibers mix fixed and exponent cells within each day: the end nodes
+# read 6.123233995736766e-17, as cos(+-pi/2) is not exactly 0.
 cat > "$out/inputs/zero_growth.yaml" <<'YAML'
 schema_version: 1
 grid: {length: 6.0, nodes: 40}
@@ -173,6 +175,7 @@ run laplace_periodic attractor --config "$out/inputs/laplace_periodic.yaml"
 run lipschitz_laplace_periodic lipschitz --config "$out/inputs/laplace_periodic.yaml"
 run tent_periodic attractor --config "$out/inputs/tent_periodic.yaml"
 run lipschitz_tent_periodic lipschitz --config "$out/inputs/tent_periodic.yaml"
+run zero_growth attractor --config "$out/inputs/zero_growth.yaml"
 run lipschitz_zero_growth lipschitz --config "$out/inputs/zero_growth.yaml"
 run full_budget attractor --config "$out/inputs/full_budget.yaml"
 run alpha_list attractor --config "$out/inputs/alpha_list.yaml"
