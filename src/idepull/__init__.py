@@ -49,7 +49,6 @@ from .dynamics import (
     build_hammerstein,
     build_pointwise,
     general_solution,
-    replay_matches,
     trajectory,
 )
 from .attractor import (

@@ -315,20 +315,16 @@ def attraction_rate(
 
     Entry j is the Hausdorff semidistance of the set flowed from time
     ``tau`` to ``tau + j`` to the single fiber at that time, for
-    j = 0, ..., horizon.
+    j = 0, ..., horizon.  Each start flows through its own
+    :func:`~idepull.dynamics.orbit`, which makes ``horizon`` steps.
     """
     if not starts:
         raise ValueError("attraction_rate needs a nonempty start set")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    states = list(starts)
-    out = np.empty(horizon + 1)
-    for j in range(horizon + 1):
-        t = tau + j
-        out[j] = hausdorff_semidistance(states, [fibers.fiber(t)])
-        if j < horizon:
-            states = [op.step(t, s) for s in states]
-    return out
+    sets = islice(zip(*(orbit(op, tau, s) for s in starts)), horizon + 1)
+    return np.array([hausdorff_semidistance(states, [fibers.fiber(tau + j)])
+                     for j, states in enumerate(sets)])
 
 
 @dataclass(frozen=True)

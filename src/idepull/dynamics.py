@@ -27,6 +27,7 @@ from .models import (
     InhomogeneitySpec,
     KernelSpec,
     growth_curve,
+    growth_lipschitz,
     inhomogeneity_eval,
     kernel_bound,
     kernel_eval,
@@ -40,7 +41,6 @@ __all__ = [
     "orbit",
     "general_solution",
     "trajectory",
-    "replay_matches",
 ]
 
 # fewest distinct kernel rates whose matrices are gathered from a table of
@@ -83,18 +83,16 @@ class HammersteinOperator:
     def step(self, t: int, u: GridFunction) -> GridFunction:
         if u.grid != self.grid:
             raise GridMismatchError("state lives on a different grid")
-        r = t % self.theta
-        g = self.growth_output(r, u.values)
-        return GridFunction(self.grid, self.matrices[self.matrix_index[r]] @ g + self.forcing[r])
+        return GridFunction(self.grid, self.step_block(t, u.values[:, None])[:, 0])
 
     def step_block(self, t: int, values: np.ndarray) -> np.ndarray:
         """Step an (n+1) x m block whose columns are states at time ``t``.
 
         Returns the block of next states at time ``t + 1``, through one
-        ``@`` with the kernel matrix of ``t``.  A block of several columns
-        is a GEMM, which adds in another order than ``step`` and may differ
-        from it in the last digits; a block of one column keeps ``step``'s
-        bits.
+        ``@`` with the kernel matrix of ``t``.  ``step`` is the block of one
+        column, a matrix-vector product (GEMV).  A block of several columns
+        is a GEMM, which adds in another order and may differ from ``step``
+        in the last digits.
         """
         if values.ndim != 2 or values.shape[0] != self.grid.n + 1:
             raise ValueError(f"block of shape {values.shape} does not hold states on the grid")
@@ -159,15 +157,10 @@ def build_hammerstein(
                 f"period {theta} is not a common multiple of component periods {periods}"
             )
 
-    profile_values = np.asarray(growth.profile(grid.nodes), dtype=float)
-    if not np.all(np.isfinite(profile_values)):
-        raise ValueError("growth profile must be finite on the habitat")
-    if np.min(profile_values) < 0:
-        raise ValueError("growth profile must be nonnegative on the habitat")
+    profile_values = _profile_at_nodes(growth.profile, grid)
     if np.max(profile_values) > growth.profile_sup:
         raise ValueError(f"profile_sup {growth.profile_sup} is below the profile's largest "
                          f"node value {np.max(profile_values)}")
-    profile_values.setflags(write=False)
 
     # one matrix per distinct rate, in order of first appearance
     x = grid.nodes[:, None]
@@ -227,46 +220,48 @@ def build_hammerstein(
 class PointwiseOperator:
     """Saturating pointwise step u(x) -> b_t(x) u(x) / (1 + |u(x)|).
 
-    Contractive with per-step constant sup_x b_t(x) although not compact;
-    no support term enters.
+    The Beverton-Holt growth stage alone, with no dispersal and no support
+    term.  Contractive with per-step constant sup_x b_t(x) although not
+    compact.  ``growth.profile_sup`` is the profile's largest node value.
     """
 
-    profile: Callable[[np.ndarray], np.ndarray]
-    scales: tuple[float, ...]
+    growth: GrowthSpec
     grid: Grid
     profile_values: np.ndarray
 
     @property
     def theta(self) -> int:
-        return len(self.scales)
+        return self.growth.period
 
     def sup_rate(self, t: int) -> float:
         """Node-max of b_t, the contraction constant of the step."""
-        return self.scales[t % len(self.scales)] * float(np.max(np.abs(self.profile_values)))
+        return growth_lipschitz(self.growth, t)
 
     def step(self, t: int, u: GridFunction) -> GridFunction:
         if u.grid != self.grid:
             raise GridMismatchError("state lives on a different grid")
-        b = self.scales[t % len(self.scales)] * self.profile_values
-        return GridFunction(self.grid, b * u.values / (1.0 + np.abs(u.values)))
+        b = self.growth.scale_at(t) * self.profile_values
+        return GridFunction(self.grid, growth_curve(self.growth.family, b, u.values))
 
 
 def build_pointwise(
     profile: Callable[[np.ndarray], np.ndarray], scales, grid: Grid
 ) -> PointwiseOperator:
-    if np.isscalar(scales):
-        scales = (float(scales),)
-    else:
-        scales = tuple(float(s) for s in scales)
-    if not all(math.isfinite(s) and s >= 0 for s in scales):
-        raise ValueError(f"pointwise scales must be finite and >= 0, got {scales}")
+    """Pointwise operator of a profile and a positive scale or scale schedule."""
+    values = _profile_at_nodes(profile, grid)
+    growth = GrowthSpec("beverton_holt", profile, scales, float(np.max(values)))
+    return PointwiseOperator(growth, grid, values)
+
+
+def _profile_at_nodes(profile: Callable[[np.ndarray], np.ndarray], grid: Grid) -> np.ndarray:
+    """Read-only node values of a growth profile, refused unless finite and >= 0."""
     values = np.asarray(profile(grid.nodes), dtype=float)
     if not np.all(np.isfinite(values)):
-        raise ValueError("pointwise profile must be finite on the habitat")
+        raise ValueError("growth profile must be finite on the habitat")
     if np.min(values) < 0:
-        raise ValueError("pointwise profile must be nonnegative")
+        raise ValueError("growth profile must be nonnegative on the habitat")
     values.setflags(write=False)
-    return PointwiseOperator(profile, scales, grid, values)
+    return values
 
 
 def orbit(op, tau: int, u0: GridFunction) -> Iterator[GridFunction]:
@@ -298,12 +293,3 @@ def trajectory(op, tau: int, steps: int, u0: GridFunction) -> tuple[GridFunction
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     return tuple(islice(orbit(op, tau, u0), steps + 1))
-
-
-def replay_matches(op, tau: int, states) -> bool:
-    """Exact determinism check: stepping each state from time ``tau`` on reproduces the next."""
-    for offset in range(len(states) - 1):
-        recomputed = op.step(tau + offset, states[offset])
-        if not np.array_equal(recomputed.values, states[offset + 1].values):
-            return False
-    return True

@@ -261,8 +261,13 @@ def compare_inhomogeneities(cfg: ScenarioConfig, out_dir) -> ComparisonReport:
     """Run all four seasonal support placements and rank their means.
 
     Per-variant artifacts land in subdirectories h1/..h4/ of ``out_dir``;
-    the ranking table is written to comparison.csv.
+    the ranking table is written to comparison.csv.  A config with
+    ``inhomogeneity.amplitudes`` has no placement to vary, so it is refused
+    before any run.
     """
+    if cfg.amplitudes is not None:
+        raise ConfigError("config.inhomogeneity.amplitudes: compare ranks the variants "
+                          "h1..h4, so it needs 'variant', not 'amplitudes'")
     out = Path(out_dir)
     variants = tuple(sorted(SEASON_PATTERNS))
     reports = {v: run_attractor(replace(cfg, variant=v), out / v) for v in variants}

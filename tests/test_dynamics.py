@@ -10,7 +10,6 @@ from idepull import (
     build_hammerstein,
     build_pointwise,
     general_solution,
-    replay_matches,
     sup_distance,
     sup_norm,
     trajectory,
@@ -254,12 +253,6 @@ class TestTrajectory:
         states = trajectory(op, 2, 1, u)
         assert np.array_equal(states[1].values, op.step(2, u).values)
 
-    def test_replay_is_exact(self, seasonal_op, rng):
-        op, grid = seasonal_op
-        u = GridFunction(grid, rng.normal(size=grid.n + 1))
-        states = trajectory(op, -4, 17, u)
-        assert replay_matches(op, -4, states)
-
     def test_negative_steps_rejected(self, seasonal_op):
         op, grid = seasonal_op
         with pytest.raises(ValueError):
@@ -296,10 +289,15 @@ def stepped_columns(op, grid, t, block):
 
 class TestStepBlock:
     def test_lone_column_keeps_step_bits(self, seasonal_op, rng):
+        # step is the one-column block: both give the written-out GEMV's bits
         op, grid = seasonal_op
         block = block_of(rng, grid, 1)
-        (expected,) = stepped_columns(op, grid, 5, block)
-        assert op.step_block(5, block)[:, 0].tobytes() == expected.tobytes()
+        v = block[:, 0].copy()
+        for t in (-7, 0, 5, 11):
+            r = t % op.theta
+            expected = op.matrices[op.matrix_index[r]] @ op.growth_output(r, v) + op.forcing[r]
+            assert op.step(t, GridFunction(grid, v)).values.tobytes() == expected.tobytes()
+            assert op.step_block(t, block)[:, 0].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("theta", [6, 1])
     def test_shared_matrix_block_near_step(self, theta, rng):
@@ -359,11 +357,25 @@ class TestPointwise:
         v = op.step(0, GridFunction.constant(grid, 1.0))
         assert np.allclose(v.values, 0.5, atol=1e-15)
 
-    @pytest.mark.parametrize("scales", [(0.5, np.nan, -2.0), (np.inf,), (-0.1,), np.nan],
-                             ids=["nan-and-negative", "inf", "negative", "scalar-nan"])
+    @pytest.mark.parametrize("scales", [(0.5, np.nan, -2.0), (np.inf,), (-0.1,), np.nan, (),
+                                        (0.0,)],
+                             ids=["nan-and-negative", "inf", "negative", "scalar-nan", "empty",
+                                  "zero"])
     def test_bad_scales_refused(self, scales):
-        with pytest.raises(ValueError, match="scales"):
+        # an empty schedule used to build an operator of period 0
+        with pytest.raises(ValueError, match="scale"):
             self.make(scales=scales)
+
+    def test_step_and_rate_are_the_written_out_law(self, rng):
+        scales = (0.9, 1.4, 0.3)
+        op, grid = self.make(scales=scales)
+        assert op.theta == 3
+        u = rng.normal(scale=2.0, size=grid.n + 1)
+        for t in range(-1, 4):
+            b = scales[t % 3] * op.profile_values
+            expected = b * u / (1.0 + np.abs(u))
+            assert op.step(t, GridFunction(grid, u)).values.tobytes() == expected.tobytes()
+            assert op.sup_rate(t) == scales[t % 3] * float(np.max(op.profile_values))
 
     def test_non_finite_profile_refused(self):
         grid = build_grid(6.0, 40)

@@ -239,6 +239,13 @@ class TestCompare:
         comparison = compare_inhomogeneities(cfg, tmp_path)
         assert max(abs(m) for m in comparison.means) <= 1e-2
 
+    def test_amplitudes_refused_before_any_run(self, tmp_path):
+        # the amplitudes would win over every variant: four equal runs
+        cfg = parse_config(SMALL.replace("{variant: h4}", "{amplitudes: [1.0, 2.0, 1.0, 2.0]}"))
+        with pytest.raises(ip.ConfigError, match=r"config\.inhomogeneity\.amplitudes"):
+            compare_inhomogeneities(cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestLipschitzAndConvergence:
     def test_lipschitz_table(self, small_cfg, tmp_path):
@@ -381,6 +388,13 @@ class TestCliExitCodes:
         assert main(["attractor", "--config", missing, "--out", str(tmp_path / "out")]) == 1
         stderr = capsys.readouterr().err
         assert stderr.startswith("configuration error: ") and "nope.yaml" in stderr
+
+    def test_compare_on_amplitudes_is_1(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, SMALL.replace("{variant: h4}", "{amplitudes: [1.0, 2.0]}"))
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp")]) == 1
+        err = capsys.readouterr().err
+        assert "config.inhomogeneity.amplitudes" in err
+        assert list((tmp_path / "cmp").iterdir()) == []
 
     def test_bad_registry_value_is_config_error(self, tmp_path, capsys):
         bad = self.write(tmp_path, SMALL.replace("family: beverton_holt", "family: hassell"))

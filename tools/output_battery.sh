@@ -82,6 +82,19 @@ tolerance: 1.0e-8
 initial: {id: default}
 horizon: 4
 YAML
+# Support from an amplitude list: compare has no variant to vary, so it
+# refuses the config and exits 1.
+cat > "$out/inputs/amplitudes.yaml" <<'YAML'
+schema_version: 1
+grid: {length: 6.0, nodes: 40}
+kernel: {family: laplace, dispersal: 2.0}
+growth: {family: beverton_holt, profile: vee, alpha: 0.05}
+inhomogeneity: {amplitudes: [1.0, 2.0, 0.5, 1.5]}
+period: 8
+tolerance: 1.0e-8
+initial: {id: default}
+horizon: 4
+YAML
 # Periodic Laplace and tent rates: 64 matrices each, gathered from one
 # distance table (dynamics.DISTANCE_TABLE_MIN_RATES; gauss draw 3 covers the
 # third family, and mixed_tent the direct path of a few rates).  The tent
@@ -160,6 +173,7 @@ run() {
 run attractor attractor --config "$shipped" --nodes 200
 run attractor_tol_h2 attractor --config "$shipped" --nodes 200 --tol 1e-9 --variant h2
 run compare compare --config "$shipped" --nodes 200
+run compare_amplitudes compare --config "$out/inputs/amplitudes.yaml"
 run simulate_h1 simulate --config "$shipped" --nodes 200 --variant h1
 run lipschitz_h3 lipschitz --config "$shipped" --nodes 200 --variant h3
 run convergence_h4 convergence --config "$shipped" --nodes 100 --variant h4
