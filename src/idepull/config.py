@@ -41,6 +41,7 @@ __all__ = [
     "initial_condition",
     "build_scenario_grid",
     "build_operator",
+    "build_inhomogeneity",
 ]
 
 SCHEMA_VERSION = 1
@@ -521,12 +522,18 @@ def build_operator(
     grid = build_scenario_grid(cfg) if grid is None else grid
     profile = PROFILES[cfg.profile_id][1](cfg.profile_params, cfg.length)[0]
     growth = GrowthSpec(cfg.growth_family, profile, cfg.growth_scales, cfg.profile_sup)
-
-    if cfg.amplitudes is not None:
-        inhom = InhomogeneitySpec(cfg.amplitudes, cfg.period)
-    else:
-        chosen = variant if variant is not None else cfg.variant
-        inhom = InhomogeneitySpec.from_variant(chosen, cfg.period, cfg.levels)
-
     kernel = KernelSpec(cfg.kernel_family, cfg.dispersal)
-    return build_hammerstein(kernel, growth, inhom, grid, theta=cfg.period)
+    return build_hammerstein(kernel, growth, build_inhomogeneity(cfg, variant), grid,
+                             theta=cfg.period)
+
+
+def build_inhomogeneity(cfg: ScenarioConfig, variant: str | None = None) -> InhomogeneitySpec:
+    """The scenario's seasonal support, as :func:`build_operator` takes it.
+
+    From ``inhomogeneity.amplitudes`` where the config has them, otherwise
+    from ``variant`` (default ``cfg.variant``) and the configured levels.
+    """
+    if cfg.amplitudes is not None:
+        return InhomogeneitySpec(cfg.amplitudes, cfg.period)
+    chosen = variant if variant is not None else cfg.variant
+    return InhomogeneitySpec.from_variant(chosen, cfg.period, cfg.levels)

@@ -14,7 +14,7 @@ and the operator carries them per time class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count, islice
 from typing import Callable, Iterator
 
@@ -112,6 +112,19 @@ class HammersteinOperator:
             b = b[:, None]
         return growth_curve(self.growth.family, b, values)
 
+    def with_inhomogeneity(self, inhomogeneity: InhomogeneitySpec) -> "HammersteinOperator":
+        """The same step with another seasonal support.
+
+        The kernel matrices, the masses and the growth samples are shared;
+        only the forcing vectors are built anew, as ``build_hammerstein``
+        builds them, so the result equals a fresh build bit for bit.
+        """
+        if self.theta % inhomogeneity.theta != 0:
+            raise ValueError(f"period {self.theta} is not a multiple of the support "
+                             f"period {inhomogeneity.theta}")
+        return replace(self, inhomogeneity=inhomogeneity,
+                       forcing=_forcing(inhomogeneity, self.grid, self.theta))
+
     def forcing_sup(self) -> float:
         """Largest node magnitude of the support over one period."""
         return max(float(np.max(np.abs(h))) for h in self.forcing)
@@ -194,12 +207,6 @@ def build_hammerstein(
                 closed = False
         index.append(distinct[a])
 
-    forcing = []
-    for r in range(theta):
-        h = np.asarray(inhomogeneity_eval(inhomogeneity, r, grid.nodes, grid.length), dtype=float)
-        h.setflags(write=False)
-        forcing.append(h)
-
     return HammersteinOperator(
         kernel=kernel,
         growth=growth,
@@ -208,12 +215,32 @@ def build_hammerstein(
         theta=int(theta),
         matrices=tuple(matrices),
         matrix_index=tuple(index),
-        forcing=tuple(forcing),
+        forcing=_forcing(inhomogeneity, grid, theta),
         profile_values=profile_values,
         kernel_masses=tuple(bounds[i] for i in index),
         row_sum_masses=tuple(row_sums[i] for i in index),
         masses_closed_form=closed,
     )
+
+
+def _forcing(inhomogeneity: InhomogeneitySpec, grid: Grid, theta: int) -> tuple[np.ndarray, ...]:
+    """Read-only forcing vectors h_r at the nodes for r = 0, ..., theta - 1.
+
+    One vector per distinct amplitude, shared by every time class that has
+    it.  Amplitudes are told apart by their bits, so ``0.0`` and ``-0.0``
+    keep their own vectors and their own signed zeros.
+    """
+    distinct: dict[str, np.ndarray] = {}
+    forcing = []
+    for r in range(theta):
+        key = inhomogeneity.amplitude_at(r).hex()
+        if key not in distinct:
+            h = np.asarray(inhomogeneity_eval(inhomogeneity, r, grid.nodes, grid.length),
+                           dtype=float)
+            h.setflags(write=False)
+            distinct[key] = h
+        forcing.append(distinct[key])
+    return tuple(forcing)
 
 
 @dataclass(frozen=True, eq=False)

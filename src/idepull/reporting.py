@@ -2,15 +2,18 @@
 
 A float cell is the float's shortest round-trip text (``repr``), so
 re-parsing an emitted file reproduces the in-memory values bit for bit.
-A states file (``fibers.csv``, ``trajectory.csv``) is written one day at a
-time as one joined string, with each node's ``node`` and ``x`` cells
-formatted once per file.  A day's value cells come from one ``orjson``
+A states file (``fibers.csv``, ``trajectory.csv``) is written in binary,
+one day at a time as one joined ``bytes``; each node's ``,node,x,`` tail
+is encoded once per file.  A day's value cells come from one ``orjson``
 call, whose shortest digits are ``repr``'s; the cells that ``repr`` writes
 in exponent or non-finite notation (nonzero ``|v|`` outside
-``[1e-4, 1e16)``, and NaN) are then overwritten with their ``repr``.
-Every other CSV goes through ``csv.writer``, with rows of Python ``int``,
-``float`` and ``str`` values.  Both paths write the same bytes for the
-same cells, ``\r\n`` line ends included.
+``[1e-4, 1e16)``, and NaN) are then overwritten with their encoded
+``repr``.  Every other CSV goes through ``csv.writer``, with rows of
+Python ``int``, ``float`` and ``str`` values.  Both paths write the same
+bytes for the same cells, ``\r\n`` line ends included.
+
+``compare`` assembles the kernel matrices once and runs each variant on
+that operator with the variant's forcing swapped in.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .attractor import (
 from .config import (
     NONLINEARITIES,
     ScenarioConfig,
+    build_inhomogeneity,
     build_operator,
     build_scenario_grid,
     initial_condition,
@@ -135,26 +139,33 @@ def _write_states_csv(out: Path, name: str, states, grid) -> tuple[float, ...]:
     """Write ``<name>.csv`` (one row per node per day) and ``totals.csv``.
 
     Writes the bytes ``csv.writer`` would (``repr`` cells, ``\\r\\n`` line
-    ends), one joined string per day: each row is the day, then the
-    node's ``,{i},{x!r},`` tail formatted once per file, then the value.
-    One ``orjson.dumps`` formats a day's values with ``repr``'s digits; it
-    writes ``1e-5``, ``1e16`` and ``null`` where ``repr`` writes ``1e-05``,
-    ``1e+16`` and ``nan``, so the cells outside ``1e-4 <= |v| < 1e16``
-    (zeros aside) are overwritten with their ``repr``.
+    ends) to a binary file, one joined ``bytes`` per day.  ``pieces`` holds
+    a day as (tail, value, line break and next day) per node: the
+    ``,{i},{x!r},`` tails are encoded once per file, and each day fills in
+    its value cells and its separators.  One ``orjson.dumps`` formats a
+    day's values with ``repr``'s digits; it writes ``1e-5``, ``1e16`` and
+    ``null`` where ``repr`` writes ``1e-05``, ``1e+16`` and ``nan``, so the
+    cells outside ``1e-4 <= |v| < 1e16`` (zeros aside) are overwritten with
+    their encoded ``repr``.  Only one day is held at a time.
     Returns the total population of each day.
     """
     out.mkdir(parents=True, exist_ok=True)
-    tails = [f",{i},{x!r}," for i, x in enumerate(grid.nodes.tolist())]
-    with open(out / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write("t,node,x,value\r\n")
+    nodes = grid.nodes.tolist()
+    pieces = [b""] * (3 * len(nodes))
+    pieces[0::3] = [f",{i},{x!r},".encode() for i, x in enumerate(nodes)]
+    with open(out / f"{name}.csv", "wb") as fh:
+        fh.write(b"t,node,x,value\r\n")
         for t, s in enumerate(states):
-            sep = f"\r\n{t}"
+            day = b"%d" % t
             values = s.values
-            cells = orjson.dumps(values.tolist()).decode()[1:-1].split(",")
+            cells = orjson.dumps(values.tolist())[1:-1].split(b",")
             magnitude = np.abs(values)
             for i in np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16)) & (values != 0)):
-                cells[i] = repr(float(values[i]))
-            fh.write(f"{t}{sep.join(map(str.__add__, tails, cells))}\r\n")
+                cells[i] = repr(float(values[i])).encode()
+            pieces[1::3] = cells
+            pieces[2::3] = [b"\r\n" + day] * len(nodes)
+            pieces[-1] = b"\r\n"
+            fh.write(day + b"".join(pieces))
     totals = tuple(total_population(s) for s in states)
     _write_csv(out / "totals.csv", ("t", "total_population"), enumerate(totals))
     return totals
@@ -174,9 +185,16 @@ def _budget(op, u0, cfg: ScenarioConfig, factor: float) -> ErrorBudget:
 def run_attractor(cfg: ScenarioConfig, out_dir) -> RunReport:
     """Certified pullback run; writes fibers.csv, totals.csv, report.csv."""
     started = time.perf_counter()
+    return _attractor_on(build_operator(cfg), cfg, out_dir, started)
+
+
+def _attractor_on(op, cfg: ScenarioConfig, out_dir, started: float) -> RunReport:
+    """``run_attractor`` on the assembled operator ``op`` of ``cfg``.
+
+    ``started`` is the ``time.perf_counter()`` that ``wall_time_s`` counts from.
+    """
     out = Path(out_dir)
-    grid = build_scenario_grid(cfg)
-    op = build_operator(cfg, grid)
+    grid = op.grid
     u0 = initial_condition(cfg.initial_id, cfg.initial_params, grid)
 
     certificate = certify_contraction(step_constants_closed_form(op))
@@ -260,8 +278,11 @@ class ComparisonReport:
 def compare_inhomogeneities(cfg: ScenarioConfig, out_dir) -> ComparisonReport:
     """Run all four seasonal support placements and rank their means.
 
-    Per-variant artifacts land in subdirectories h1/..h4/ of ``out_dir``;
-    the ranking table is written to comparison.csv.  A config with
+    Per-variant artifacts land in subdirectories h1/..h4/ of ``out_dir``,
+    each as ``run_attractor`` writes it for that variant; the ranking table
+    is written to comparison.csv.  The variants differ only in the forcing,
+    so the kernel matrices are assembled once, in the first run, and each
+    later run swaps its forcing into that operator.  A config with
     ``inhomogeneity.amplitudes`` has no placement to vary, so it is refused
     before any run.
     """
@@ -270,7 +291,15 @@ def compare_inhomogeneities(cfg: ScenarioConfig, out_dir) -> ComparisonReport:
                           "h1..h4, so it needs 'variant', not 'amplitudes'")
     out = Path(out_dir)
     variants = tuple(sorted(SEASON_PATTERNS))
-    reports = {v: run_attractor(replace(cfg, variant=v), out / v) for v in variants}
+    reports, op = {}, None
+    for v in variants:
+        started = time.perf_counter()
+        run_cfg = replace(cfg, variant=v)
+        if op is None:
+            op = build_operator(run_cfg)
+        else:
+            op = op.with_inhomogeneity(build_inhomogeneity(run_cfg))
+        reports[v] = _attractor_on(op, run_cfg, out / v, started)
 
     means = tuple(reports[v].mean_total_population for v in variants)
     best = variants[int(np.argmax(means))]

@@ -209,6 +209,41 @@ class TestAssembly:
         assert all(len(sx) == 1 and sx[0] < 31 * 31 and sy == () for sx, sy in shapes)
 
 
+class TestForcing:
+    @pytest.mark.parametrize("levels", [(1.0, 2.0), (0.0, -0.0), (1.5, 1.5)])
+    @pytest.mark.parametrize("variant", ["h1", "h2", "h3", "h4"])
+    def test_forcing_is_the_support_evaluation(self, variant, levels):
+        op, grid = make_seasonal_operator(n=20, theta=8, variant=variant, levels=levels)
+        for r in range(op.theta):
+            h = ip.inhomogeneity_eval(op.inhomogeneity, r, grid.nodes, grid.length)
+            assert op.forcing[r].tobytes() == np.asarray(h, dtype=float).tobytes()
+            assert not op.forcing[r].flags.writeable
+        # one shared vector per distinct amplitude, told apart by its bits
+        amplitudes = {op.inhomogeneity.amplitude_at(r).hex() for r in range(op.theta)}
+        assert len({id(h) for h in op.forcing}) == len(amplitudes)
+        if levels == (0.0, -0.0):
+            assert len({h.tobytes() for h in op.forcing}) == len(amplitudes)
+
+    @pytest.mark.parametrize("levels", [(1.0, 2.0), (0.0, -0.0)])
+    def test_swapped_support_equals_a_fresh_build(self, levels):
+        op, _ = make_seasonal_operator(n=20, theta=8, rate=(1.0, 2.0), variant="h4",
+                                       levels=levels)
+        for variant in ("h1", "h2", "h3", "h4"):
+            fresh, _ = make_seasonal_operator(n=20, theta=8, rate=(1.0, 2.0),
+                                              variant=variant, levels=levels)
+            swapped = op.with_inhomogeneity(fresh.inhomogeneity)
+            assert swapped.inhomogeneity == fresh.inhomogeneity
+            assert [h.tobytes() for h in swapped.forcing] == [h.tobytes() for h in fresh.forcing]
+            assert swapped.matrices is op.matrices
+            assert swapped.kernel_masses == fresh.kernel_masses
+            assert swapped.row_sum_masses == fresh.row_sum_masses
+
+    def test_swapped_support_period_checked(self, seasonal_op):
+        op, _ = seasonal_op
+        with pytest.raises(ValueError, match="period"):
+            op.with_inhomogeneity(ip.InhomogeneitySpec.from_variant("h1", 4))
+
+
 class TestGeneralSolution:
     def test_identity_at_equal_times(self, seasonal_op, rng):
         op, grid = seasonal_op

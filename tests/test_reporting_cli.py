@@ -3,6 +3,7 @@ import io
 import math
 import tempfile
 import time
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -200,6 +201,23 @@ class TestStatesWriter:
         written, expected = self._written_bytes(tmp_path, days)
         assert written == expected
 
+    def test_holds_one_day_not_one_file(self, tmp_path):
+        # a fibers.csv of 367 days at n = 1000 is about 15 MB, one day of it
+        # about 40 KB; the writer's peak stays a small multiple of one day
+        grid = build_grid(6.0, 1000)
+        days = np.random.default_rng(21).random((367, grid.n + 1)) * 3.0
+        days[:, ::97] = 1e-7  # exponent cells in every day
+        states = [ip.GridFunction(grid, values) for values in days]
+        tracemalloc.start()
+        try:
+            reporting._write_states_csv(tmp_path, "fibers", states, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "fibers.csv").stat().st_size
+        assert size > 14e6
+        assert peak < 16 * size / len(states)
+
 
 class TestSimulate:
     def test_trajectory_written(self, small_cfg, tmp_path):
@@ -238,6 +256,35 @@ class TestCompare:
         )
         comparison = compare_inhomogeneities(cfg, tmp_path)
         assert max(abs(m) for m in comparison.means) <= 1e-2
+
+    @pytest.mark.parametrize("levels", [None, "[0.0, -0.0]"])
+    def test_each_variant_is_its_attractor_run(self, tmp_path, levels):
+        # compare assembles the kernel once and swaps the forcing; every
+        # variant directory still holds run_attractor's bytes for that variant
+        text = SMALL if levels is None else SMALL.replace(
+            "{variant: h4}", f"{{variant: h4, levels: {levels}}}")
+        cfg = parse_config(text)
+        compare_inhomogeneities(cfg, tmp_path / "compare")
+        for v in ("h1", "h2", "h3", "h4"):
+            run_attractor(replace(cfg, variant=v), tmp_path / v)
+            names = sorted(p.name for p in (tmp_path / v).iterdir())
+            assert sorted(p.name for p in (tmp_path / "compare" / v).iterdir()) == names
+            for name in names:
+                got, expected = ((d / name).read_bytes().splitlines(keepends=True)
+                                 for d in (tmp_path / "compare" / v, tmp_path / v))
+                assert ([r for r in got if not r.startswith(b"wall_time_s,")]
+                        == [r for r in expected if not r.startswith(b"wall_time_s,")])
+
+    def test_kernel_assembled_once(self, small_cfg, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return ip.dynamics.build_hammerstein(*args, **kwargs)
+
+        monkeypatch.setattr(ip.config, "build_hammerstein", counting_build)
+        compare_inhomogeneities(small_cfg, tmp_path)
+        assert len(calls) == 1
 
     def test_amplitudes_refused_before_any_run(self, tmp_path):
         # the amplitudes would win over every variant: four equal runs
