@@ -94,15 +94,20 @@ class TestCertify:
         assert abs(cert.factor - 0.5) <= 1e-10
 
 
+def zero_operator(theta):
+    """Zero profile and zero forcing: every state from 0 steps to 0."""
+    grid = ip.build_grid(4.0, 16)
+    kernel = ip.KernelSpec("laplace", 2.0)
+    growth = ip.GrowthSpec(
+        "beverton_holt", lambda x: np.zeros_like(x), (1.0,), profile_sup=0.0
+    )
+    inhom = ip.InhomogeneitySpec((0.0,), 1)
+    return ip.build_hammerstein(kernel, growth, inhom, grid, theta=theta), grid
+
+
 class TestDistanceBound:
     def test_zero_everything(self):
-        grid = ip.build_grid(4.0, 16)
-        kernel = ip.KernelSpec("laplace", 2.0)
-        growth = ip.GrowthSpec(
-            "beverton_holt", lambda x: np.zeros_like(x), (1.0,), profile_sup=0.0
-        )
-        inhom = ip.InhomogeneitySpec((0.0,), 1)
-        op = ip.build_hammerstein(kernel, growth, inhom, grid, theta=1)
+        op, grid = zero_operator(theta=1)
         u0 = GridFunction.constant(grid, 0.0)
         assert apriori_distance_bound(op, u0, "upper-bound") == 0.0
         assert apriori_distance_bound(op, u0, "trajectory") == 0.0
@@ -164,6 +169,50 @@ def stepwise_trajectory_bound(op, u0):
     return sup_norm(u0) + l1 + op.forcing_sup()
 
 
+def unmerged_trajectory_bound(op, u0):
+    """The trajectory distance bound as a wavefront that steps every live start.
+
+    The block flow of ``apriori_distance_bound`` without merging equal
+    columns: theta * (theta - 1) column steps.
+    """
+    theta = op.theta
+    block = np.empty((op.grid.n + 1, theta))
+    l1 = 0.0
+    for t in range(-theta, theta - 1):
+        if t < 0:
+            block[:, t + theta] = u0.values
+        if t >= -1:
+            g_sup = float(np.max(np.abs(op.growth_output(t, block[:, t + 1]))))
+            l1 = max(l1, op.kernel_masses[t % theta] * g_sup)
+        live_end = min(theta, t + theta + 1)
+        for first in range(max(0, t + 2), live_end, ip.attractor.BOUND_BLOCK_COLUMNS):
+            cols = slice(first, min(first + ip.attractor.BOUND_BLOCK_COLUMNS, live_end))
+            block[:, cols] = op.step_block(t, block[:, cols])
+    return sup_norm(u0) + l1 + op.forcing_sup()
+
+
+def shipped_operator_n200(**changes):
+    """Operator and initial state of the shipped config at n = 200."""
+    path = Path(__file__).resolve().parents[1] / "configs" / "seasonal_beverton_holt.yaml"
+    cfg = dataclasses.replace(ip.load_config(path), nodes=200, **changes)
+    grid = ip.build_scenario_grid(cfg)
+    op = ip.build_operator(cfg, grid)
+    return cfg, op, ip.initial_condition(cfg.initial_id, cfg.initial_params, grid)
+
+
+def count_block_columns(monkeypatch):
+    """Wrap ``HammersteinOperator.step_block``; the list sums its columns."""
+    columns = [0]
+    real = ip.HammersteinOperator.step_block
+
+    def counting(self, t, values):
+        columns[0] += values.shape[1]
+        return real(self, t, values)
+
+    monkeypatch.setattr(ip.HammersteinOperator, "step_block", counting)
+    return columns
+
+
 class TestTrajectoryBoundBlocks:
     # theta = 70 holds more live starts than one BOUND_BLOCK_COLUMNS chunk
     @pytest.mark.parametrize("theta", [1, 2, 3, 6, 70])
@@ -201,15 +250,37 @@ class TestTrajectoryBoundBlocks:
             apriori_distance_bound(op, GridFunction.constant(ip.build_grid(6.0, 12), 1.0),
                                    "trajectory")
 
+    @pytest.mark.parametrize("variant", ["h1", "h2", "h3", "h4"])
+    def test_merged_starts_step_once(self, variant, monkeypatch):
+        # shipped config at n = 200: the 365 starts reach the same bits within
+        # about 70 steps, so the merged wavefront takes under 20 000 of the
+        # 365 * 364 = 132 860 column steps, and gives the unmerged bound
+        cfg, op, u0 = shipped_operator_n200(variant=variant)
+        expected = unmerged_trajectory_bound(op, u0)
+        columns = count_block_columns(monkeypatch)
+        got = apriori_distance_bound(op, u0, "trajectory")
+        assert columns[0] <= 20_000
+        assert got == pytest.approx(expected, rel=1e-14, abs=0)
+        factor = certify_contraction(ip.step_constants_closed_form(op)).factor
+        for tol in (cfg.tolerance, 1e-10):
+            assert (required_iterations(factor, got, tol, op.theta).windows
+                    == required_iterations(factor, expected, tol, op.theta).windows)
+
+    def test_zero_starts_merge_at_once(self, monkeypatch):
+        # every start steps from 0 to 0, so each joining start merges at the
+        # first comparison: one column steps before the second start joins,
+        # two (the merged run and the new start) while starts join, then one
+        theta = 6
+        op, grid = zero_operator(theta)
+        columns = count_block_columns(monkeypatch)
+        assert apriori_distance_bound(op, GridFunction.constant(grid, 0.0), "trajectory") == 0.0
+        assert columns[0] == 1 + 2 * (theta - 1) + (theta - 2)
+
     def test_block_memory_stays_small(self):
         # shipped config at n = 200: the 365 starts are one (n+1) x 365 array
         # (0.59 MB) and step in chunks of at most 64 columns, so the temporaries
         # are (n+1) x 64 arrays, not 365-wide ones
-        path = Path(__file__).resolve().parents[1] / "configs" / "seasonal_beverton_holt.yaml"
-        cfg = dataclasses.replace(ip.load_config(path), nodes=200)
-        grid = ip.build_scenario_grid(cfg)
-        op = ip.build_operator(cfg, grid)
-        u0 = ip.initial_condition(cfg.initial_id, cfg.initial_params, grid)
+        _, op, u0 = shipped_operator_n200()
         tracemalloc.start()
         try:
             apriori_distance_bound(op, u0, "trajectory")

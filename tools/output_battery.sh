@@ -161,6 +161,9 @@ config, _ = gauss_scenario(3)
 with open(sys.argv[2], "w", encoding="utf-8") as fh:
     yaml.safe_dump(config, fh, sort_keys=False)
 EOF
+# The trajectory distance bound under 365 distinct matrices at n = 400.
+{ cat "$out/inputs/gauss_periodic_draw3.yaml"; echo "distance_bound: trajectory"; } \
+    > "$out/inputs/trajectory_bound_gauss_periodic_draw3.yaml"
 
 run() {
     local name=$1
@@ -198,5 +201,7 @@ run trajectory_bound_alpha_list attractor --config "$out/inputs/trajectory_bound
 run trajectory_bound_laplace_periodic attractor \
     --config "$out/inputs/trajectory_bound_laplace_periodic.yaml"
 run trajectory_bound_tent_periodic attractor --config "$out/inputs/trajectory_bound_tent_periodic.yaml"
+run trajectory_bound_gauss_periodic_draw3 attractor \
+    --config "$out/inputs/trajectory_bound_gauss_periodic_draw3.yaml"
 
 find "$out" -name '*.csv' -exec sed -i '/^wall_time_s,/d' {} +
