@@ -60,11 +60,6 @@ __all__ = [
 
 DEFAULT_MAX_STEPS = 10_000_000
 DISTANCE_BOUND_MODES = ("upper-bound", "trajectory")
-# starts per step_block call of the trajectory distance bound: wider chunks
-# gain little GEMM speed and make larger temporaries (a growth output and a
-# product of (n+1) x 64 are about 0.1 MB each at n = 200, beside the 0.6 MB
-# array holding all 365 starts of the shipped config)
-BOUND_BLOCK_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -143,10 +138,13 @@ def apriori_distance_bound(
       Start s flows from time s - theta to s - 1, so at each time t every
       live start is at t: the theta starts are the columns of one array,
       start t + theta joins with u0 at t < 0, start t + 1 is read at t,
-      and the later live starts take one ``step_block`` at t, in chunks
-      of at most ``BOUND_BLOCK_COLUMNS`` (64) columns.  Each of the
-      2 theta - 1 times has one matrix whatever the rate schedule, so the
-      column steps go through GEMMs, not single steps.
+      and the later live starts take one ``step_block`` per time.  Each
+      of the 2 theta - 1 times has one matrix whatever the rate
+      schedule, so the column steps go through GEMMs, not single steps.
+      At worst (no starts merge) a call is theta - 1 columns wide, and
+      its growth output and product are (n+1) x (theta - 1) arrays
+      beside the (n+1) x theta block: three arrays of about 0.6 MB at
+      n = 200 and theta = 365, or 2.9 MB at n = 1000.
 
       Under contraction the starts meet: after a few dozen steps two
       neighbouring columns hold the same bits, and from then on they
@@ -159,8 +157,8 @@ def apriori_distance_bound(
       columns are at the same t, so merged columns stay equal, as the
       sweep's stop rule assumes of a repeated state.  Bytes, not values,
       are compared so that ``0.0`` and ``-0.0`` never merge.  Merging
-      moves the chunk edges, and GEMMs of other widths may round
-      otherwise, so the bound is the unmerged one up to rounding.  On the
+      narrows the block, and GEMMs of other widths may round otherwise,
+      so the bound is the unmerged one up to rounding.  On the
       shipped config at n = 200 this cuts the theta * (theta - 1) =
       132 860 column steps to under 18 000.
 
@@ -190,9 +188,8 @@ def apriori_distance_bound(
                 l1 = max(l1, masses[t % theta] * g_sup)
             lead = max(lead, t + 2)
             live_end = min(theta, t + theta + 1)
-            for first in range(lead, live_end, BOUND_BLOCK_COLUMNS):
-                cols = slice(first, min(first + BOUND_BLOCK_COLUMNS, live_end))
-                block[:, cols] = op.step_block(t, block[:, cols])
+            if lead < live_end:
+                block[:, lead:live_end] = op.step_block(t, block[:, lead:live_end])
             while lead + 1 < live_end and block[:, lead].tobytes() == block[:, lead + 1].tobytes():
                 lead += 1
     else:

@@ -156,14 +156,16 @@ def build_hammerstein(
 
     Both masses of each matrix are taken right after it is assembled.
     ``theta`` defaults to the least common multiple of the component
-    periods; an explicit value must be a common multiple of them.  The
-    profile must be finite and nonnegative at the nodes and at most
+    periods; an explicit value must be a positive common multiple of them.
+    The profile must be finite and nonnegative at the nodes and at most
     ``growth.profile_sup`` there, since the certificate reads its bounds
     from ``profile_sup``.
     """
     periods = (kernel.period, growth.period, inhomogeneity.theta)
     if theta is None:
         theta = math.lcm(*periods)
+    if theta < 1:
+        raise ValueError(f"period must be >= 1, got {theta}")
     for p in periods:
         if theta % p != 0:
             raise ValueError(

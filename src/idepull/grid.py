@@ -87,14 +87,14 @@ def build_grid(length: float, n: int, rule: str = "trapezoid") -> Grid:
     length : float
         Habitat length; the domain is [-length/2, length/2].  Must be > 0.
     n : int
-        Number of subintervals, at least 1.
+        Number of subintervals, an integer (not a bool) of at least 1.
     rule : str
         Quadrature rule tag; only ``"trapezoid"`` is currently registered.
     """
     if not np.isfinite(length) or length <= 0:
         raise ValueError(f"grid length must be positive, got {length}")
-    if n < 1:
-        raise ValueError(f"subinterval count must be >= 1, got {n}")
+    if isinstance(n, (bool, np.bool_)) or not float(n).is_integer() or n < 1:
+        raise ValueError(f"subinterval count must be an integer >= 1, got {n!r}")
     try:
         builder = QUADRATURE_RULES[rule]
     except KeyError:

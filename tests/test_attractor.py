@@ -173,7 +173,7 @@ def unmerged_trajectory_bound(op, u0):
     """The trajectory distance bound as a wavefront that steps every live start.
 
     The block flow of ``apriori_distance_bound`` without merging equal
-    columns: theta * (theta - 1) column steps.
+    columns: theta * (theta - 1) column steps, one GEMM per time.
     """
     theta = op.theta
     block = np.empty((op.grid.n + 1, theta))
@@ -184,10 +184,8 @@ def unmerged_trajectory_bound(op, u0):
         if t >= -1:
             g_sup = float(np.max(np.abs(op.growth_output(t, block[:, t + 1]))))
             l1 = max(l1, op.kernel_masses[t % theta] * g_sup)
-        live_end = min(theta, t + theta + 1)
-        for first in range(max(0, t + 2), live_end, ip.attractor.BOUND_BLOCK_COLUMNS):
-            cols = slice(first, min(first + ip.attractor.BOUND_BLOCK_COLUMNS, live_end))
-            block[:, cols] = op.step_block(t, block[:, cols])
+        live = slice(max(0, t + 2), min(theta, t + theta + 1))
+        block[:, live] = op.step_block(t, block[:, live])
     return sup_norm(u0) + l1 + op.forcing_sup()
 
 
@@ -200,21 +198,30 @@ def shipped_operator_n200(**changes):
     return cfg, op, ip.initial_condition(cfg.initial_id, cfg.initial_params, grid)
 
 
-def count_block_columns(monkeypatch):
-    """Wrap ``HammersteinOperator.step_block``; the list sums its columns."""
-    columns = [0]
+def record_block_widths(monkeypatch):
+    """Wrap ``HammersteinOperator.step_block``; the list gets each call's width."""
+    widths = []
     real = ip.HammersteinOperator.step_block
 
-    def counting(self, t, values):
-        columns[0] += values.shape[1]
+    def recording(self, t, values):
+        widths.append(values.shape[1])
         return real(self, t, values)
 
-    monkeypatch.setattr(ip.HammersteinOperator, "step_block", counting)
-    return columns
+    monkeypatch.setattr(ip.HammersteinOperator, "step_block", recording)
+    return widths
+
+
+def never_merging_operator_n200():
+    """The shipped config at n = 200 with zero forcing levels.
+
+    Every state decays toward 0 without two starts meeting bit for bit, so
+    the bound steps all theta (theta - 1) = 132 860 columns.
+    """
+    return shipped_operator_n200(levels=(0.0, 0.0))
 
 
 class TestTrajectoryBoundBlocks:
-    # theta = 70 holds more live starts than one BOUND_BLOCK_COLUMNS chunk
+    # theta = 70 steps up to 69 live starts in one step_block call
     @pytest.mark.parametrize("theta", [1, 2, 3, 6, 70])
     @pytest.mark.parametrize("family", ["beverton_holt", "logistic", "ricker"])
     @pytest.mark.parametrize("periodic", [False, True])
@@ -231,18 +238,29 @@ class TestTrajectoryBoundBlocks:
             assert (required_iterations(0.5, got, tol, theta).windows
                     == required_iterations(0.5, expected, tol, theta).windows)
 
-    def test_blocks_split_the_starts(self, monkeypatch):
-        # chunks of at most 4 live starts give the bound of unchunked steps;
-        # GEMMs of 4 and of 64 columns need not add in the same order, so
-        # both are held to rounding, as in test_matches_stepwise_oracle
-        op, grid = make_seasonal_operator(n=40, theta=6, rate=tuple(1.0 + r for r in range(6)))
-        u0 = GridFunction.from_callable(grid, lambda x: 0.6 + 0.4 * np.cos(x))
-        whole = apriori_distance_bound(op, u0, "trajectory")
-        monkeypatch.setattr(ip.attractor, "BOUND_BLOCK_COLUMNS", 4)
-        expected = stepwise_trajectory_bound(op, u0)
-        assert apriori_distance_bound(op, u0, "trajectory") == pytest.approx(whole, rel=1e-14,
-                                                                              abs=0)
-        assert whole == pytest.approx(expected, rel=1e-14, abs=0)
+    def test_one_block_step_per_time(self, monkeypatch):
+        # no starts merge, so each of the 2 theta - 2 times with a live start
+        # steps all of them in one call, up to theta - 1 = 364 columns wide
+        _, op, u0 = never_merging_operator_n200()
+        expected = unmerged_trajectory_bound(op, u0)
+        widths = record_block_widths(monkeypatch)
+        got = apriori_distance_bound(op, u0, "trajectory")
+        assert len(widths) == 2 * op.theta - 2 == 728
+        assert max(widths) == op.theta - 1
+        assert sum(widths) == op.theta * (op.theta - 1)
+        assert got == pytest.approx(expected, rel=1e-14, abs=0)
+
+    def test_unmerged_block_memory(self):
+        # the widest call makes a growth output and a product of (n+1) x 364
+        # beside the (n+1) x 365 block: under four such blocks at its peak
+        _, op, u0 = never_merging_operator_n200()
+        tracemalloc.start()
+        try:
+            apriori_distance_bound(op, u0, "trajectory")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (op.grid.n + 1) * op.theta * 8
 
     def test_grid_mismatch(self, seasonal_op):
         op, _ = seasonal_op
@@ -257,9 +275,9 @@ class TestTrajectoryBoundBlocks:
         # 365 * 364 = 132 860 column steps, and gives the unmerged bound
         cfg, op, u0 = shipped_operator_n200(variant=variant)
         expected = unmerged_trajectory_bound(op, u0)
-        columns = count_block_columns(monkeypatch)
+        widths = record_block_widths(monkeypatch)
         got = apriori_distance_bound(op, u0, "trajectory")
-        assert columns[0] <= 20_000
+        assert sum(widths) <= 20_000
         assert got == pytest.approx(expected, rel=1e-14, abs=0)
         factor = certify_contraction(ip.step_constants_closed_form(op)).factor
         for tol in (cfg.tolerance, 1e-10):
@@ -272,14 +290,14 @@ class TestTrajectoryBoundBlocks:
         # two (the merged run and the new start) while starts join, then one
         theta = 6
         op, grid = zero_operator(theta)
-        columns = count_block_columns(monkeypatch)
+        widths = record_block_widths(monkeypatch)
         assert apriori_distance_bound(op, GridFunction.constant(grid, 0.0), "trajectory") == 0.0
-        assert columns[0] == 1 + 2 * (theta - 1) + (theta - 2)
+        assert sum(widths) == 1 + 2 * (theta - 1) + (theta - 2)
 
     def test_block_memory_stays_small(self):
         # shipped config at n = 200: the 365 starts are one (n+1) x 365 array
-        # (0.59 MB) and step in chunks of at most 64 columns, so the temporaries
-        # are (n+1) x 64 arrays, not 365-wide ones
+        # (0.59 MB), and they merge within about 70 steps, so no step_block
+        # call is wider than 63 columns and the temporaries stay narrow
         _, op, u0 = shipped_operator_n200()
         tracemalloc.start()
         try:

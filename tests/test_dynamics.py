@@ -111,6 +111,17 @@ class TestHammersteinApply:
         with pytest.raises(ValueError):
             build_hammerstein(kernel, growth, inhom, grid, theta=4)
 
+    @pytest.mark.parametrize("theta", [0, -2])
+    def test_nonpositive_period_refused(self, theta):
+        # both pass the common-multiple check, and the operator they gave had
+        # no matrices: its step failed with ZeroDivisionError or IndexError
+        kernel = ip.KernelSpec("laplace", 2.0)
+        growth = ip.GrowthSpec("beverton_holt", lambda x: np.ones_like(x), (0.5,),
+                               profile_sup=1.0)
+        inhom = ip.InhomogeneitySpec.from_variant("h1", 2)
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            build_hammerstein(kernel, growth, inhom, build_grid(4.0, 16), theta=theta)
+
     def test_profile_sup_below_node_values_refused(self):
         # the shipped profile 2|x| + 3 reaches 9.0 at the habitat ends; a
         # declared 1.0 used to certify a factor of 1.06e-81 at scale 0.6

@@ -54,6 +54,18 @@ def test_build_grid_rejects_bad_arguments():
         build_grid(1.0, 4, rule="simpson")
 
 
+@pytest.mark.parametrize("n", [2.5, True, np.True_, math.nan, math.inf])
+def test_build_grid_rejects_non_integral_count(n):
+    # 2.5 used to build 2 subintervals and True 1, without a word
+    with pytest.raises(ValueError, match="integer"):
+        build_grid(4.0, n)
+
+
+def test_build_grid_accepts_integral_counts():
+    assert build_grid(4.0, 4.0).n == 4
+    assert build_grid(4.0, np.int64(3)).n == 3
+
+
 def test_grid_function_length_check():
     g = build_grid(1.0, 4)
     with pytest.raises(ValueError):

@@ -30,6 +30,12 @@ export PYTHONPATH="$checkout/src"
 shipped="$checkout/configs/seasonal_beverton_holt.yaml"
 mkdir -p "$out/inputs"
 { cat "$shipped"; echo "distance_bound: trajectory"; } > "$out/inputs/trajectory_bound.yaml"
+# Zero support levels: the bound's starts decay toward 0 and never meet bit
+# for bit, so it steps every live start at each time, up to 364 columns in
+# one step_block call.  The grep stops the battery if the edit missed.
+{ sed 's/^  levels: .*/  levels: [0.0, 0.0]/' "$shipped"; echo "distance_bound: trajectory"; } \
+    > "$out/inputs/trajectory_bound_no_merge.yaml"
+grep -q '^  levels: \[0.0, 0.0\]$' "$out/inputs/trajectory_bound_no_merge.yaml"
 # Tent kernel: class 0 has a closed-form mass, class 1 the row-sum fallback.
 cat > "$out/inputs/mixed_tent.yaml" <<'YAML'
 schema_version: 1
@@ -184,6 +190,8 @@ run semilinear semilinear --config "$demo"
 run semilinear_sigmoid semilinear --config "$out/inputs/semilinear_sigmoid.yaml"
 run semilinear_window_gamma semilinear --config "$out/inputs/semilinear_window_gamma.yaml"
 run trajectory_bound attractor --config "$out/inputs/trajectory_bound.yaml" --nodes 200
+run trajectory_bound_no_merge attractor --config "$out/inputs/trajectory_bound_no_merge.yaml" \
+    --nodes 200
 run gauss_periodic_draw3 attractor --config "$out/inputs/gauss_periodic_draw3.yaml"
 run lipschitz_gauss_periodic_draw3 lipschitz --config "$out/inputs/gauss_periodic_draw3.yaml"
 run mixed_tent attractor --config "$out/inputs/mixed_tent.yaml"
