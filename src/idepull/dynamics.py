@@ -2,18 +2,21 @@
 
 The Hammerstein step replaces the dispersal integral by the quadrature sum
 and collocates at the nodes, so one step is a dense matrix-vector product
-against a kernel matrix cached per distinct rate value; a block of states
-at one time steps as one matrix product.  With fewer than
+against the weighted kernel matrix of one distinct rate value; a block of
+states at one time steps as one matrix product.  With fewer than
 ``DISTANCE_TABLE_MIN_RATES`` distinct rates each matrix is evaluated
-directly on the node grid; with more, each is evaluated on the table of
-distinct node distances and gathered, which gives the same bits.
-Both kernel masses of each matrix are decided once, when it is assembled,
-and the operator carries them per time class.
+directly on the node grid and stored dense.  With more, the operator
+stores each rate's weighted kernel values on the table of distinct
+(distance, weight) pairs and gathers a matrix from it, with the same bits,
+whenever a step needs one.  Both kernel masses of each matrix are decided
+once, when it is assembled, and the operator carries them per time class.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import count, islice
 from typing import Callable, Iterator
@@ -43,11 +46,37 @@ __all__ = [
     "trajectory",
 ]
 
-# fewest distinct kernel rates whose matrices are gathered from a table of
-# distinct node distances; with fewer, the table's sort and gather index
-# cost more memory than the evaluations they replace, and for laplace and
-# tent more time (see build_hammerstein)
+# fewest distinct kernel rates whose matrices are kept as weighted values on
+# the table of distinct (distance, weight) pairs and gathered when a step
+# needs one; with fewer they stay dense, since a gather costs more than the
+# product it feeds: about 1.1 ms against 0.66 ms at n = 1000, one BLAS
+# thread (see build_hammerstein)
 DISTANCE_TABLE_MIN_RATES = 64
+
+
+class GatheredMatrices(Sequence):
+    """Read-only sequence of kernel matrices kept as weighted pair tables.
+
+    ``index`` maps every entry (i, j) of an (n+1) x (n+1) matrix to its
+    (|x_i - x_j|, w_j) pair, and ``values[k]`` holds the weighted kernel
+    values of the k-th distinct rate on those pairs.  Item ``k`` is gathered
+    by one ``np.take``: a fresh read-only matrix with the bits of the dense
+    one.
+    """
+
+    __slots__ = ("_index", "_values")
+
+    def __init__(self, index: np.ndarray, values: tuple[np.ndarray, ...]):
+        self._index = index
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        mat = np.take(self._values[operator.index(k)], self._index)
+        mat.setflags(write=False)
+        return mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +84,13 @@ class HammersteinOperator:
     """Nystrom-collocated dispersal-growth step with seasonal support.
 
     One application computes K_t @ g_t(u) + h_t at the nodes, where K_t is
-    the weighted kernel matrix of the time class t mod theta.  Matrices,
-    forcing vectors, and the growth profile samples are precomputed; the
-    operator is immutable.
+    the weighted kernel matrix of the time class t mod theta.  ``matrices``
+    holds one matrix per distinct rate, ``matrix_index`` the one of each
+    class: a tuple of dense matrices, or with at least
+    ``DISTANCE_TABLE_MIN_RATES`` distinct rates a :class:`GatheredMatrices`
+    that gathers each one from its table when it is asked for.  Forcing
+    vectors and the growth profile samples are precomputed; the operator is
+    immutable.
 
     Per time class, ``row_sum_masses`` is the mass of the discretized
     operator itself, the largest absolute row sum of the class's matrix.
@@ -72,7 +105,7 @@ class HammersteinOperator:
     inhomogeneity: InhomogeneitySpec
     grid: Grid
     theta: int
-    matrices: tuple[np.ndarray, ...]
+    matrices: Sequence[np.ndarray]
     matrix_index: tuple[int, ...]
     forcing: tuple[np.ndarray, ...]
     profile_values: np.ndarray
@@ -89,10 +122,11 @@ class HammersteinOperator:
         """Step an (n+1) x m block whose columns are states at time ``t``.
 
         Returns the block of next states at time ``t + 1``, through one
-        ``@`` with the kernel matrix of ``t``.  ``step`` is the block of one
-        column, a matrix-vector product (GEMV).  A block of several columns
-        is a GEMM, which adds in another order and may differ from ``step``
-        in the last digits.
+        ``@`` with the kernel matrix of ``t``, gathered once per call when the
+        matrices are tables.  ``step`` is the block of one column, a
+        matrix-vector product (GEMV).  A block of several columns is a GEMM,
+        which adds in another order and may differ from ``step`` in the last
+        digits.
         """
         if values.ndim != 2 or values.shape[0] != self.grid.n + 1:
             raise ValueError(f"block of shape {values.shape} does not hold states on the grid")
@@ -137,22 +171,25 @@ def build_hammerstein(
     grid: Grid,
     theta: int | None = None,
 ) -> HammersteinOperator:
-    """Assemble the collocated operator, caching one matrix per distinct rate.
+    """Assemble the collocated operator, one matrix per distinct rate.
 
     The kernels depend on |x - y| alone and :func:`~idepull.models.kernel_eval`
-    is elementwise.  So with at least ``DISTANCE_TABLE_MIN_RATES`` (64)
-    distinct rates the distinct node distances are sorted into a table once
-    (1 349 of them at n = 400), each rate is evaluated on the table, and the
-    (n+1) x (n+1) matrix is gathered from it, with the same bits as a direct
-    evaluation.  Fewer rates are evaluated directly on the node grid: the
-    sort and the int64 gather index are paid once, and each gather saves
-    only part of an evaluation, most for gauss, whose exp underflows on a
-    slow path.  At n = 1000 the sort alone takes as long as about 15 direct
-    evaluations and allocates about 49 MB at its peak.  Measured at n = 200,
-    400 and 1000, the table pays off for gauss from about 16 rates and for
-    laplace and tent from about 48 rates at n = 1000, but for laplace and
-    tent at n <= 400 it is about even with the direct build up to 365
-    rates.  Each matrix is then multiplied by the quadrature weights.
+    is elementwise, and entry (i, j) of a matrix is fl(k(|x_i - x_j|) w_j).
+    With fewer than ``DISTANCE_TABLE_MIN_RATES`` (64) distinct rates each
+    matrix is evaluated directly on the node grid, multiplied by the
+    quadrature weights and stored dense.  With more, the distinct node
+    distances are sorted into a table once (1 349 of them at n = 400), and
+    the (distance, weight) pairs that occur on the grid (4 944) are indexed
+    by one (n+1) x (n+1) intp array.  Each rate is evaluated on the distance
+    table and its weighted values on the pairs are kept: 40 KB per rate at
+    n = 400 against 1.3 MB dense, so 365 rates hold 14 MB rather than
+    470 MB.  A matrix gathered from them (:class:`GatheredMatrices`) has the
+    bits of the direct evaluation.  Assembly gathers each matrix once, for
+    its row sums, and drops it; each step gathers the matrix of its class.
+    Few rates stay dense because every step would then pay a gather, which
+    costs more than the product: about 1.1 ms against 0.66 ms at n = 1000.
+    The sort is paid once and allocates about 49 MB at its peak at
+    n = 1000.
 
     Both masses of each matrix are taken right after it is assembled.
     ``theta`` defaults to the least common multiple of the component
@@ -177,28 +214,31 @@ def build_hammerstein(
         raise ValueError(f"profile_sup {growth.profile_sup} is below the profile's largest "
                          f"node value {np.max(profile_values)}")
 
-    # one matrix per distinct rate, in order of first appearance
-    x = grid.nodes[:, None]
-    y = grid.nodes[None, :]
+    # one dense matrix or pair table per distinct rate, in order of first
+    # appearance
     rates = [kernel.rate_at(r) for r in range(theta)]
     gather = len(set(rates)) >= DISTANCE_TABLE_MIN_RATES
     if gather:
-        # one table of the distinct |x - y|, gathered into every matrix
-        table, inv = np.unique(np.abs(x - y), return_inverse=True)
-        inv = inv.reshape(x.size, y.size)
+        table, pair_distance, pair_weight, pair_index = _pair_table(grid)
+    else:
+        x = grid.nodes[:, None]
+        y = grid.nodes[None, :]
     distinct: dict[float, int] = {}
-    matrices, row_sums, bounds, index = [], [], [], []
+    stored, row_sums, bounds, index = [], [], [], []
     closed = True
     for r, a in enumerate(rates):
         if a not in distinct:
-            distinct[a] = len(matrices)
+            distinct[a] = len(stored)
             if gather:
-                mat = kernel_eval(kernel, r, table, 0.0)[inv]
+                values = kernel_eval(kernel, r, table, 0.0)[pair_distance] * pair_weight
+                values.setflags(write=False)
+                stored.append(values)
+                mat = np.take(values, pair_index)
             else:
                 mat = kernel_eval(kernel, r, x, y)
-            mat *= grid.weights
-            mat.setflags(write=False)
-            matrices.append(mat)
+                mat *= grid.weights
+                mat.setflags(write=False)
+                stored.append(mat)
             # the registered kernels and the weights are nonnegative, so the
             # plain row sums are the absolute row sums
             row_sums.append(float(np.max(np.sum(mat, axis=1))))
@@ -215,7 +255,7 @@ def build_hammerstein(
         inhomogeneity=inhomogeneity,
         grid=grid,
         theta=int(theta),
-        matrices=tuple(matrices),
+        matrices=GatheredMatrices(pair_index, tuple(stored)) if gather else tuple(stored),
         matrix_index=tuple(index),
         forcing=_forcing(inhomogeneity, grid, theta),
         profile_values=profile_values,
@@ -223,6 +263,27 @@ def build_hammerstein(
         row_sum_masses=tuple(row_sums[i] for i in index),
         masses_closed_form=closed,
     )
+
+
+def _pair_table(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (distance, weight) pairs of the grid's matrix entries.
+
+    Returns the sorted distinct node distances |x_i - x_j|, each occurring
+    pair's position in that table and its weight, in the pairs' sorted
+    order, and the (n+1) x (n+1) intp index of every entry (i, j) into the
+    pairs.
+    """
+    n1 = grid.n + 1
+    table, distance_index = np.unique(np.abs(grid.nodes[:, None] - grid.nodes[None, :]),
+                                      return_inverse=True)
+    weights, weight_index = np.unique(grid.weights, return_inverse=True)
+    codes = distance_index.reshape(n1, n1) * weights.size + weight_index
+    occurs = np.zeros(table.size * weights.size, dtype=bool)
+    occurs[codes] = True
+    pairs = np.flatnonzero(occurs)
+    # left writeable: np.take copies a read-only index on every call
+    pair_index = (np.cumsum(occurs) - 1)[codes]
+    return table, pairs // weights.size, weights[pairs % weights.size], pair_index
 
 
 def _forcing(inhomogeneity: InhomogeneitySpec, grid: Grid, theta: int) -> tuple[np.ndarray, ...]:

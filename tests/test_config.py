@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from idepull import (
     ConfigError,
@@ -81,9 +82,40 @@ def test_unknown_keys_rejected_with_path():
         parse_config(GOOD.replace("alpha: 0.05", "alpha: 0.05\n  extra: 1"))
 
 
-def test_bad_yaml_rejected():
-    with pytest.raises(ConfigError, match="YAML"):
-        parse_config("grid: [unclosed")
+def test_bad_yaml_rejected(monkeypatch):
+    # with libyaml's loader where PyYAML has it, and with the Python one
+    for loader in (getattr(yaml, "CSafeLoader", yaml.SafeLoader), yaml.SafeLoader):
+        monkeypatch.setattr("idepull.config._YAML_LOADER", loader)
+        with pytest.raises(ConfigError, match="YAML"):
+            parse_config("grid: [unclosed")
+
+
+def float_bits(node):
+    """A parsed YAML tree with each float replaced by its ``float.hex``."""
+    if isinstance(node, dict):
+        return {float_bits(k): float_bits(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [float_bits(v) for v in node]
+    if isinstance(node, float):
+        return ("float", node.hex())
+    return node
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_loader_parses_like_the_python_loader():
+    # the shipped configs, and a 365-rate schedule whose entries are written
+    # as repr of random doubles, as a generated config holds them
+    docs = [p.read_text() for p in sorted((Path(__file__).parents[1] / "configs").glob("*.yaml"))]
+    rates = np.random.default_rng(365).uniform(5.0, 15.0, 365).tolist()
+    docs.append(GOOD.replace("{family: laplace, dispersal: 2.0}",
+                             "{family: gauss, dispersal: [" + ", ".join(map(repr, rates)) + "]}")
+                .replace("period: 6", "period: 365"))
+    assert len(docs) == 3
+    for text in docs:
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert float_bits(fast) == float_bits(yaml.load(text, Loader=yaml.SafeLoader))
+    assert fast["kernel"]["dispersal"] == rates
+    assert parse_config(docs[-1]).dispersal == tuple(rates)
 
 
 def test_unknown_variant_and_profile():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -187,7 +189,26 @@ class TestAssembly:
         x, y = grid.nodes[:, None], grid.nodes[None, :]
         for r in range(op.theta):
             direct = ip.models.kernel_eval(op.kernel, r, x, y) * grid.weights
-            assert op.matrices[op.matrix_index[r]].tobytes() == direct.tobytes()
+            gathered = op.matrices[op.matrix_index[r]]
+            assert gathered.shape == direct.shape
+            assert gathered.tobytes() == direct.tobytes()
+            assert gathered.flags.writeable is False
+        # a read-only sequence: negative indices, the end, iteration
+        last = len(op.matrices) - 1
+        assert op.matrices[-1].tobytes() == op.matrices[last].tobytes()
+        assert op.matrices[-len(op.matrices)].tobytes() == op.matrices[0].tobytes()
+        with pytest.raises(IndexError):
+            op.matrices[len(op.matrices)]
+        with pytest.raises(IndexError):
+            op.matrices[-len(op.matrices) - 1]
+        with pytest.raises(TypeError):
+            op.matrices[0:2]
+        with pytest.raises(TypeError):
+            op.matrices[0] = op.matrices[1]
+        listed = list(op.matrices)
+        assert [m.tobytes() for m in listed] == [op.matrices[k].tobytes()
+                                                 for k in range(len(op.matrices))]
+        assert all(m.flags.writeable is False for m in listed)
         widest = op.matrices[op.matrix_index[len(edge) - 1]]
         if family != "laplace":
             assert np.any(widest == 0.0)
@@ -210,6 +231,21 @@ class TestAssembly:
         op, grid = make_seasonal_operator(n=30, theta=4, rate=2.0)
         assert len(op.matrices) == 1
         assert shapes == [((31, 1), (1, 31))]
+
+    def test_many_rates_keep_tables_not_matrices(self):
+        # 365 gauss rates at n = 120 are 42.7 MB as dense matrices; the pair
+        # tables, their index and the assembly's transients stay far below
+        n, count = 120, 365
+        dense = count * (n + 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            op, _ = make_seasonal_operator(n=n, theta=count, rate=distinct_rates(count, 5.0),
+                                           kernel_family="gauss")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(op.matrices) == count
+        assert peak < dense / 4
 
     def test_many_rates_evaluate_the_table(self, monkeypatch):
         count = ip.dynamics.DISTANCE_TABLE_MIN_RATES
@@ -335,15 +371,20 @@ def stepped_columns(op, grid, t, block):
 
 class TestStepBlock:
     def test_lone_column_keeps_step_bits(self, seasonal_op, rng):
-        # step is the one-column block: both give the written-out GEMV's bits
-        op, grid = seasonal_op
-        block = block_of(rng, grid, 1)
-        v = block[:, 0].copy()
-        for t in (-7, 0, 5, 11):
-            r = t % op.theta
-            expected = op.matrices[op.matrix_index[r]] @ op.growth_output(r, v) + op.forcing[r]
-            assert op.step(t, GridFunction(grid, v)).values.tobytes() == expected.tobytes()
-            assert op.step_block(t, block)[:, 0].tobytes() == expected.tobytes()
+        # step is the one-column block: both give the written-out GEMV's bits,
+        # whether the matrices are dense or gathered from pair tables
+        count = ip.dynamics.DISTANCE_TABLE_MIN_RATES
+        gathered = make_seasonal_operator(theta=count, rate=distinct_rates(count))
+        for op, grid in (seasonal_op, gathered):
+            block = block_of(rng, grid, 1)
+            v = block[:, 0].copy()
+            for t in (-7, 0, 5, 11, count + 3):
+                r = t % op.theta
+                expected = (op.matrices[op.matrix_index[r]] @ op.growth_output(r, v)
+                            + op.forcing[r])
+                assert op.step(t, GridFunction(grid, v)).values.tobytes() == expected.tobytes()
+                assert op.step_block(t, block)[:, 0].tobytes() == expected.tobytes()
+        assert isinstance(gathered[0].matrices, ip.dynamics.GatheredMatrices)
 
     @pytest.mark.parametrize("theta", [6, 1])
     def test_shared_matrix_block_near_step(self, theta, rng):

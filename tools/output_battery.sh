@@ -101,10 +101,11 @@ tolerance: 1.0e-8
 initial: {id: default}
 horizon: 4
 YAML
-# Periodic Laplace and tent rates: 64 matrices each, gathered from one
-# distance table (dynamics.DISTANCE_TABLE_MIN_RATES; gauss draw 3 covers the
-# third family, and mixed_tent the direct path of a few rates).  The tent
-# rates run from a L = 0.6 to 2.49, across the support edge at a L = 2.
+# Periodic Laplace and tent rates: 64 matrices each, kept as tables of
+# distinct (distance, weight) pairs and gathered per step
+# (dynamics.DISTANCE_TABLE_MIN_RATES; gauss draw 3 covers the third family,
+# and mixed_tent the direct path of a few rates).  The tent rates run from
+# a L = 0.6 to 2.49, across the support edge at a L = 2.
 for spec in "laplace 2 0.125" "tent 0.1 0.005"; do
     set -- $spec
     rates=$(LC_ALL=C awk -v a="$2" -v d="$3" \
@@ -194,10 +195,14 @@ run trajectory_bound_no_merge attractor --config "$out/inputs/trajectory_bound_n
     --nodes 200
 run gauss_periodic_draw3 attractor --config "$out/inputs/gauss_periodic_draw3.yaml"
 run lipschitz_gauss_periodic_draw3 lipschitz --config "$out/inputs/gauss_periodic_draw3.yaml"
+# 365 gathered matrices stepped one state at a time through trajectory
+run simulate_gauss_periodic_draw3 simulate --config "$out/inputs/gauss_periodic_draw3.yaml"
 run mixed_tent attractor --config "$out/inputs/mixed_tent.yaml"
 run lipschitz_mixed_tent lipschitz --config "$out/inputs/mixed_tent.yaml"
 run laplace_periodic attractor --config "$out/inputs/laplace_periodic.yaml"
 run lipschitz_laplace_periodic lipschitz --config "$out/inputs/laplace_periodic.yaml"
+# four variants on one gathered store, shared through with_inhomogeneity
+run compare_laplace_periodic compare --config "$out/inputs/laplace_periodic.yaml"
 run tent_periodic attractor --config "$out/inputs/tent_periodic.yaml"
 run lipschitz_tent_periodic lipschitz --config "$out/inputs/tent_periodic.yaml"
 run zero_growth attractor --config "$out/inputs/zero_growth.yaml"
