@@ -202,8 +202,9 @@ def apriori_distance_bound(
 class ErrorBudget:
     """Iteration budget meeting a tolerance under a window contraction.
 
-    ``windows`` is the smallest t with factor^t / (1 - factor) *
-    distance_bound <= tol; ``total_steps`` is window * windows.
+    ``windows`` is the smallest t with factor**t / (1 - factor) *
+    distance_bound <= tol, evaluated left to right as the certified error
+    is; ``total_steps`` is window * windows.
     """
 
     distance_bound: float
@@ -213,23 +214,34 @@ class ErrorBudget:
     total_steps: int
 
 
-def required_iterations(
-    factor: float, distance_bound: float, tol: float, window: int
-) -> ErrorBudget:
-    """Smallest window count driving the certified error below ``tol``."""
+def _require_contraction(factor: float, tol: float | None = None) -> None:
+    """Refuse a factor outside [0, 1) and, when given, a tolerance outside (0, inf)."""
     if not 0.0 <= factor:
         raise ValueError(f"contraction factor must be >= 0, got {factor}")
     if factor >= 1.0:
         raise NoContractionError(f"contraction factor {factor} is not below 1")
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+
+
+def _apriori_error(factor: float, windows: int, distance_bound: float) -> float:
+    """The certified error factor^windows / (1 - factor) * distance_bound."""
+    return factor**windows / (1.0 - factor) * distance_bound
+
+
+def required_iterations(
+    factor: float, distance_bound: float, tol: float, window: int
+) -> ErrorBudget:
+    """Smallest window count whose certified error, as :func:`pullback_fibers`
+    prints it, is at most ``tol``."""
+    _require_contraction(factor, tol)
     if distance_bound < 0 or not math.isfinite(distance_bound):
         raise ValueError(f"distance bound must be finite and >= 0, got {distance_bound}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
 
     def met(t: int) -> bool:
-        return factor**t * distance_bound / (1.0 - factor) <= tol
+        return _apriori_error(factor, t, distance_bound) <= tol
 
     if distance_bound == 0.0:
         t = 0
@@ -276,7 +288,8 @@ def pullback_fibers(
 
     Starts from ``u0`` at time -total_steps and sweeps forward; the states
     reached at times 0, ..., theta-1 are the fibers.  Each carries the
-    certified error factor^windows / (1 - factor) * distance_bound.
+    certified error factor**windows / (1 - factor) * distance_bound, the
+    number :func:`required_iterations` compared with the tolerance.
     Certificate and budget must have the period as window.
 
     The sweep steps through :func:`~idepull.dynamics.orbit` and keeps a
@@ -289,10 +302,7 @@ def pullback_fibers(
     sweep ends after total_steps + theta - 1 steps with the last period in
     the ring.  The ``max_steps`` guard reads that full count.
     """
-    if not certificate.valid:
-        raise NoContractionError(
-            f"contraction factor {certificate.factor} is not below 1"
-        )
+    _require_contraction(certificate.factor)
     theta = op.theta
     if certificate.window != theta or budget.window != theta:
         raise ValueError(
@@ -314,11 +324,7 @@ def pullback_fibers(
             break
         ring[t % theta] = state
 
-    certified = (
-        certificate.factor**budget.windows
-        / (1.0 - certificate.factor)
-        * budget.distance_bound
-    )
+    certified = _apriori_error(certificate.factor, budget.windows, budget.distance_bound)
     return AttractorFibers(theta, tuple(ring), certified, budget, steps)
 
 
@@ -368,16 +374,13 @@ def fixed_point_iterate(
     first k with factor / (1 - factor) * d(x_k, x_{k-1}) <= tol, and never
     after the a-priori count ``required_iterations(factor, d(x0, x1), tol,
     order).windows``.  Returns x_k and the smaller of that a-posteriori
-    bound and factor^k / (1 - factor) * d(x0, x1).
+    bound and the a-priori error factor**k / (1 - factor) * d(x0, x1),
+    which the budget compared with ``tol``; with no window to run (k = 0)
+    it returns x0 and that a-priori error alone.
     """
     if problem.order < 1:
         raise ValueError(f"iterate order must be >= 1, got {problem.order}")
-    if not 0.0 <= problem.factor:
-        raise ValueError(f"contraction factor must be >= 0, got {problem.factor}")
-    if problem.factor >= 1.0:
-        raise NoContractionError(f"contraction factor {problem.factor} is not below 1")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    _require_contraction(problem.factor, tol)
 
     def advance(state):
         for _ in range(problem.order):
@@ -391,7 +394,7 @@ def fixed_point_iterate(
 
     budget = required_iterations(problem.factor, d0, tol, problem.order)
     if budget.windows == 0:
-        return x0, d0 / (1.0 - problem.factor)
+        return x0, _apriori_error(problem.factor, 0, d0)
     tail = problem.factor / (1.0 - problem.factor)
     state, update, k = first, d0, 1
     while k < budget.windows and tail * update > tol:
@@ -400,4 +403,4 @@ def fixed_point_iterate(
         if not math.isfinite(update):
             raise DivergentInputError(f"distance after window {k + 1} is {update}")
         k += 1
-    return state, min(tail * update, problem.factor**k / (1.0 - problem.factor) * d0)
+    return state, min(tail * update, _apriori_error(problem.factor, k, d0))

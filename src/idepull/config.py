@@ -28,6 +28,7 @@ from .models import (
 )
 from .dynamics import HammersteinOperator, build_hammerstein
 from .attractor import DEFAULT_MAX_STEPS, DISTANCE_BOUND_MODES
+from .semilinear import SemilinearSystem, build_semilinear
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -42,6 +43,7 @@ __all__ = [
     "build_scenario_grid",
     "build_operator",
     "build_inhomogeneity",
+    "build_semilinear_system",
 ]
 
 SCHEMA_VERSION = 1
@@ -542,3 +544,18 @@ def build_inhomogeneity(cfg: ScenarioConfig, variant: str | None = None) -> Inho
         return InhomogeneitySpec(cfg.amplitudes, cfg.period)
     chosen = variant if variant is not None else cfg.variant
     return InhomogeneitySpec.from_variant(chosen, cfg.period, cfg.levels)
+
+
+def build_semilinear_system(cfg: ScenarioConfig) -> SemilinearSystem:
+    """The system of the ``semilinear`` section, as :func:`build_operator` is the
+    scenario's; a missing section or constants ``build_semilinear`` refuses
+    raise ``ConfigError``."""
+    if cfg.semilinear is None:
+        raise ConfigError("config has no 'semilinear' section")
+    sc = cfg.semilinear
+    nonlinearity = NONLINEARITIES[sc.nonlinearity][1](sc.nonlinearity_params, sc.dimension)[0]
+    try:
+        return build_semilinear([np.array(m, dtype=float) for m in sc.matrices], nonlinearity,
+                                kappas=sc.kappas, gamma=sc.gamma, alphas=sc.alphas)
+    except ValueError as exc:
+        raise ConfigError(f"config.semilinear: {exc}") from exc

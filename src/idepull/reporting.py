@@ -36,17 +36,16 @@ from .attractor import (
     step_constants_numeric,
 )
 from .config import (
-    NONLINEARITIES,
     ScenarioConfig,
     build_inhomogeneity,
     build_operator,
-    build_scenario_grid,
+    build_semilinear_system,
     initial_condition,
 )
 from .exceptions import BoundFormulaOutOfRangeError, ConfigError, NoContractionError
 from .grid import sup_norm, total_population
 from .models import SEASON_PATTERNS
-from .semilinear import build_semilinear, pullback_limit
+from .semilinear import pullback_limit
 from .dynamics import trajectory
 
 __all__ = [
@@ -258,12 +257,11 @@ def run_simulation(cfg: ScenarioConfig, out_dir) -> TrajectoryReport:
     """Plain forward orbit from the configured initial state over the horizon."""
     started = time.perf_counter()
     out = Path(out_dir)
-    grid = build_scenario_grid(cfg)
-    op = build_operator(cfg, grid)
-    u0 = initial_condition(cfg.initial_id, cfg.initial_params, grid)
+    op = build_operator(cfg)
+    u0 = initial_condition(cfg.initial_id, cfg.initial_params, op.grid)
     states = trajectory(op, 0, cfg.horizon, u0)
-    totals = _write_states_csv(out, "trajectory", states, grid)
-    return TrajectoryReport(cfg.variant or "custom", grid.n, cfg.horizon, totals,
+    totals = _write_states_csv(out, "trajectory", states, op.grid)
+    return TrajectoryReport(cfg.variant or "custom", op.grid.n, cfg.horizon, totals,
                             time.perf_counter() - started)
 
 
@@ -318,9 +316,8 @@ def compare_inhomogeneities(cfg: ScenarioConfig, out_dir) -> ComparisonReport:
 def lipschitz_report(cfg: ScenarioConfig, out_dir) -> dict:
     """Closed-form versus quadrature step constants, plus the budget summary."""
     out = Path(out_dir)
-    grid = build_scenario_grid(cfg)
-    op = build_operator(cfg, grid)
-    u0 = initial_condition(cfg.initial_id, cfg.initial_params, grid)
+    op = build_operator(cfg)
+    u0 = initial_condition(cfg.initial_id, cfg.initial_params, op.grid)
 
     closed = step_constants_closed_form(op)
     certificate = certify_contraction(closed)
@@ -350,20 +347,12 @@ def run_convergence(cfg: ScenarioConfig, out_dir) -> list[dict]:
     out = Path(out_dir)
     levels = (cfg.nodes, 2 * cfg.nodes)
     reports = [run_attractor(replace(cfg, nodes=n), out / f"n{n}") for n in levels]
-
-    rows = []
-    previous = None
-    for n, rep in zip(levels, reports):
-        delta = abs(rep.mean_total_population - previous) if previous is not None else 0.0
-        rows.append(
-            {
-                "nodes": n,
-                "mean_total_population": rep.mean_total_population,
-                "certified_error": rep.certified_error,
-                "delta_vs_previous": delta,
-            }
-        )
-        previous = rep.mean_total_population
+    means = [rep.mean_total_population for rep in reports]
+    rows = [
+        {"nodes": n, "mean_total_population": mean, "certified_error": rep.certified_error,
+         "delta_vs_previous": abs(mean - means[i - 1]) if i else 0.0}
+        for i, (n, rep, mean) in enumerate(zip(levels, reports, means))
+    ]
     _write_csv(out / "convergence.csv", rows[0].keys(), (r.values() for r in rows))
     return rows
 
@@ -381,23 +370,11 @@ class SemilinearRunReport:
 
 
 def run_semilinear(cfg: ScenarioConfig, out_dir) -> SemilinearRunReport:
-    """Pullback fibers of the configured semilinear demo system."""
-    if cfg.semilinear is None:
-        raise ConfigError("config has no 'semilinear' section")
+    """Pullback fibers of the system ``build_semilinear_system`` assembles;
+    writes fibers.csv and report.csv."""
+    system = build_semilinear_system(cfg)
     sc = cfg.semilinear
     out = Path(out_dir)
-
-    nonlinearity = NONLINEARITIES[sc.nonlinearity][1](sc.nonlinearity_params, sc.dimension)[0]
-    try:
-        system = build_semilinear(
-            [np.array(m, dtype=float) for m in sc.matrices],
-            nonlinearity,
-            kappas=sc.kappas,
-            gamma=sc.gamma,
-            alphas=sc.alphas,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config.semilinear: {exc}") from exc
     u0 = np.asarray(sc.initial, dtype=float) if sc.initial is not None else None
     fibers, report = pullback_limit(system, sc.tolerance, u0)
 

@@ -4,16 +4,17 @@
 #
 #   tools/output_battery.sh CHECKOUT OUT
 #
-# Each run writes its CSV files to OUT/<name>/ and its stdout, followed by
-# an "exit <code>" line, to OUT/<name>.stdout.  The `wall_time_s` rows are
-# deleted afterwards, as they are the only cells that differ between two
-# runs of the same code.  BLAS runs on one thread so that the floating-point
+# Each run writes its CSV files to OUT/<name>/, its stdout, followed by an
+# "exit <code>" line, to OUT/<name>.stdout, and its stderr to
+# OUT/<name>.stderr.  The `wall_time_s` rows are deleted afterwards, as they
+# are the only cells that differ between two runs of the same code.  BLAS runs on one thread so that the floating-point
 # summation order is fixed.  Generated configs go to OUT/inputs/.
 #
 # Compare two checkouts:
 #   tools/output_battery.sh ../parent /tmp/battery-parent
 #   tools/output_battery.sh . /tmp/battery-change
 #   diff -r /tmp/battery-parent /tmp/battery-change
+# or compare the working tree with a commit in one go: tools/battery_diff.sh BASE
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -36,6 +37,10 @@ mkdir -p "$out/inputs"
 { sed 's/^  levels: .*/  levels: [0.0, 0.0]/' "$shipped"; echo "distance_bound: trajectory"; } \
     > "$out/inputs/trajectory_bound_no_merge.yaml"
 grep -q '^  levels: \[0.0, 0.0\]$' "$out/inputs/trajectory_bound_no_merge.yaml"
+# Growth scale 1: the window factor overflows to inf, so the attractor run
+# stops at its contraction gate with exit 2 before any bound is formed.
+sed 's/^  alpha: auto .*/  alpha: 1.0/' "$shipped" > "$out/inputs/no_contraction.yaml"
+grep -q '^  alpha: 1.0$' "$out/inputs/no_contraction.yaml"
 # Tent kernel: class 0 has a closed-form mass, class 1 the row-sum fallback.
 cat > "$out/inputs/mixed_tent.yaml" <<'YAML'
 schema_version: 1
@@ -156,6 +161,18 @@ semilinear:
   gamma: 1.2
   tolerance: 1.0e-12
 YAML
+# A start one window away from its fixed point: the first update already
+# meets the tolerance, so fixed_point_iterate returns after window 0.
+{ sed '/^semilinear:/,$d' "$demo"; cat <<'YAML'; } > "$out/inputs/semilinear_settled.yaml"
+semilinear:
+  dimension: 2
+  matrices:
+    - [[3.0e-7, 0.0], [0.0, 1.0e-7]]
+    - [[1.0e-7, 0.0], [0.0, 3.0e-7]]
+  nonlinearity: {name: constant, value: [1.0, 0.7]}
+  initial: [1.0000001, 0.7000002099999999]
+  tolerance: 1.0e-12
+YAML
 python3 - "$checkout/perfbench" "$out/inputs/gauss_periodic_draw3.yaml" <<'EOF'
 import sys
 
@@ -176,7 +193,8 @@ run() {
     local name=$1
     shift
     local code=0
-    python3 -m idepull.cli "$@" --out "$out/$name" > "$out/$name.stdout" || code=$?
+    python3 -m idepull.cli "$@" --out "$out/$name" > "$out/$name.stdout" \
+        2> "$out/$name.stderr" || code=$?
     echo "exit $code" >> "$out/$name.stdout"
 }
 
@@ -190,6 +208,8 @@ run convergence_h4 convergence --config "$shipped" --nodes 100 --variant h4
 run semilinear semilinear --config "$demo"
 run semilinear_sigmoid semilinear --config "$out/inputs/semilinear_sigmoid.yaml"
 run semilinear_window_gamma semilinear --config "$out/inputs/semilinear_window_gamma.yaml"
+run semilinear_settled semilinear --config "$out/inputs/semilinear_settled.yaml"
+run no_contraction attractor --config "$out/inputs/no_contraction.yaml" --nodes 40
 run trajectory_bound attractor --config "$out/inputs/trajectory_bound.yaml" --nodes 200
 run trajectory_bound_no_merge attractor --config "$out/inputs/trajectory_bound_no_merge.yaml" \
     --nodes 200
