@@ -32,6 +32,381 @@ horizon: 7
 """
 
 
+SEMILINEAR = GOOD + """
+semilinear:
+  dimension: 2
+  matrices: [[[0.5, 0.0], [0.0, 0.5]]]
+  nonlinearity: {name: constant, value: [1.0, 1.0]}
+"""
+
+
+def edit(old, new):
+    assert old in GOOD
+    return GOOD.replace(old, new)
+
+
+def edit_semilinear(old, new):
+    assert old in SEMILINEAR
+    return SEMILINEAR.replace(old, new)
+
+
+# (id, config text, the exact ConfigError message): one row per refusal path
+# of parse_config
+REFUSALS = [
+    ("not-a-mapping", "- 1\n- 2\n",
+     "config: expected a mapping, got list"),
+    ("unknown-top-key", GOOD + "extra_key: 1\n",
+     "config: unknown keys ['extra_key']; allowed keys are ['distance_bound', 'grid', "
+     "'growth', 'horizon', 'inhomogeneity', 'initial', 'kernel', 'max_steps', 'period', "
+     "'schema_version', 'semilinear', 'tolerance']"),
+    ("missing-top-keys", edit("period: 6\n", "").replace("tolerance: 1.0e-8\n", ""),
+     "config: missing required keys ['period', 'tolerance']"),
+    ("schema-version-string", edit("schema_version: 1", "schema_version: one"),
+     "config.schema_version: expected a finite number, got 'one'"),
+    ("schema-version-fraction", edit("schema_version: 1", "schema_version: 1.5"),
+     "config.schema_version: expected an integer, got 1.5"),
+    ("schema-version-2", edit("schema_version: 1", "schema_version: 2"),
+     "config.schema_version: expected 1, got 2"),
+    ("period-string", edit("period: 6", "period: six"),
+     "config.period: expected a finite number, got 'six'"),
+    ("period-fraction", edit("period: 6", "period: 6.5"),
+     "config.period: expected an integer, got 6.5"),
+    ("period-zero", edit("period: 6", "period: 0"),
+     "config.period: must be >= 1, got 0"),
+    ("tolerance-bool", edit("tolerance: 1.0e-8", "tolerance: true"),
+     "config.tolerance: expected a finite number, got True"),
+    ("tolerance-negative", edit("tolerance: 1.0e-8", "tolerance: -1.0e-8"),
+     "config.tolerance: must be positive, got -1e-08"),
+    ("grid-list", edit("{length: 6.0, nodes: 40}", "[6.0, 40]"),
+     "config.grid: expected a mapping, got list"),
+    ("grid-unknown-key", edit("nodes: 40}", "nodes: 40, spacing: 2}"),
+     "config.grid: unknown keys ['spacing']; allowed keys are ['length', 'nodes', 'rule']"),
+    ("grid-length-missing", edit("length: 6.0, ", ""),
+     "config.grid: missing required key 'length'"),
+    ("grid-length-nan", edit("length: 6.0", "length: .nan"),
+     "config.grid.length: expected a finite number, got nan"),
+    ("grid-length-zero", edit("length: 6.0", "length: 0.0"),
+     "config.grid.length: must be positive, got 0.0"),
+    ("grid-nodes-missing", edit(", nodes: 40", ""),
+     "config.grid: missing required key 'nodes'"),
+    ("grid-nodes-fraction", edit("nodes: 40", "nodes: 40.5"),
+     "config.grid.nodes: expected an integer, got 40.5"),
+    ("grid-nodes-zero", edit("nodes: 40", "nodes: 0"),
+     "config.grid.nodes: must be >= 1, got 0"),
+    ("grid-rule-number", edit("nodes: 40", "nodes: 40, rule: 5"),
+     "config.grid.rule: expected a string, got 5"),
+    ("grid-rule-unknown", edit("nodes: 40", "nodes: 40, rule: simpson"),
+     "config.grid.rule: unknown quadrature rule 'simpson'; known quadrature rules are "
+     "['trapezoid']"),
+    ("kernel-string", edit("{family: laplace, dispersal: 2.0}", "laplace"),
+     "config.kernel: expected a mapping, got str"),
+    ("kernel-unknown-key", edit("dispersal: 2.0}", "dispersal: 2.0, shape: 1}"),
+     "config.kernel: unknown keys ['shape']; allowed keys are ['dispersal', 'family']"),
+    ("kernel-family-missing", edit("family: laplace, ", ""),
+     "config.kernel: missing required key 'family'"),
+    ("kernel-family-number", edit("family: laplace", "family: 3"),
+     "config.kernel.family: expected a string, got 3"),
+    ("kernel-family-unknown", edit("family: laplace", "family: cauchy"),
+     "config.kernel.family: unknown kernel family 'cauchy'; known kernel familys are "
+     "['gauss', 'laplace', 'tent']"),
+    ("kernel-dispersal-missing", edit(", dispersal: 2.0", ""),
+     "config.kernel: missing required key 'dispersal'"),
+    ("kernel-dispersal-bool", edit("dispersal: 2.0", "dispersal: true"),
+     "config.kernel.dispersal: expected a finite number or a list of numbers, got True"),
+    ("kernel-dispersal-empty", edit("dispersal: 2.0", "dispersal: []"),
+     "config.kernel.dispersal: expected a nonempty list of numbers, got []"),
+    ("kernel-dispersal-entry", edit("dispersal: 2.0", "dispersal: [2.0, x, 2.0, 2.0, 2.0, 2.0]"),
+     "config.kernel.dispersal[1]: expected a finite number, got 'x'"),
+    ("kernel-dispersal-length", edit("dispersal: 2.0", "dispersal: [2.0, 3.0]"),
+     "config.kernel.dispersal: schedule length 2 must be 1 or the period 6"),
+    ("kernel-dispersal-zero", edit("dispersal: 2.0", "dispersal: 0"),
+     "config.kernel.dispersal: must be positive, got 0"),
+    ("kernel-dispersal-negative-entry", edit("dispersal: 2.0", "dispersal: [-1.0]"),
+     "config.kernel.dispersal: must be positive, got [-1.0]"),
+    ("growth-number",
+     edit("growth:\n  family: beverton_holt\n  profile: vee\n  alpha: 0.05", "growth: 1"),
+     "config.growth: expected a mapping, got int"),
+    ("growth-unknown-key", edit("alpha: 0.05", "alpha: 0.05\n  extra: 1"),
+     "config.growth: unknown keys ['extra']; allowed keys are ['alpha', 'family', 'profile', "
+     "'profile_params', 'profile_sup']"),
+    ("growth-family-missing", edit("  family: beverton_holt\n", ""),
+     "config.growth: missing required key 'family'"),
+    ("growth-family-list", edit("family: beverton_holt", "family: [beverton_holt]"),
+     "config.growth.family: expected a string, got ['beverton_holt']"),
+    ("growth-family-unknown", edit("family: beverton_holt", "family: hassell"),
+     "config.growth.family: unknown growth family 'hassell'; known growth familys are "
+     "['beverton_holt', 'logistic', 'ricker']"),
+    ("growth-profile-missing", edit("  profile: vee\n", ""),
+     "config.growth: missing required key 'profile'"),
+    ("growth-profile-number", edit("profile: vee", "profile: 1"),
+     "config.growth.profile: expected a string, got 1"),
+    ("growth-profile-unknown", edit("profile: vee", "profile: bump"),
+     "config.growth.profile: unknown profile 'bump'; known profiles are ['flat', 'vee']"),
+    ("profile-params-number", edit("profile: vee", "profile: vee\n  profile_params: 5"),
+     "config.growth.profile_params: expected a mapping, got int"),
+    ("profile-params-list", edit("profile: vee", "profile: vee\n  profile_params: [1]"),
+     "config.growth.profile_params: expected a mapping, got list"),
+    ("profile-params-unknown-key",
+     edit("profile: vee", "profile: vee\n  profile_params: {value: 1.0}"),
+     "config.growth.profile_params: unknown keys ['value']; allowed keys are ['offset', 'slope']"),
+    ("profile-params-nan", edit("profile: vee", "profile: vee\n  profile_params: {offset: .nan}"),
+     "config.growth.profile_params.offset: expected a finite number, got nan"),
+    ("profile-params-string",
+     edit("profile: vee", "profile: flat\n  profile_params: {value: high}"),
+     "config.growth.profile_params.value: expected a finite number, got 'high'"),
+    ("profile-params-list-value",
+     edit("profile: vee", "profile: flat\n  profile_params: {value: [1.0]}"),
+     "config.growth.profile_params.value: expected a finite number, got [1.0]"),
+    ("profile-negative-vee",
+     edit("profile: vee", "profile: vee\n  profile_params: {offset: -3.0, slope: 2.0}"),
+     "config.growth.profile_params: profile 'vee' falls to -3.0 on the habitat; it must be >= 0"),
+    ("profile-negative-flat",
+     edit("profile: vee", "profile: flat\n  profile_params: {value: -1.0}"),
+     "config.growth.profile_params: profile 'flat' falls to -1.0 on the habitat; it must be >= 0"),
+    ("profile-sup-string", edit("profile: vee", "profile: vee\n  profile_sup: big"),
+     "config.growth.profile_sup: expected a finite number, got 'big'"),
+    ("profile-sup-zero", edit("profile: vee", "profile: vee\n  profile_sup: 0"),
+     "config.growth.profile_sup: must be positive, got 0"),
+    ("profile-sup-below-maximum", edit("profile: vee", "profile: vee\n  profile_sup: 8.999"),
+     "config.growth.profile_sup: must be at least the profile's maximum 9.0 on the habitat, "
+     "got 8.999"),
+    ("alpha-missing", edit("  alpha: 0.05\n", ""),
+     "config.growth: missing required key 'alpha'"),
+    ("alpha-auto-gauss",
+     edit("alpha: 0.05", "alpha: auto").replace("family: laplace", "family: gauss"),
+     "config.growth.alpha: 'auto' requires a laplace kernel with a constant dispersal rate"),
+    ("alpha-auto-zero-maximum",
+     edit("alpha: 0.05", "alpha: auto")
+     .replace("profile: vee", "profile: flat\n  profile_params: {value: 0.0}"),
+     "config.growth.alpha: 'auto' needs a profile whose maximum is > 0"),
+    ("alpha-string", edit("alpha: 0.05", "alpha: tuned"),
+     "config.growth.alpha: unknown schedule 'tuned'; use 'auto', a number, a list, or "
+     "{sinusoidal: C}"),
+    ("alpha-mapping-unknown-key", edit("alpha: 0.05", "alpha: {cosine: 0.1}"),
+     "config.growth.alpha: unknown keys ['cosine']; allowed keys are ['sinusoidal']"),
+    ("alpha-mapping-empty", edit("alpha: 0.05", "alpha: {}"),
+     "config.growth.alpha: missing required key 'sinusoidal'"),
+    ("alpha-sinusoidal-zero", edit("alpha: 0.05", "alpha: {sinusoidal: 0}"),
+     "config.growth.alpha.sinusoidal: must be positive, got 0"),
+    ("alpha-bool", edit("alpha: 0.05", "alpha: true"),
+     "config.growth.alpha: expected a finite number or a list of numbers, got True"),
+    ("alpha-length", edit("alpha: 0.05", "alpha: [0.05, 0.06]"),
+     "config.growth.alpha: schedule length 2 must be 1 or the period 6"),
+    ("alpha-entry-inf", edit("alpha: 0.05", "alpha: [.inf]"),
+     "config.growth.alpha[0]: expected a finite number, got inf"),
+    ("inhomogeneity-list", edit("inhomogeneity: {variant: h4}", "inhomogeneity: [h4]"),
+     "config.inhomogeneity: expected a mapping, got list"),
+    ("inhomogeneity-unknown-key", edit("{variant: h4}", "{variant: h4, phase: 1}"),
+     "config.inhomogeneity: unknown keys ['phase']; allowed keys are ['amplitudes', 'levels', "
+     "'variant']"),
+    ("variant-number", edit("{variant: h4}", "{variant: 4}"),
+     "config.inhomogeneity.variant: expected a string, got 4"),
+    ("variant-unknown", edit("{variant: h4}", "{variant: h9}"),
+     "config.inhomogeneity.variant: unknown variant 'h9'; known variants are ['h1', 'h2', "
+     "'h3', 'h4']"),
+    ("variant-and-amplitudes", edit("{variant: h4}", "{variant: h4, amplitudes: [1, 2]}"),
+     "config.inhomogeneity: give exactly one of 'variant' or 'amplitudes'"),
+    ("neither-variant-nor-amplitudes", edit("{variant: h4}", "{levels: [1.0, 2.0]}"),
+     "config.inhomogeneity: give exactly one of 'variant' or 'amplitudes'"),
+    ("amplitudes-string", edit("{variant: h4}", "{amplitudes: high}"),
+     "config.inhomogeneity.amplitudes: expected a nonempty list of numbers, got 'high'"),
+    ("amplitudes-empty", edit("{variant: h4}", "{amplitudes: []}"),
+     "config.inhomogeneity.amplitudes: expected a nonempty list of numbers, got []"),
+    ("amplitudes-entry-inf", edit("{variant: h4}", "{amplitudes: [1.0, .inf]}"),
+     "config.inhomogeneity.amplitudes[1]: expected a finite number, got inf"),
+    ("amplitudes-negative", edit("{variant: h4}", "{amplitudes: [1.0, -2.0]}"),
+     "config.inhomogeneity.amplitudes: entries must be >= 0"),
+    ("amplitudes-negative-with-variant", edit("{variant: h4}", "{variant: h9, amplitudes: [-1.0]}"),
+     "config.inhomogeneity.amplitudes: entries must be >= 0"),
+    ("levels-number", edit("{variant: h4}", "{variant: h4, levels: 1.0}"),
+     "config.inhomogeneity.levels: expected a nonempty list of numbers, got 1.0"),
+    ("levels-entry", edit("{variant: h4}", "{variant: h4, levels: [1.0, low]}"),
+     "config.inhomogeneity.levels[1]: expected a finite number, got 'low'"),
+    ("levels-length", edit("{variant: h4}", "{variant: h4, levels: [1, 2, 3]}"),
+     "config.inhomogeneity.levels: expected [low, high], got [1, 2, 3]"),
+    ("levels-negative", edit("{variant: h4}", "{variant: h4, levels: [-1.0, 2.0]}"),
+     "config.inhomogeneity.levels: levels must be >= 0"),
+    ("initial-string", edit("initial: {id: default}", "initial: default"),
+     "config.initial: expected a mapping, got str"),
+    ("initial-id-missing", edit("initial: {id: default}", "initial: {value: 1.0}"),
+     "config.initial: missing required key 'id'"),
+    ("initial-id-number", edit("{id: default}", "{id: 1}"),
+     "config.initial.id: expected a string, got 1"),
+    ("initial-id-unknown", edit("{id: default}", "{id: bump}"),
+     "config.initial.id: unknown initial condition 'bump'; known initial conditions are "
+     "['constant', 'custom-polynomial', 'default']"),
+    ("initial-unknown-key", edit("{id: default}", "{id: default, value: 2.0}"),
+     "config.initial: unknown keys ['value']; allowed keys are []"),
+    ("initial-missing-key", edit("{id: default}", "{id: constant}"),
+     "config.initial: missing required keys ['value']"),
+    ("initial-value-bool", edit("{id: default}", "{id: constant, value: true}"),
+     "config.initial.value: expected a finite number, got True"),
+    ("initial-value-list", edit("{id: default}", "{id: constant, value: [1.0]}"),
+     "config.initial.value: expected a finite number, got [1.0]"),
+    ("initial-coefficients-empty",
+     edit("{id: default}", "{id: custom-polynomial, coefficients: []}"),
+     "config.initial.coefficients: expected a nonempty list of numbers, got []"),
+    ("initial-coefficients-entry",
+     edit("{id: default}", "{id: custom-polynomial, coefficients: [1.0, .nan]}"),
+     "config.initial.coefficients[1]: expected a finite number, got nan"),
+    ("initial-coefficients-number",
+     edit("{id: default}", "{id: custom-polynomial, coefficients: 1.0}"),
+     "config.initial.coefficients: expected a nonempty list of numbers, got 1.0"),
+    ("horizon-string", edit("horizon: 7", "horizon: long"),
+     "config.horizon: expected a finite number, got 'long'"),
+    ("horizon-negative", edit("horizon: 7", "horizon: -1"),
+     "config.horizon: must be >= 0, got -1"),
+    ("max-steps-fraction", GOOD + "max_steps: 2.5\n",
+     "config.max_steps: expected an integer, got 2.5"),
+    ("max-steps-zero", GOOD + "max_steps: 0\n",
+     "config.max_steps: must be >= 1, got 0"),
+    ("max-steps-huge", GOOD + "max_steps: 1" + "0" * 400 + "\n",
+     "config.max_steps: expected a finite number, got 1" + "0" * 400),
+    ("distance-bound-number", GOOD + "distance_bound: 1\n",
+     "config.distance_bound: expected a string, got 1"),
+    ("distance-bound-unknown", GOOD + "distance_bound: exact\n",
+     "config.distance_bound: unknown distance bound mode 'exact'; known distance bound modes "
+     "are ['trajectory', 'upper-bound']"),
+    ("semilinear-list", GOOD + "semilinear: [1]\n",
+     "config.semilinear: expected a mapping, got list"),
+    ("semilinear-unknown-key", SEMILINEAR + "  extra: 1\n",
+     "config.semilinear: unknown keys ['extra']; allowed keys are ['alphas', 'dimension', "
+     "'gamma', 'initial', 'kappas', 'matrices', 'nonlinearity', 'tolerance']"),
+    ("semilinear-dimension-missing", edit_semilinear("  dimension: 2\n", ""),
+     "config.semilinear: missing required key 'dimension'"),
+    ("semilinear-dimension-zero", edit_semilinear("dimension: 2", "dimension: 0"),
+     "config.semilinear.dimension: must be >= 1, got 0"),
+    ("semilinear-matrices-missing", GOOD + "semilinear: {dimension: 2}\n",
+     "config.semilinear: missing required key 'matrices'"),
+    ("semilinear-matrices-number",
+     edit_semilinear("matrices: [[[0.5, 0.0], [0.0, 0.5]]]", "matrices: 1"),
+     "config.semilinear.matrices: expected a nonempty list of matrices"),
+    ("semilinear-matrices-empty",
+     edit_semilinear("matrices: [[[0.5, 0.0], [0.0, 0.5]]]", "matrices: []"),
+     "config.semilinear.matrices: expected a nonempty list of matrices"),
+    ("semilinear-matrix-rows", edit_semilinear("[[[0.5, 0.0], [0.0, 0.5]]]", "[[[0.5, 0.0]]]"),
+     "config.semilinear.matrices[0]: expected 2 rows"),
+    ("semilinear-matrix-number", edit_semilinear("[[[0.5, 0.0], [0.0, 0.5]]]", "[1.0]"),
+     "config.semilinear.matrices[0]: expected 2 rows"),
+    ("semilinear-row-entries",
+     edit_semilinear("[[[0.5, 0.0], [0.0, 0.5]]]", "[[[0.5, 0.0], [0.5]]]"),
+     "config.semilinear.matrices[0][1]: expected 2 entries"),
+    ("semilinear-row-entry",
+     edit_semilinear("[[[0.5, 0.0], [0.0, 0.5]]]", "[[[0.5, 0.0], [0.0, x]]]"),
+     "config.semilinear.matrices[0][1][1]: expected a finite number, got 'x'"),
+    ("nonlinearity-list", edit_semilinear("{name: constant, value: [1.0, 1.0]}", "[constant]"),
+     "config.semilinear.nonlinearity: expected a mapping, got list"),
+    ("nonlinearity-name-missing",
+     edit_semilinear("{name: constant, value: [1.0, 1.0]}", "{value: 1.0}"),
+     "config.semilinear.nonlinearity: missing required key 'name'"),
+    ("nonlinearity-name-number", edit_semilinear("name: constant", "name: 1"),
+     "config.semilinear.nonlinearity.name: expected a string, got 1"),
+    ("nonlinearity-name-unknown", edit_semilinear("name: constant", "name: cubic"),
+     "config.semilinear.nonlinearity.name: unknown nonlinearity 'cubic'; known nonlinearitys "
+     "are ['bounded-sigmoid', 'constant', 'zero']"),
+    ("nonlinearity-unknown-key",
+     edit_semilinear("{name: constant, value: [1.0, 1.0]}", "{name: zero, value: 5.0}"),
+     "config.semilinear.nonlinearity: unknown keys ['value']; allowed keys are ['name']"),
+    ("nonlinearity-value-entries", edit_semilinear("value: [1.0, 1.0]", "value: [1.0, 1.0, 1.0]"),
+     "config.semilinear.nonlinearity.value: expected 2 entries, got 3"),
+    ("nonlinearity-value-entry", edit_semilinear("value: [1.0, 1.0]", "value: [.nan, 1.0]"),
+     "config.semilinear.nonlinearity.value[0]: expected a finite number, got nan"),
+    ("nonlinearity-value-empty", edit_semilinear("value: [1.0, 1.0]", "value: []"),
+     "config.semilinear.nonlinearity.value: expected a nonempty list of numbers, got []"),
+    ("nonlinearity-value-string", edit_semilinear("value: [1.0, 1.0]", "value: one"),
+     "config.semilinear.nonlinearity.value: expected a finite number, got 'one'"),
+    ("nonlinearity-scale-bool",
+     edit_semilinear("{name: constant, value: [1.0, 1.0]}", "{name: bounded-sigmoid, scale: true}"),
+     "config.semilinear.nonlinearity.scale: expected a finite number, got True"),
+    ("kappas-number", SEMILINEAR + "  kappas: 0.5\n",
+     "config.semilinear.kappas: expected a nonempty list of numbers, got 0.5"),
+    ("kappas-entry", SEMILINEAR + "  kappas: [.inf]\n",
+     "config.semilinear.kappas[0]: expected a finite number, got inf"),
+    ("alphas-empty", SEMILINEAR + "  alphas: []\n",
+     "config.semilinear.alphas: expected a nonempty list of numbers, got []"),
+    ("alphas-entry", SEMILINEAR + "  alphas: [a]\n",
+     "config.semilinear.alphas[0]: expected a finite number, got 'a'"),
+    ("gamma-string", SEMILINEAR + "  gamma: big\n",
+     "config.semilinear.gamma: expected a finite number, got 'big'"),
+    ("semilinear-tolerance-zero", SEMILINEAR + "  tolerance: 0\n",
+     "config.semilinear.tolerance: must be positive, got 0"),
+    ("semilinear-tolerance-string", SEMILINEAR + "  tolerance: small\n",
+     "config.semilinear.tolerance: expected a finite number, got 'small'"),
+    ("semilinear-initial-entries", SEMILINEAR + "  initial: [1.0]\n",
+     "config.semilinear.initial: expected 2 entries, got 1"),
+    ("semilinear-initial-entry", SEMILINEAR + "  initial: [1.0, .nan]\n",
+     "config.semilinear.initial[1]: expected a finite number, got nan"),
+    ("semilinear-initial-number", SEMILINEAR + "  initial: 1.0\n",
+     "config.semilinear.initial: expected a nonempty list of numbers, got 1.0"),
+    ("grid-null", edit("grid: {length: 6.0, nodes: 40}", "grid: null"),
+     "config.grid: expected a mapping, got NoneType"),
+    ("period-null", edit("period: 6", "period: null"),
+     "config.period: expected a finite number, got None"),
+    ("schema-version-null", edit("schema_version: 1", "schema_version: null"),
+     "config.schema_version: expected a finite number, got None"),
+    ("grid-length-null", edit("length: 6.0", "length: null"),
+     "config.grid.length: expected a finite number, got None"),
+    ("kernel-dispersal-null", edit("dispersal: 2.0", "dispersal: null"),
+     "config.kernel.dispersal: expected a finite number or a list of numbers, got None"),
+    ("growth-family-null", edit("family: beverton_holt", "family: null"),
+     "config.growth.family: expected a string, got None"),
+    ("alpha-null", edit("alpha: 0.05", "alpha: null"),
+     "config.growth.alpha: expected a finite number or a list of numbers, got None"),
+    ("alpha-sinusoidal-null", edit("alpha: 0.05", "alpha: {sinusoidal: null}"),
+     "config.growth.alpha.sinusoidal: expected a finite number, got None"),
+    ("initial-id-null", edit("{id: default}", "{id: null}"),
+     "config.initial.id: expected a string, got None"),
+    ("initial-value-null", edit("{id: default}", "{id: constant, value: null}"),
+     "config.initial.value: expected a finite number, got None"),
+    ("profile-params-offset-null",
+     edit("profile: vee", "profile: vee\n  profile_params: {offset: null}"),
+     "config.growth.profile_params.offset: expected a finite number, got None"),
+    ("semilinear-dimension-null", edit_semilinear("dimension: 2", "dimension: null"),
+     "config.semilinear.dimension: expected a finite number, got None"),
+    ("semilinear-matrices-null",
+     edit_semilinear("matrices: [[[0.5, 0.0], [0.0, 0.5]]]", "matrices: null"),
+     "config.semilinear.matrices: expected a nonempty list of matrices"),
+    ("nonlinearity-name-null", edit_semilinear("name: constant", "name: null"),
+     "config.semilinear.nonlinearity.name: expected a string, got None"),
+    ("nonlinearity-value-null", edit_semilinear("value: [1.0, 1.0]", "value: null"),
+     "config.semilinear.nonlinearity.value: expected a finite number, got None"),
+    ("grid-rule-null", edit("nodes: 40", "nodes: 40, rule: null"),
+     "config.grid.rule: expected a string, got None"),
+    ("profile-sup-null", edit("profile: vee", "profile: vee\n  profile_sup: null"),
+     "config.growth.profile_sup: expected a finite number, got None"),
+    ("levels-null", edit("{variant: h4}", "{variant: h4, levels: null}"),
+     "config.inhomogeneity.levels: expected a nonempty list of numbers, got None"),
+    ("variant-null", edit("{variant: h4}", "{variant: null, amplitudes: [1.0, 2.0]}"),
+     "config.inhomogeneity.variant: expected a string, got None"),
+    ("horizon-null", edit("horizon: 7", "horizon: null"),
+     "config.horizon: expected a finite number, got None"),
+    ("max-steps-null", GOOD + "max_steps: null\n",
+     "config.max_steps: expected a finite number, got None"),
+    ("distance-bound-null", GOOD + "distance_bound: null\n",
+     "config.distance_bound: expected a string, got None"),
+    ("gamma-null", SEMILINEAR + "  gamma: null\n",
+     "config.semilinear.gamma: expected a finite number, got None"),
+    ("semilinear-tolerance-null", SEMILINEAR + "  tolerance: null\n",
+     "config.semilinear.tolerance: expected a finite number, got None"),
+    ("nonlinearity-null", edit_semilinear("{name: constant, value: [1.0, 1.0]}", "null"),
+     "config.semilinear.nonlinearity: expected a mapping, got NoneType"),
+    ("empty", "",
+     "config is empty; required keys are schema_version, grid, kernel, growth, inhomogeneity, "
+     "period, tolerance, initial"),
+    ("comment-only", "# nothing\n",
+     "config is empty; required keys are schema_version, grid, kernel, growth, inhomogeneity, "
+     "period, tolerance, initial"),
+]
+
+
+@pytest.mark.parametrize("text, message", [row[1:] for row in REFUSALS],
+                         ids=[row[0] for row in REFUSALS])
+def test_refusal_messages(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+
+
 def test_parse_shipped_seasonal_config():
     cfg = load_config("configs/seasonal_beverton_holt.yaml")
     assert cfg.length == 6.0
