@@ -8,7 +8,7 @@ documented schema and the shipped scenario files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -170,6 +170,12 @@ def _reject_unknown(mapping: Mapping, allowed, path: str) -> None:
         raise _err(path, f"unknown keys {unknown}; allowed keys are {sorted(allowed)}")
 
 
+def _section(value, path: str, allowed) -> dict:
+    """A section of the document: a mapping with no keys outside ``allowed``."""
+    _reject_unknown(_require_mapping(value, path), allowed, path)
+    return value
+
+
 def _require_known(value: str, known, path: str, what: str) -> None:
     if value not in known:
         raise _err(path, f"unknown {what} {value!r}; known {what}s are {sorted(known)}")
@@ -185,45 +191,52 @@ def _is_number(value) -> bool:
         return False
 
 
-def _get_number(mapping: Mapping, key: str, path: str, *, required=True, default=None,
-                positive=False):
-    if key not in mapping:
+def _get(mapping: Mapping, key: str, path: str, read=None, *, required=True, default=None,
+         **options):
+    """``mapping[key]`` under the schema's one absence rule: a key that is
+    missing or null is absent.  An absent key raises where ``required`` and
+    reads as ``default`` otherwise; a present value is returned as
+    ``read(value, key_path, **options)`` where ``read`` is given."""
+    value = mapping.get(key)
+    if value is None:
         if required:
             raise _err(path, f"missing required key '{key}'")
         return default
-    value = mapping[key]
+    return value if read is None else read(value, f"{path}.{key}", **options)
+
+
+def _require_keys(mapping: Mapping, keys, path: str) -> None:
+    """Refuse the keys among ``keys`` that :func:`_get` reads as absent, together."""
+    missing = [k for k in keys if _get(mapping, k, path, required=False) is None]
+    if missing:
+        raise _err(path, f"missing required keys {missing}")
+
+
+def _number(value, path: str, positive=False) -> float:
     if not _is_number(value):
-        raise _err(f"{path}.{key}", f"expected a finite number, got {value!r}")
+        raise _err(path, f"expected a finite number, got {value!r}")
     if positive and value <= 0:
-        raise _err(f"{path}.{key}", f"must be positive, got {value}")
-    return value
+        raise _err(path, f"must be positive, got {value}")
+    return float(value)
 
 
-def _get_int(mapping: Mapping, key: str, path: str, *, required=True, default=None,
-             least=None):
-    value = _get_number(mapping, key, path, required=required, default=default)
-    if value is None:
-        return None
+def _integer(value, path: str, least=None) -> int:
+    _number(value, path)
     if isinstance(value, float) and not value.is_integer():
-        raise _err(f"{path}.{key}", f"expected an integer, got {value!r}")
+        raise _err(path, f"expected an integer, got {value!r}")
     value = int(value)
     if least is not None and value < least:
-        raise _err(f"{path}.{key}", f"must be >= {least}, got {value}")
+        raise _err(path, f"must be >= {least}, got {value}")
     return value
 
 
-def _get_str(mapping: Mapping, key: str, path: str, *, required=True, default=None):
-    if key not in mapping:
-        if required:
-            raise _err(path, f"missing required key '{key}'")
-        return default
-    value = mapping[key]
+def _string(value, path: str) -> str:
     if not isinstance(value, str):
-        raise _err(f"{path}.{key}", f"expected a string, got {value!r}")
+        raise _err(path, f"expected a string, got {value!r}")
     return value
 
 
-def _number_list(value, path: str) -> tuple[float, ...]:
+def _number_list(value, path: str, least=None, dim=None) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or not value:
         raise _err(path, f"expected a nonempty list of numbers, got {value!r}")
     out = []
@@ -231,7 +244,33 @@ def _number_list(value, path: str) -> tuple[float, ...]:
         if not _is_number(v):
             raise _err(f"{path}[{i}]", f"expected a finite number, got {v!r}")
         out.append(float(v))
+    if dim is not None and len(out) != dim:
+        raise _err(path, f"expected {dim} entries, got {len(out)}")
+    if least is not None and any(v < least for v in out):
+        raise _err(path, f"entries must be >= {least}")
     return tuple(out)
+
+
+def _registry_params(params: Mapping, keys, path: str, *, required=False, dim=None) -> dict:
+    """The parameters of a registry entry that takes ``keys``, checked: no
+    other key, each of them present where ``required``, and each value a
+    finite number, or a nonempty list of them for a list-valued key:
+    ``coefficients``, and where ``dim`` is given a ``value`` of ``dim``
+    entries, which is kept as the list given.  Absent parameters are left out."""
+    _reject_unknown(params, keys, path)
+    if required:
+        _require_keys(params, sorted(keys), path)
+    checked = {}
+    for key, value in params.items():
+        if key == "coefficients":
+            value = _get(params, key, path, _number_list, required=False)
+        elif key == "value" and dim is not None and isinstance(value, list):
+            _number_list(value, f"{path}.{key}", dim=dim)
+        else:
+            value = _get(params, key, path, _number, required=False)
+        if value is not None:
+            checked[key] = value
+    return checked
 
 
 def _schedule(value, path: str, period: int) -> tuple[float, ...]:
@@ -250,18 +289,13 @@ def _schedule(value, path: str, period: int) -> tuple[float, ...]:
 
 
 def _parse_semilinear(raw, path: str) -> SemilinearConfig:
-    raw = _require_mapping(raw, path)
-    allowed = {
+    raw = _section(raw, path, {
         "dimension", "matrices", "nonlinearity", "kappas", "gamma", "alphas",
         "tolerance", "initial",
-    }
-    _reject_unknown(raw, allowed, path)
+    })
+    dim = _get(raw, "dimension", path, _integer, least=1)
 
-    dim = _get_int(raw, "dimension", path, least=1)
-
-    if "matrices" not in raw:
-        raise _err(path, "missing required key 'matrices'")
-    mats_raw = raw["matrices"]
+    mats_raw = _get(raw, "matrices", path)
     if not isinstance(mats_raw, list) or not mats_raw:
         raise _err(f"{path}.matrices", "expected a nonempty list of matrices")
     matrices = []
@@ -276,44 +310,28 @@ def _parse_semilinear(raw, path: str) -> SemilinearConfig:
         matrices.append(tuple(rows))
 
     nl_path = f"{path}.nonlinearity"
-    nl_raw = _require_mapping(raw.get("nonlinearity", {"name": "zero"}), nl_path)
-    name = _get_str(nl_raw, "name", nl_path)
+    nl_raw = _get(raw, "nonlinearity", path, _require_mapping, required=False,
+                  default={"name": "zero"})
+    name = _get(nl_raw, "name", nl_path, _string)
     _require_known(name, NONLINEARITIES, f"{nl_path}.name", "nonlinearity")
-    _reject_unknown(nl_raw, {"name"} | NONLINEARITIES[name][0], nl_path)
-    params = {k: v for k, v in nl_raw.items() if k != "name"}
-    for key, value in params.items():
-        if key == "value" and isinstance(value, list):
-            entries = _number_list(value, f"{nl_path}.{key}")
-            if len(entries) != dim:
-                raise _err(f"{nl_path}.{key}", f"expected {dim} entries, got {len(entries)}")
-        else:
-            _get_number(params, key, nl_path)
-
-    if raw.get("kappas") is not None:
-        kappas = _number_list(raw["kappas"], f"{path}.kappas")
-    else:
-        kappas = (NONLINEARITIES[name][1](params, dim)[1],) * len(matrices)
-    alphas = _number_list(raw["alphas"], f"{path}.alphas") if raw.get("alphas") is not None else None
-    gamma = _get_number(raw, "gamma", path, required=False)
-    tol = _get_number(raw, "tolerance", path, required=False, default=1e-10, positive=True)
-    initial = (
-        _number_list(raw["initial"], f"{path}.initial")
-        if raw.get("initial") is not None
-        else None
-    )
-    if initial is not None and len(initial) != dim:
-        raise _err(f"{path}.initial", f"expected {dim} entries, got {len(initial)}")
+    keys, build = NONLINEARITIES[name]
+    # the name is a key of the section, not a parameter of the entry
+    _reject_unknown(nl_raw, {"name"} | keys, nl_path)
+    params = _registry_params({k: v for k, v in nl_raw.items() if k != "name"}, keys, nl_path,
+                              dim=dim)
 
     return SemilinearConfig(
         dimension=dim,
         matrices=tuple(matrices),
         nonlinearity=name,
         nonlinearity_params=params,
-        kappas=kappas,
-        gamma=float(gamma) if gamma is not None else None,
-        alphas=alphas,
-        tolerance=float(tol),
-        initial=initial,
+        kappas=_get(raw, "kappas", path, _number_list, required=False,
+                    default=(build(params, dim)[1],) * len(matrices)),
+        alphas=_get(raw, "alphas", path, _number_list, required=False),
+        gamma=_get(raw, "gamma", path, _number, required=False),
+        tolerance=_get(raw, "tolerance", path, _number, required=False, default=1e-10,
+                       positive=True),
+        initial=_get(raw, "initial", path, _number_list, required=False, dim=dim),
     )
 
 
@@ -331,7 +349,11 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a scenario document; errors carry the key path."""
+    """Parse and validate a scenario document; errors carry the key path.
+
+    A key that is missing or null is absent: an absent optional key takes
+    its default, and an absent required key is refused as missing.
+    """
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
@@ -340,62 +362,49 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(
             "config is empty; required keys are " + ", ".join(_REQUIRED_TOP)
         )
-    raw = _require_mapping(raw, "config")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-    missing = [k for k in _REQUIRED_TOP if k not in raw]
-    if missing:
-        raise ConfigError(f"config: missing required keys {missing}")
+    raw = _section(raw, "config", _TOP_KEYS)
+    _require_keys(raw, _REQUIRED_TOP, "config")
 
-    version = _get_int(raw, "schema_version", "config")
+    version = _get(raw, "schema_version", "config", _integer)
     if version != SCHEMA_VERSION:
         raise _err("config.schema_version", f"expected {SCHEMA_VERSION}, got {version}")
 
-    period = _get_int(raw, "period", "config", least=1)
-    tol = _get_number(raw, "tolerance", "config", positive=True)
+    period = _get(raw, "period", "config", _integer, least=1)
+    tol = _get(raw, "tolerance", "config", _number, positive=True)
 
-    grid_raw = _require_mapping(raw["grid"], "config.grid")
-    _reject_unknown(grid_raw, {"length", "nodes", "rule"}, "config.grid")
-    length = float(_get_number(grid_raw, "length", "config.grid", positive=True))
-    nodes = _get_int(grid_raw, "nodes", "config.grid", least=1)
-    rule = _get_str(grid_raw, "rule", "config.grid", required=False, default="trapezoid")
+    grid_raw = _get(raw, "grid", "config", _section, allowed={"length", "nodes", "rule"})
+    length = _get(grid_raw, "length", "config.grid", _number, positive=True)
+    nodes = _get(grid_raw, "nodes", "config.grid", _integer, least=1)
+    rule = _get(grid_raw, "rule", "config.grid", _string, required=False, default="trapezoid")
     _require_known(rule, QUADRATURE_RULES, "config.grid.rule", "quadrature rule")
 
-    kernel_raw = _require_mapping(raw["kernel"], "config.kernel")
-    _reject_unknown(kernel_raw, {"family", "dispersal"}, "config.kernel")
-    kfamily = _get_str(kernel_raw, "family", "config.kernel")
+    kernel_raw = _get(raw, "kernel", "config", _section, allowed={"family", "dispersal"})
+    kfamily = _get(kernel_raw, "family", "config.kernel", _string)
     _require_known(kfamily, KERNEL_FAMILIES, "config.kernel.family", "kernel family")
-    if "dispersal" not in kernel_raw:
-        raise _err("config.kernel", "missing required key 'dispersal'")
-    dispersal = _schedule(kernel_raw["dispersal"], "config.kernel.dispersal", period)
+    dispersal = _get(kernel_raw, "dispersal", "config.kernel", _schedule, period=period)
 
-    growth_raw = _require_mapping(raw["growth"], "config.growth")
-    _reject_unknown(
-        growth_raw,
-        {"family", "profile", "profile_params", "profile_sup", "alpha"},
-        "config.growth",
-    )
-    gfamily = _get_str(growth_raw, "family", "config.growth")
+    growth_raw = _get(raw, "growth", "config", _section,
+                      allowed={"family", "profile", "profile_params", "profile_sup", "alpha"})
+    gfamily = _get(growth_raw, "family", "config.growth", _string)
     _require_known(gfamily, GROWTH_FAMILIES, "config.growth.family", "growth family")
-    profile_id = _get_str(growth_raw, "profile", "config.growth")
+    profile_id = _get(growth_raw, "profile", "config.growth", _string)
     _require_known(profile_id, PROFILES, "config.growth.profile", "profile")
-    profile_params = growth_raw.get("profile_params") or {}
-    profile_params = _require_mapping(profile_params, "config.growth.profile_params")
-    _reject_unknown(profile_params, PROFILES[profile_id][0], "config.growth.profile_params")
-    for key in profile_params:
-        _get_number(profile_params, key, "config.growth.profile_params")
-    low, high = PROFILES[profile_id][1](profile_params, length)[1]
+    keys, build = PROFILES[profile_id]
+    profile_params = _registry_params(
+        _get(growth_raw, "profile_params", "config.growth", _require_mapping, required=False,
+             default={}),
+        keys, "config.growth.profile_params")
+    low, high = build(profile_params, length)[1]
     if low < 0:
         raise _err("config.growth.profile_params",
                    f"profile {profile_id!r} falls to {low} on the habitat; it must be >= 0")
-    profile_sup = float(_get_number(growth_raw, "profile_sup", "config.growth", required=False,
-                                    default=high, positive=True))
+    profile_sup = _get(growth_raw, "profile_sup", "config.growth", _number, required=False,
+                       default=high, positive=True)
     if profile_sup < high:
         raise _err("config.growth.profile_sup", f"must be at least the profile's maximum "
                    f"{high} on the habitat, got {profile_sup}")
 
-    if "alpha" not in growth_raw:
-        raise _err("config.growth", "missing required key 'alpha'")
-    alpha = growth_raw["alpha"]
+    alpha = _get(growth_raw, "alpha", "config.growth")
     if alpha == "auto":
         if kfamily != "laplace" or len(dispersal) != 1:
             raise _err("config.growth.alpha",
@@ -409,50 +418,42 @@ def parse_config(text: str) -> ScenarioConfig:
                    "a number, a list, or {sinusoidal: C}")
     elif isinstance(alpha, dict):
         _reject_unknown(alpha, {"sinusoidal"}, "config.growth.alpha")
-        c = _get_number(alpha, "sinusoidal", "config.growth.alpha", positive=True)
-        growth_scales = seasonal_scales(period, float(c))
+        growth_scales = seasonal_scales(period, _get(
+            alpha, "sinusoidal", "config.growth.alpha", _number, positive=True))
     else:
         growth_scales = _schedule(alpha, "config.growth.alpha", period)
 
-    inhom_raw = _require_mapping(raw["inhomogeneity"], "config.inhomogeneity")
-    _reject_unknown(inhom_raw, {"variant", "amplitudes", "levels"}, "config.inhomogeneity")
-    variant = _get_str(inhom_raw, "variant", "config.inhomogeneity", required=False)
-    amplitudes = None
-    if inhom_raw.get("amplitudes") is not None:
-        amplitudes = _number_list(inhom_raw["amplitudes"], "config.inhomogeneity.amplitudes")
-        if any(a < 0 for a in amplitudes):
-            raise _err("config.inhomogeneity.amplitudes", "entries must be >= 0")
+    inhom_raw = _get(raw, "inhomogeneity", "config", _section,
+                     allowed={"variant", "amplitudes", "levels"})
+    variant = _get(inhom_raw, "variant", "config.inhomogeneity", _string, required=False)
+    amplitudes = _get(inhom_raw, "amplitudes", "config.inhomogeneity", _number_list,
+                      required=False, least=0)
     if (variant is None) == (amplitudes is None):
         raise _err("config.inhomogeneity", "give exactly one of 'variant' or 'amplitudes'")
-    if variant is not None:
+    if amplitudes is None:
         _require_known(variant, SEASON_PATTERNS, "config.inhomogeneity.variant", "variant")
-    levels_raw = inhom_raw.get("levels", [1.0, 2.0])
+    levels_raw = _get(inhom_raw, "levels", "config.inhomogeneity", required=False,
+                      default=[1.0, 2.0])
     levels = _number_list(levels_raw, "config.inhomogeneity.levels")
     if len(levels) != 2:
         raise _err("config.inhomogeneity.levels", f"expected [low, high], got {levels_raw!r}")
     if any(v < 0 for v in levels):
         raise _err("config.inhomogeneity.levels", "levels must be >= 0")
 
-    initial_raw = _require_mapping(raw["initial"], "config.initial")
-    initial_id = _get_str(initial_raw, "id", "config.initial")
-    initial_params = {k: v for k, v in initial_raw.items() if k != "id"}
-    _initial_builder(initial_id, initial_params, "config.initial")
-    for key in initial_params:
-        if key == "coefficients":
-            initial_params[key] = _number_list(initial_params[key], "config.initial.coefficients")
-        else:
-            _get_number(initial_params, key, "config.initial")
+    initial_raw = _get(raw, "initial", "config", _require_mapping)
+    initial_id = _get(initial_raw, "id", "config.initial", _string)
+    _require_known(initial_id, INITIAL_CONDITIONS, "config.initial.id", "initial condition")
+    initial_params = _registry_params(
+        {k: v for k, v in initial_raw.items() if k != "id"}, INITIAL_CONDITIONS[initial_id][0],
+        "config.initial", required=True)
 
-    horizon = _get_int(raw, "horizon", "config", required=False, default=period + 1, least=0)
-    max_steps = _get_int(raw, "max_steps", "config", required=False, default=DEFAULT_MAX_STEPS,
-                         least=1)
+    horizon = _get(raw, "horizon", "config", _integer, required=False, default=period + 1,
+                   least=0)
+    max_steps = _get(raw, "max_steps", "config", _integer, required=False,
+                     default=DEFAULT_MAX_STEPS, least=1)
 
-    mode = _get_str(raw, "distance_bound", "config", required=False, default="upper-bound")
+    mode = _get(raw, "distance_bound", "config", _string, required=False, default="upper-bound")
     _require_known(mode, DISTANCE_BOUND_MODES, "config.distance_bound", "distance bound mode")
-
-    semilinear = None
-    if raw.get("semilinear") is not None:
-        semilinear = _parse_semilinear(raw["semilinear"], "config.semilinear")
 
     return ScenarioConfig(
         length=length,
@@ -462,20 +463,20 @@ def parse_config(text: str) -> ScenarioConfig:
         dispersal=dispersal,
         growth_family=gfamily,
         profile_id=profile_id,
-        profile_params=dict(profile_params),
+        profile_params=profile_params,
         profile_sup=profile_sup,
         growth_scales=growth_scales,
         variant=variant,
         amplitudes=amplitudes,
         levels=(levels[0], levels[1]),
         period=period,
-        tolerance=float(tol),
+        tolerance=tol,
         initial_id=initial_id,
         initial_params=initial_params,
         horizon=horizon,
         max_steps=max_steps,
         distance_bound_mode=mode,
-        semilinear=semilinear,
+        semilinear=_get(raw, "semilinear", "config", _parse_semilinear, required=False),
     )
 
 
@@ -488,25 +489,18 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(text)
 
 
-def _initial_builder(name: str, params: Mapping[str, Any], path: str) -> Callable:
-    """Builder of a registered initial condition whose parameter keys match its id."""
-    _require_known(name, INITIAL_CONDITIONS, f"{path}.id", "initial condition")
-    keys, build = INITIAL_CONDITIONS[name]
-    _reject_unknown(params, keys, path)
-    missing = sorted(keys - set(params))
-    if missing:
-        raise _err(path, f"missing required keys {missing}")
-    return build
-
-
 def initial_condition(name: str, params: Mapping[str, Any], grid: Grid) -> GridFunction:
     """Build the initial density from its registry id.
 
     ``default`` is the boundary-heavy density 2 x^2 + 0.5 on [-1, 1] and
     2.5 elsewhere (continuous at |x| = 1); ``constant`` takes ``value``;
     ``custom-polynomial`` evaluates ``coefficients`` in ascending degree.
+    Parameters are checked as ``parse_config`` checks ``config.initial``.
     """
-    return GridFunction(grid, _initial_builder(name, params, "initial")(params, grid.nodes))
+    _require_known(name, INITIAL_CONDITIONS, "initial.id", "initial condition")
+    keys, build = INITIAL_CONDITIONS[name]
+    return GridFunction(grid, build(_registry_params(params, keys, "initial", required=True),
+                                    grid.nodes))
 
 
 def build_scenario_grid(cfg: ScenarioConfig, nodes: int | None = None) -> Grid:
@@ -520,30 +514,29 @@ def build_operator(
 ) -> HammersteinOperator:
     """Assemble the collocated operator for a scenario.
 
-    ``grid`` defaults to the scenario grid and ``variant`` to ``cfg.variant``.
-    A config with ``inhomogeneity.amplitudes`` takes its support from the
-    amplitudes whatever the variant: a variant given here, or set with
-    ``dataclasses.replace`` (as a ``--variant`` override is), then only
-    names the run in its reports.
+    ``grid`` defaults to the scenario grid; a ``variant`` given here replaces
+    ``cfg.variant`` as a ``--variant`` override does.  A config with
+    ``inhomogeneity.amplitudes`` takes its support from the amplitudes
+    whatever the variant, which then only names the run in its reports.
     """
+    if variant is not None:
+        cfg = replace(cfg, variant=variant)
     grid = build_scenario_grid(cfg) if grid is None else grid
     profile = PROFILES[cfg.profile_id][1](cfg.profile_params, cfg.length)[0]
     growth = GrowthSpec(cfg.growth_family, profile, cfg.growth_scales, cfg.profile_sup)
     kernel = KernelSpec(cfg.kernel_family, cfg.dispersal)
-    return build_hammerstein(kernel, growth, build_inhomogeneity(cfg, variant), grid,
-                             theta=cfg.period)
+    return build_hammerstein(kernel, growth, build_inhomogeneity(cfg), grid, theta=cfg.period)
 
 
-def build_inhomogeneity(cfg: ScenarioConfig, variant: str | None = None) -> InhomogeneitySpec:
+def build_inhomogeneity(cfg: ScenarioConfig) -> InhomogeneitySpec:
     """The scenario's seasonal support, as :func:`build_operator` takes it.
 
     From ``inhomogeneity.amplitudes`` where the config has them, otherwise
-    from ``variant`` (default ``cfg.variant``) and the configured levels.
+    from ``cfg.variant`` and the configured levels.
     """
     if cfg.amplitudes is not None:
         return InhomogeneitySpec(cfg.amplitudes, cfg.period)
-    chosen = variant if variant is not None else cfg.variant
-    return InhomogeneitySpec.from_variant(chosen, cfg.period, cfg.levels)
+    return InhomogeneitySpec.from_variant(cfg.variant, cfg.period, cfg.levels)
 
 
 def build_semilinear_system(cfg: ScenarioConfig) -> SemilinearSystem:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 from pathlib import Path
 
@@ -338,58 +340,34 @@ REFUSALS = [
      "config.semilinear.initial[1]: expected a finite number, got nan"),
     ("semilinear-initial-number", SEMILINEAR + "  initial: 1.0\n",
      "config.semilinear.initial: expected a nonempty list of numbers, got 1.0"),
+    # a required key given as null is missing
     ("grid-null", edit("grid: {length: 6.0, nodes: 40}", "grid: null"),
-     "config.grid: expected a mapping, got NoneType"),
+     "config: missing required keys ['grid']"),
     ("period-null", edit("period: 6", "period: null"),
-     "config.period: expected a finite number, got None"),
+     "config: missing required keys ['period']"),
     ("schema-version-null", edit("schema_version: 1", "schema_version: null"),
-     "config.schema_version: expected a finite number, got None"),
+     "config: missing required keys ['schema_version']"),
     ("grid-length-null", edit("length: 6.0", "length: null"),
-     "config.grid.length: expected a finite number, got None"),
+     "config.grid: missing required key 'length'"),
     ("kernel-dispersal-null", edit("dispersal: 2.0", "dispersal: null"),
-     "config.kernel.dispersal: expected a finite number or a list of numbers, got None"),
+     "config.kernel: missing required key 'dispersal'"),
     ("growth-family-null", edit("family: beverton_holt", "family: null"),
-     "config.growth.family: expected a string, got None"),
+     "config.growth: missing required key 'family'"),
     ("alpha-null", edit("alpha: 0.05", "alpha: null"),
-     "config.growth.alpha: expected a finite number or a list of numbers, got None"),
+     "config.growth: missing required key 'alpha'"),
     ("alpha-sinusoidal-null", edit("alpha: 0.05", "alpha: {sinusoidal: null}"),
-     "config.growth.alpha.sinusoidal: expected a finite number, got None"),
+     "config.growth.alpha: missing required key 'sinusoidal'"),
     ("initial-id-null", edit("{id: default}", "{id: null}"),
-     "config.initial.id: expected a string, got None"),
+     "config.initial: missing required key 'id'"),
     ("initial-value-null", edit("{id: default}", "{id: constant, value: null}"),
-     "config.initial.value: expected a finite number, got None"),
-    ("profile-params-offset-null",
-     edit("profile: vee", "profile: vee\n  profile_params: {offset: null}"),
-     "config.growth.profile_params.offset: expected a finite number, got None"),
+     "config.initial: missing required keys ['value']"),
     ("semilinear-dimension-null", edit_semilinear("dimension: 2", "dimension: null"),
-     "config.semilinear.dimension: expected a finite number, got None"),
+     "config.semilinear: missing required key 'dimension'"),
     ("semilinear-matrices-null",
      edit_semilinear("matrices: [[[0.5, 0.0], [0.0, 0.5]]]", "matrices: null"),
-     "config.semilinear.matrices: expected a nonempty list of matrices"),
+     "config.semilinear: missing required key 'matrices'"),
     ("nonlinearity-name-null", edit_semilinear("name: constant", "name: null"),
-     "config.semilinear.nonlinearity.name: expected a string, got None"),
-    ("nonlinearity-value-null", edit_semilinear("value: [1.0, 1.0]", "value: null"),
-     "config.semilinear.nonlinearity.value: expected a finite number, got None"),
-    ("grid-rule-null", edit("nodes: 40", "nodes: 40, rule: null"),
-     "config.grid.rule: expected a string, got None"),
-    ("profile-sup-null", edit("profile: vee", "profile: vee\n  profile_sup: null"),
-     "config.growth.profile_sup: expected a finite number, got None"),
-    ("levels-null", edit("{variant: h4}", "{variant: h4, levels: null}"),
-     "config.inhomogeneity.levels: expected a nonempty list of numbers, got None"),
-    ("variant-null", edit("{variant: h4}", "{variant: null, amplitudes: [1.0, 2.0]}"),
-     "config.inhomogeneity.variant: expected a string, got None"),
-    ("horizon-null", edit("horizon: 7", "horizon: null"),
-     "config.horizon: expected a finite number, got None"),
-    ("max-steps-null", GOOD + "max_steps: null\n",
-     "config.max_steps: expected a finite number, got None"),
-    ("distance-bound-null", GOOD + "distance_bound: null\n",
-     "config.distance_bound: expected a string, got None"),
-    ("gamma-null", SEMILINEAR + "  gamma: null\n",
-     "config.semilinear.gamma: expected a finite number, got None"),
-    ("semilinear-tolerance-null", SEMILINEAR + "  tolerance: null\n",
-     "config.semilinear.tolerance: expected a finite number, got None"),
-    ("nonlinearity-null", edit_semilinear("{name: constant, value: [1.0, 1.0]}", "null"),
-     "config.semilinear.nonlinearity: expected a mapping, got NoneType"),
+     "config.semilinear.nonlinearity: missing required key 'name'"),
     ("empty", "",
      "config is empty; required keys are schema_version, grid, kernel, growth, inhomogeneity, "
      "period, tolerance, initial"),
@@ -405,6 +383,68 @@ def test_refusal_messages(text, message):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert str(err.value) == message
+
+
+VEE_PARAMS = edit("profile: vee", "profile: vee\n  profile_params: {slope: 2.0}")
+
+
+# (id, config text with an optional key set to null, the text without that key)
+NULL_IS_ABSENT = [
+    ("growth.profile_params",
+     edit("profile: vee", "profile: vee\n  profile_params: null"), GOOD),
+    ("inhomogeneity.amplitudes",
+     edit("{variant: h4}", "{variant: h4, amplitudes: null}"), GOOD),
+    ("semilinear", GOOD + "semilinear: null\n", GOOD),
+    ("semilinear.kappas", SEMILINEAR + "  kappas: null\n", SEMILINEAR),
+    ("semilinear.alphas", SEMILINEAR + "  alphas: null\n", SEMILINEAR),
+    ("semilinear.initial", SEMILINEAR + "  initial: null\n", SEMILINEAR),
+    ("grid.rule", edit("nodes: 40", "nodes: 40, rule: null"), GOOD),
+    ("growth.profile_sup", edit("profile: vee", "profile: vee\n  profile_sup: null"), GOOD),
+    ("inhomogeneity.levels", edit("{variant: h4}", "{variant: h4, levels: null}"), GOOD),
+    ("inhomogeneity.variant",
+     edit("{variant: h4}", "{variant: null, amplitudes: [1.0, 2.0]}"),
+     edit("{variant: h4}", "{amplitudes: [1.0, 2.0]}")),
+    ("horizon", edit("horizon: 7", "horizon: null"), edit("horizon: 7\n", "")),
+    ("max_steps", GOOD + "max_steps: null\n", GOOD),
+    ("distance_bound", GOOD + "distance_bound: null\n", GOOD),
+    ("semilinear.gamma", SEMILINEAR + "  gamma: null\n", SEMILINEAR),
+    ("semilinear.tolerance", SEMILINEAR + "  tolerance: null\n", SEMILINEAR),
+    ("semilinear.nonlinearity",
+     edit_semilinear("{name: constant, value: [1.0, 1.0]}", "null"),
+     edit_semilinear("  nonlinearity: {name: constant, value: [1.0, 1.0]}\n", "")),
+    # registry parameters
+    ("growth.profile_params.offset",
+     VEE_PARAMS.replace("{slope: 2.0}", "{offset: null, slope: 2.0}"), VEE_PARAMS),
+    ("semilinear.nonlinearity.value",
+     edit_semilinear("value: [1.0, 1.0]", "value: null"),
+     edit_semilinear(", value: [1.0, 1.0]", "")),
+]
+
+
+@pytest.mark.parametrize("with_null, without", [row[1:] for row in NULL_IS_ABSENT],
+                         ids=[row[0] for row in NULL_IS_ABSENT])
+def test_null_key_is_absent(with_null, without):
+    assert with_null != without
+    assert parse_config(with_null) == parse_config(without)
+
+
+@pytest.mark.parametrize("value, kind", [
+    ("0", "int"), ("[]", "list"), ("''", "str"), ("false", "bool"),
+])
+def test_falsy_profile_params_refused(value, kind):
+    with pytest.raises(ConfigError) as err:
+        parse_config(edit("profile: vee", f"profile: vee\n  profile_params: {value}"))
+    assert str(err.value) == f"config.growth.profile_params: expected a mapping, got {kind}"
+
+
+def test_configs_parse_as_at_fde8845():
+    # every config text that parsed at commit fde8845 (the shipped configs, the
+    # output battery's inputs and the texts of this suite) with the sha256 of
+    # the repr of the ScenarioConfig it parsed to there
+    cases = json.loads((Path(__file__).parent / "configs_parsed_at_fde8845.json").read_text())
+    assert len(cases) == 65
+    for text, digest in cases:
+        assert hashlib.sha256(repr(parse_config(text)).encode()).hexdigest() == digest, text
 
 
 def test_parse_shipped_seasonal_config():
@@ -603,10 +643,26 @@ class TestInitialCondition:
     def test_custom_polynomial(self):
         u = initial_condition("custom-polynomial", {"coefficients": [1.0, 0.0, 2.0]}, self.grid)
         assert u.values[-1] == pytest.approx(1 + 2 * 9, abs=1e-14)
+        # a parsed config holds its coefficients as a tuple
+        cfg = parse_config(edit("{id: default}", "{id: custom-polynomial, coefficients: [1, 0, 2]}"))
+        assert cfg.initial_params == {"coefficients": (1.0, 0.0, 2.0)}
+        v = initial_condition(cfg.initial_id, cfg.initial_params, self.grid)
+        assert np.array_equal(v.values, u.values)
 
     def test_unknown_id(self):
         with pytest.raises(ConfigError):
             initial_condition("bump", {}, self.grid)
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("constant", {"value": float("nan")}, "initial.value: expected a finite number, got nan"),
+        ("constant", {"value": True}, "initial.value: expected a finite number, got True"),
+        ("custom-polynomial", {"coefficients": []},
+         "initial.coefficients: expected a nonempty list of numbers, got []"),
+    ], ids=["nan", "bool", "no-coefficients"])
+    def test_parameter_values_checked(self, name, params, message):
+        with pytest.raises(ConfigError) as err:
+            initial_condition(name, params, self.grid)
+        assert str(err.value) == message
 
 
 def test_initial_params_must_match_id():

@@ -41,6 +41,13 @@ grep -q '^  levels: \[0.0, 0.0\]$' "$out/inputs/trajectory_bound_no_merge.yaml"
 # stops at its contraction gate with exit 2 before any bound is formed.
 sed 's/^  alpha: auto .*/  alpha: 1.0/' "$shipped" > "$out/inputs/no_contraction.yaml"
 grep -q '^  alpha: 1.0$' "$out/inputs/no_contraction.yaml"
+# Registry parameters read by initial_condition: a polynomial start and a
+# constant one.
+sed 's/^  id: default .*/  id: custom-polynomial\n  coefficients: [0.5, 0.0, 0.25]/' "$shipped" \
+    > "$out/inputs/custom_polynomial_initial.yaml"
+grep -q '^  coefficients: \[0.5, 0.0, 0.25\]$' "$out/inputs/custom_polynomial_initial.yaml"
+sed 's/^  id: default .*/  id: constant\n  value: 1.5/' "$shipped" > "$out/inputs/constant_initial.yaml"
+grep -q '^  value: 1.5$' "$out/inputs/constant_initial.yaml"
 # Tent kernel: class 0 has a closed-form mass, class 1 the row-sum fallback.
 cat > "$out/inputs/mixed_tent.yaml" <<'YAML'
 schema_version: 1
@@ -210,6 +217,9 @@ run semilinear_sigmoid semilinear --config "$out/inputs/semilinear_sigmoid.yaml"
 run semilinear_window_gamma semilinear --config "$out/inputs/semilinear_window_gamma.yaml"
 run semilinear_settled semilinear --config "$out/inputs/semilinear_settled.yaml"
 run no_contraction attractor --config "$out/inputs/no_contraction.yaml" --nodes 40
+run custom_polynomial_initial attractor --config "$out/inputs/custom_polynomial_initial.yaml" \
+    --nodes 40
+run constant_initial simulate --config "$out/inputs/constant_initial.yaml" --nodes 40
 run trajectory_bound attractor --config "$out/inputs/trajectory_bound.yaml" --nodes 200
 run trajectory_bound_no_merge attractor --config "$out/inputs/trajectory_bound_no_merge.yaml" \
     --nodes 200
