@@ -66,12 +66,11 @@ DISTANCE_BOUND_MODES = ("upper-bound", "trajectory")
 class ContractionCertificate:
     """Period contraction factor for one period of per-step constants.
 
-    ``factor`` is the largest product of ``window`` = theta cyclically
-    consecutive step constants (over all starts); the certificate is usable
-    only when it is below one.
+    ``factor`` is the largest product of theta cyclically consecutive step
+    constants (over all starts); the certificate is usable only when it is
+    below one.
     """
 
-    window: int
     factor: float
 
     @property
@@ -97,7 +96,7 @@ def certify_contraction(step_constants: Sequence[float]) -> ContractionCertifica
     cycled = lams * 2
     # the leading 0.0 makes constants of -0.0 give the factor +0.0
     factor = max(0.0, *(math.prod(cycled[tau:tau + theta]) for tau in range(theta)))
-    return ContractionCertificate(theta, factor)
+    return ContractionCertificate(factor)
 
 
 def step_constants_closed_form(op: HammersteinOperator) -> tuple[float, ...]:
@@ -243,18 +242,14 @@ def required_iterations(
     def met(t: int) -> bool:
         return _apriori_error(factor, t, distance_bound) <= tol
 
-    if distance_bound == 0.0:
-        t = 0
-    else:
-        if factor == 0.0:
-            t = 0 if met(0) else 1
-        else:
-            guess = (math.log(tol * (1.0 - factor)) - math.log(distance_bound)) / math.log(factor)
-            t = max(0, math.ceil(guess) - 2)
-            while not met(t):
-                t += 1
-            while t > 0 and met(t - 1):
-                t -= 1
+    t = 0
+    if factor > 0.0 and distance_bound > 0.0:
+        guess = (math.log(tol * (1.0 - factor)) - math.log(distance_bound)) / math.log(factor)
+        t = max(0, math.ceil(guess) - 2)
+    while not met(t):
+        t += 1
+    while t > 0 and met(t - 1):
+        t -= 1
     return ErrorBudget(float(distance_bound), float(tol), int(window), t, int(window) * t)
 
 
@@ -290,7 +285,7 @@ def pullback_fibers(
     reached at times 0, ..., theta-1 are the fibers.  Each carries the
     certified error factor**windows / (1 - factor) * distance_bound, the
     number :func:`required_iterations` compared with the tolerance.
-    Certificate and budget must have the period as window.
+    The budget must have the period as window.
 
     The sweep steps through :func:`~idepull.dynamics.orbit` and keeps a
     ring of the last theta states, slot t mod theta for time t.  It stops
@@ -304,11 +299,8 @@ def pullback_fibers(
     """
     _require_contraction(certificate.factor)
     theta = op.theta
-    if certificate.window != theta or budget.window != theta:
-        raise ValueError(
-            f"certificate window {certificate.window} and budget window {budget.window} "
-            f"must both be the period {theta}"
-        )
+    if budget.window != theta:
+        raise ValueError(f"budget window {budget.window} must be the period {theta}")
     total = budget.total_steps + theta - 1
     if total > max_steps:
         raise BudgetExceededError(

@@ -81,9 +81,9 @@ def main(argv=None) -> int:
         # an --out that cannot be a directory fails here, not after the run
         Path(args.out).mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
-            report = reporting.run_simulation(cfg, args.out)
-            print(f"simulated {report.steps} steps (variant {report.variant}, "
-                  f"n={report.nodes}); final total population {report.totals[-1]:.6g}")
+            totals = reporting.run_simulation(cfg, args.out)
+            print(f"simulated {cfg.horizon} steps (variant {cfg.variant or 'custom'}, "
+                  f"n={cfg.nodes}); final total population {totals[-1]:.6g}")
         elif args.command == "attractor":
             report = reporting.run_attractor(cfg, args.out)
             print(f"variant {report.variant}: factor {report.contraction_factor:.6g}, "
@@ -96,9 +96,9 @@ def main(argv=None) -> int:
                 marker = "  <- best" if v == comparison.best else ""
                 print(f"{v}: mean total population {mean:.6f}{marker}")
         elif args.command == "semilinear":
-            report = reporting.run_semilinear(cfg, args.out)
-            print(f"semilinear demo: dim {report.dimension}, period {report.theta}, "
-                  f"factor {report.contraction_factor:.6g}, settled after "
+            fibers, report = reporting.run_semilinear(cfg, args.out)
+            print(f"semilinear demo: dim {cfg.semilinear.dimension}, period {len(fibers)}, "
+                  f"factor {report.factor:.6g}, settled after "
                   f"{report.periods} periods (tail bound {report.tail_bound:.3g})")
         elif args.command == "lipschitz":
             summary = reporting.lipschitz_report(cfg, args.out)

@@ -178,7 +178,7 @@ def _section(value, path: str, allowed) -> dict:
 
 def _require_known(value: str, known, path: str, what: str) -> None:
     if value not in known:
-        raise _err(path, f"unknown {what} {value!r}; known {what}s are {sorted(known)}")
+        raise _err(path, f"unknown {what} {value!r}; expected one of {sorted(known)}")
 
 
 def _is_number(value) -> bool:
@@ -300,14 +300,12 @@ def _parse_semilinear(raw, path: str) -> SemilinearConfig:
         raise _err(f"{path}.matrices", "expected a nonempty list of matrices")
     matrices = []
     for i, m in enumerate(mats_raw):
-        if not isinstance(m, list) or len(m) != dim:
+        if not isinstance(m, list):
+            raise _err(f"{path}.matrices[{i}]", f"expected a list of rows, got {m!r}")
+        if len(m) != dim:
             raise _err(f"{path}.matrices[{i}]", f"expected {dim} rows")
-        rows = []
-        for j, row in enumerate(m):
-            rows.append(_number_list(row, f"{path}.matrices[{i}][{j}]"))
-            if len(rows[-1]) != dim:
-                raise _err(f"{path}.matrices[{i}][{j}]", f"expected {dim} entries")
-        matrices.append(tuple(rows))
+        matrices.append(tuple(_number_list(row, f"{path}.matrices[{i}][{j}]", dim=dim)
+                              for j, row in enumerate(m)))
 
     nl_path = f"{path}.nonlinearity"
     nl_raw = _get(raw, "nonlinearity", path, _require_mapping, required=False,
@@ -443,9 +441,10 @@ def parse_config(text: str) -> ScenarioConfig:
     initial_raw = _get(raw, "initial", "config", _require_mapping)
     initial_id = _get(initial_raw, "id", "config.initial", _string)
     _require_known(initial_id, INITIAL_CONDITIONS, "config.initial.id", "initial condition")
+    keys = INITIAL_CONDITIONS[initial_id][0]
+    _reject_unknown(initial_raw, {"id"} | keys, "config.initial")
     initial_params = _registry_params(
-        {k: v for k, v in initial_raw.items() if k != "id"}, INITIAL_CONDITIONS[initial_id][0],
-        "config.initial", required=True)
+        {k: v for k, v in initial_raw.items() if k != "id"}, keys, "config.initial", required=True)
 
     horizon = _get(raw, "horizon", "config", _integer, required=False, default=period + 1,
                    least=0)

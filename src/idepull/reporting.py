@@ -45,14 +45,12 @@ from .config import (
 from .exceptions import BoundFormulaOutOfRangeError, ConfigError, NoContractionError
 from .grid import sup_norm, total_population
 from .models import SEASON_PATTERNS
-from .semilinear import pullback_limit
+from .semilinear import PullbackReport, pullback_limit
 from .dynamics import trajectory
 
 __all__ = [
     "RunReport",
-    "TrajectoryReport",
     "ComparisonReport",
-    "SemilinearRunReport",
     "run_attractor",
     "run_simulation",
     "compare_inhomogeneities",
@@ -223,7 +221,7 @@ def _attractor_on(op, cfg: ScenarioConfig, out_dir, started: float) -> RunReport
         theta=op.theta,
         tolerance=cfg.tolerance,
         rule=cfg.rule,
-        window=certificate.window,
+        window=op.theta,
         contraction_factor=certificate.factor,
         contraction_factor_numeric=numeric_factor,
         distance_bound=budget.distance_bound,
@@ -244,25 +242,14 @@ def _attractor_on(op, cfg: ScenarioConfig, out_dir, started: float) -> RunReport
     return report
 
 
-@dataclass(frozen=True)
-class TrajectoryReport:
-    variant: str
-    nodes: int
-    steps: int
-    totals: tuple[float, ...]
-    wall_time_s: float
-
-
-def run_simulation(cfg: ScenarioConfig, out_dir) -> TrajectoryReport:
-    """Plain forward orbit from the configured initial state over the horizon."""
-    started = time.perf_counter()
+def run_simulation(cfg: ScenarioConfig, out_dir) -> tuple[float, ...]:
+    """Plain forward orbit from the configured initial state over the horizon;
+    writes trajectory.csv and totals.csv and returns the total of each day."""
     out = Path(out_dir)
     op = build_operator(cfg)
     u0 = initial_condition(cfg.initial_id, cfg.initial_params, op.grid)
     states = trajectory(op, 0, cfg.horizon, u0)
-    totals = _write_states_csv(out, "trajectory", states, op.grid)
-    return TrajectoryReport(cfg.variant or "custom", op.grid.n, cfg.horizon, totals,
-                            time.perf_counter() - started)
+    return _write_states_csv(out, "trajectory", states, op.grid)
 
 
 @dataclass(frozen=True)
@@ -357,21 +344,12 @@ def run_convergence(cfg: ScenarioConfig, out_dir) -> list[dict]:
     return rows
 
 
-@dataclass(frozen=True)
-class SemilinearRunReport:
-    dimension: int
-    theta: int
-    contraction_factor: float
-    periods: int
-    last_update: float
-    tail_bound: float
-    estimated: tuple[str, ...]
-    fibers: tuple
-
-
-def run_semilinear(cfg: ScenarioConfig, out_dir) -> SemilinearRunReport:
+def run_semilinear(
+    cfg: ScenarioConfig, out_dir
+) -> tuple[tuple[np.ndarray, ...], PullbackReport]:
     """Pullback fibers of the system ``build_semilinear_system`` assembles;
-    writes fibers.csv and report.csv."""
+    writes fibers.csv and report.csv and returns ``pullback_limit``'s
+    fibers and report."""
     system = build_semilinear_system(cfg)
     sc = cfg.semilinear
     out = Path(out_dir)
@@ -394,16 +372,7 @@ def run_semilinear(cfg: ScenarioConfig, out_dir) -> SemilinearRunReport:
             ("periods", report.periods),
             ("last_update", report.last_update),
             ("tail_bound", report.tail_bound),
-            ("estimated", ";".join(sorted(report.estimated)) or "none"),
+            ("estimated", ";".join(sorted(system.estimated)) or "none"),
         ],
     )
-    return SemilinearRunReport(
-        dimension=sc.dimension,
-        theta=system.theta,
-        contraction_factor=report.factor,
-        periods=report.periods,
-        last_update=report.last_update,
-        tail_bound=report.tail_bound,
-        estimated=tuple(sorted(report.estimated)),
-        fibers=fibers,
-    )
+    return fibers, report

@@ -299,7 +299,6 @@ class PullbackReport:
     last_update: float
     tail_bound: float
     factor: float
-    estimated: frozenset[str]
 
 
 def pullback_limit(
@@ -340,4 +339,4 @@ def pullback_limit(
     )
     start = np.zeros(sys.dim) if u0 is None else np.array(u0, dtype=float)
     fibers, tail = fixed_point_iterate(problem, period(start), tol)
-    return fibers, PullbackReport(periods, last_update, tail, q, sys.estimated)
+    return fibers, PullbackReport(periods, last_update, tail, q)

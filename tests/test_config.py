@@ -98,8 +98,7 @@ REFUSALS = [
     ("grid-rule-number", edit("nodes: 40", "nodes: 40, rule: 5"),
      "config.grid.rule: expected a string, got 5"),
     ("grid-rule-unknown", edit("nodes: 40", "nodes: 40, rule: simpson"),
-     "config.grid.rule: unknown quadrature rule 'simpson'; known quadrature rules are "
-     "['trapezoid']"),
+     "config.grid.rule: unknown quadrature rule 'simpson'; expected one of ['trapezoid']"),
     ("kernel-string", edit("{family: laplace, dispersal: 2.0}", "laplace"),
      "config.kernel: expected a mapping, got str"),
     ("kernel-unknown-key", edit("dispersal: 2.0}", "dispersal: 2.0, shape: 1}"),
@@ -109,7 +108,7 @@ REFUSALS = [
     ("kernel-family-number", edit("family: laplace", "family: 3"),
      "config.kernel.family: expected a string, got 3"),
     ("kernel-family-unknown", edit("family: laplace", "family: cauchy"),
-     "config.kernel.family: unknown kernel family 'cauchy'; known kernel familys are "
+     "config.kernel.family: unknown kernel family 'cauchy'; expected one of "
      "['gauss', 'laplace', 'tent']"),
     ("kernel-dispersal-missing", edit(", dispersal: 2.0", ""),
      "config.kernel: missing required key 'dispersal'"),
@@ -136,14 +135,14 @@ REFUSALS = [
     ("growth-family-list", edit("family: beverton_holt", "family: [beverton_holt]"),
      "config.growth.family: expected a string, got ['beverton_holt']"),
     ("growth-family-unknown", edit("family: beverton_holt", "family: hassell"),
-     "config.growth.family: unknown growth family 'hassell'; known growth familys are "
+     "config.growth.family: unknown growth family 'hassell'; expected one of "
      "['beverton_holt', 'logistic', 'ricker']"),
     ("growth-profile-missing", edit("  profile: vee\n", ""),
      "config.growth: missing required key 'profile'"),
     ("growth-profile-number", edit("profile: vee", "profile: 1"),
      "config.growth.profile: expected a string, got 1"),
     ("growth-profile-unknown", edit("profile: vee", "profile: bump"),
-     "config.growth.profile: unknown profile 'bump'; known profiles are ['flat', 'vee']"),
+     "config.growth.profile: unknown profile 'bump'; expected one of ['flat', 'vee']"),
     ("profile-params-number", edit("profile: vee", "profile: vee\n  profile_params: 5"),
      "config.growth.profile_params: expected a mapping, got int"),
     ("profile-params-list", edit("profile: vee", "profile: vee\n  profile_params: [1]"),
@@ -204,7 +203,7 @@ REFUSALS = [
     ("variant-number", edit("{variant: h4}", "{variant: 4}"),
      "config.inhomogeneity.variant: expected a string, got 4"),
     ("variant-unknown", edit("{variant: h4}", "{variant: h9}"),
-     "config.inhomogeneity.variant: unknown variant 'h9'; known variants are ['h1', 'h2', "
+     "config.inhomogeneity.variant: unknown variant 'h9'; expected one of ['h1', 'h2', "
      "'h3', 'h4']"),
     ("variant-and-amplitudes", edit("{variant: h4}", "{variant: h4, amplitudes: [1, 2]}"),
      "config.inhomogeneity: give exactly one of 'variant' or 'amplitudes'"),
@@ -235,10 +234,10 @@ REFUSALS = [
     ("initial-id-number", edit("{id: default}", "{id: 1}"),
      "config.initial.id: expected a string, got 1"),
     ("initial-id-unknown", edit("{id: default}", "{id: bump}"),
-     "config.initial.id: unknown initial condition 'bump'; known initial conditions are "
+     "config.initial.id: unknown initial condition 'bump'; expected one of "
      "['constant', 'custom-polynomial', 'default']"),
     ("initial-unknown-key", edit("{id: default}", "{id: default, value: 2.0}"),
-     "config.initial: unknown keys ['value']; allowed keys are []"),
+     "config.initial: unknown keys ['value']; allowed keys are ['id']"),
     ("initial-missing-key", edit("{id: default}", "{id: constant}"),
      "config.initial: missing required keys ['value']"),
     ("initial-value-bool", edit("{id: default}", "{id: constant, value: true}"),
@@ -267,8 +266,8 @@ REFUSALS = [
     ("distance-bound-number", GOOD + "distance_bound: 1\n",
      "config.distance_bound: expected a string, got 1"),
     ("distance-bound-unknown", GOOD + "distance_bound: exact\n",
-     "config.distance_bound: unknown distance bound mode 'exact'; known distance bound modes "
-     "are ['trajectory', 'upper-bound']"),
+     "config.distance_bound: unknown distance bound mode 'exact'; expected one of "
+     "['trajectory', 'upper-bound']"),
     ("semilinear-list", GOOD + "semilinear: [1]\n",
      "config.semilinear: expected a mapping, got list"),
     ("semilinear-unknown-key", SEMILINEAR + "  extra: 1\n",
@@ -289,10 +288,10 @@ REFUSALS = [
     ("semilinear-matrix-rows", edit_semilinear("[[[0.5, 0.0], [0.0, 0.5]]]", "[[[0.5, 0.0]]]"),
      "config.semilinear.matrices[0]: expected 2 rows"),
     ("semilinear-matrix-number", edit_semilinear("[[[0.5, 0.0], [0.0, 0.5]]]", "[1.0]"),
-     "config.semilinear.matrices[0]: expected 2 rows"),
+     "config.semilinear.matrices[0]: expected a list of rows, got 1.0"),
     ("semilinear-row-entries",
      edit_semilinear("[[[0.5, 0.0], [0.0, 0.5]]]", "[[[0.5, 0.0], [0.5]]]"),
-     "config.semilinear.matrices[0][1]: expected 2 entries"),
+     "config.semilinear.matrices[0][1]: expected 2 entries, got 1"),
     ("semilinear-row-entry",
      edit_semilinear("[[[0.5, 0.0], [0.0, 0.5]]]", "[[[0.5, 0.0], [0.0, x]]]"),
      "config.semilinear.matrices[0][1][1]: expected a finite number, got 'x'"),
@@ -304,8 +303,8 @@ REFUSALS = [
     ("nonlinearity-name-number", edit_semilinear("name: constant", "name: 1"),
      "config.semilinear.nonlinearity.name: expected a string, got 1"),
     ("nonlinearity-name-unknown", edit_semilinear("name: constant", "name: cubic"),
-     "config.semilinear.nonlinearity.name: unknown nonlinearity 'cubic'; known nonlinearitys "
-     "are ['bounded-sigmoid', 'constant', 'zero']"),
+     "config.semilinear.nonlinearity.name: unknown nonlinearity 'cubic'; expected one of "
+     "['bounded-sigmoid', 'constant', 'zero']"),
     ("nonlinearity-unknown-key",
      edit_semilinear("{name: constant, value: [1.0, 1.0]}", "{name: zero, value: 5.0}"),
      "config.semilinear.nonlinearity: unknown keys ['value']; allowed keys are ['name']"),

@@ -245,7 +245,7 @@ class TestPullbackLimit:
             pullback_limit(sys, 1e-10, max_periods=5)
 
     def test_shipped_demo_settles_after_15_periods(self, tmp_path):
-        report = run_semilinear(load_config("configs/semilinear_demo.yaml"), tmp_path)
+        _, report = run_semilinear(load_config("configs/semilinear_demo.yaml"), tmp_path)
         assert report.periods == 15
         assert report.tail_bound <= 1e-12
 

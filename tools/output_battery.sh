@@ -180,6 +180,19 @@ semilinear:
   initial: [1.0000001, 0.7000002099999999]
   tolerance: 1.0e-12
 YAML
+# Refused configs, each exiting 1 with its message on stderr: an unknown
+# registry value, a key the initial id does not take, and a semilinear matrix
+# that is not a list of rows.
+sed 's/^  family: laplace$/  family: cauchy/' "$shipped" > "$out/inputs/config_error_kernel_family.yaml"
+grep -q '^  family: cauchy$' "$out/inputs/config_error_kernel_family.yaml"
+sed 's/^  id: default .*/  id: default\n  value: 2.0/' "$shipped" \
+    > "$out/inputs/config_error_initial_key.yaml"
+grep -q '^  value: 2.0$' "$out/inputs/config_error_initial_key.yaml"
+{ sed '/^semilinear:/,$d' "$demo"; cat <<'YAML'; } > "$out/inputs/config_error_semilinear_matrix.yaml"
+semilinear:
+  dimension: 2
+  matrices: [1.0]
+YAML
 python3 - "$checkout/perfbench" "$out/inputs/gauss_periodic_draw3.yaml" <<'EOF'
 import sys
 
@@ -246,5 +259,9 @@ run trajectory_bound_laplace_periodic attractor \
 run trajectory_bound_tent_periodic attractor --config "$out/inputs/trajectory_bound_tent_periodic.yaml"
 run trajectory_bound_gauss_periodic_draw3 attractor \
     --config "$out/inputs/trajectory_bound_gauss_periodic_draw3.yaml"
+run config_error_kernel_family attractor --config "$out/inputs/config_error_kernel_family.yaml"
+run config_error_initial_key attractor --config "$out/inputs/config_error_initial_key.yaml"
+run config_error_semilinear_matrix semilinear \
+    --config "$out/inputs/config_error_semilinear_matrix.yaml"
 
 find "$out" -name '*.csv' -exec sed -i '/^wall_time_s,/d' {} +
