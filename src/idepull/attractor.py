@@ -207,10 +207,12 @@ class ErrorBudget:
     """
 
     distance_bound: float
-    tol: float
     window: int
     windows: int
-    total_steps: int
+
+    @property
+    def total_steps(self) -> int:
+        return self.window * self.windows
 
 
 def _require_contraction(factor: float, tol: float | None = None) -> None:
@@ -250,7 +252,7 @@ def required_iterations(
         t += 1
     while t > 0 and met(t - 1):
         t -= 1
-    return ErrorBudget(float(distance_bound), float(tol), int(window), t, int(window) * t)
+    return ErrorBudget(float(distance_bound), int(window), t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,14 +260,13 @@ class AttractorFibers:
     """Periodic attractor fibers with their certified sup-norm error.
 
     ``steps_used`` counts the steps the sweep took: the first t >= theta
-    whose state u(t) equals u(t - theta) bit for bit, otherwise
-    ``budget.total_steps + theta - 1``.
+    whose state u(t) equals u(t - theta) bit for bit, otherwise the
+    budget's ``total_steps + theta - 1``.
     """
 
     theta: int
     fibers: tuple[GridFunction, ...]
     certified_error: float
-    budget: ErrorBudget
     steps_used: int
 
     def fiber(self, t: int) -> GridFunction:
@@ -317,7 +318,7 @@ def pullback_fibers(
         ring[t % theta] = state
 
     certified = _apriori_error(certificate.factor, budget.windows, budget.distance_bound)
-    return AttractorFibers(theta, tuple(ring), certified, budget, steps)
+    return AttractorFibers(theta, tuple(ring), certified, steps)
 
 
 def attraction_rate(

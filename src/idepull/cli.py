@@ -101,12 +101,12 @@ def main(argv=None) -> int:
                   f"factor {report.factor:.6g}, settled after "
                   f"{report.periods} periods (tail bound {report.tail_bound:.3g})")
         elif args.command == "lipschitz":
-            summary = reporting.lipschitz_report(cfg, args.out)
-            print(f"window contraction factor {summary['contraction_factor']:.10g} "
-                  f"(valid: {summary['valid']})")
-            if summary["valid"]:
-                print(f"distance bound {summary['distance_bound']:.6g}, "
-                      f"windows {summary['windows']}, total steps {summary['total_steps']}")
+            certificate, budget = reporting.lipschitz_report(cfg, args.out)
+            print(f"window contraction factor {certificate.factor:.10g} "
+                  f"(valid: {certificate.valid})")
+            if budget is not None:
+                print(f"distance bound {budget.distance_bound:.6g}, "
+                      f"windows {budget.windows}, total steps {budget.total_steps}")
         elif args.command == "convergence":
             rows = reporting.run_convergence(cfg, args.out)
             for row in rows:

@@ -52,8 +52,9 @@ SCHEMA_VERSION = 1
 def _vee(params: Mapping[str, float], length: float) -> tuple[Callable, tuple[float, float]]:
     offset = float(params.get("offset", 3.0))
     slope = float(params.get("slope", 2.0))
-    # affine in |x| on [0, L/2], so the profile's extremes are at x = 0 and |x| = L/2
-    low, high = sorted((offset, offset + slope * length / 2))
+    # affine in |x| on [0, L/2], so the profile's extremes are at x = 0 and |x| = L/2;
+    # slope * (L/2) overflows only where the maximum does
+    low, high = sorted((offset, offset + slope * (length / 2)))
     return (lambda x: offset + slope * np.abs(x)), (low, high)
 
 
@@ -251,17 +252,22 @@ def _number_list(value, path: str, least=None, dim=None) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _registry_params(params: Mapping, keys, path: str, *, required=False, dim=None) -> dict:
+def _registry_params(params: Mapping, keys, path: str, *, name=None, required=False,
+                     dim=None) -> dict:
     """The parameters of a registry entry that takes ``keys``, checked: no
     other key, each of them present where ``required``, and each value a
     finite number, or a nonempty list of them for a list-valued key:
     ``coefficients``, and where ``dim`` is given a ``value`` of ``dim``
-    entries, which is kept as the list given.  Absent parameters are left out."""
-    _reject_unknown(params, keys, path)
+    entries, which is kept as the list given.  Absent parameters are left out.
+    ``name``, where given, is the key of the section that names the entry:
+    it is allowed and is not a parameter."""
+    _reject_unknown(params, {*keys, name} if name else keys, path)
     if required:
         _require_keys(params, sorted(keys), path)
     checked = {}
     for key, value in params.items():
+        if key == name:
+            continue
         if key == "coefficients":
             value = _get(params, key, path, _number_list, required=False)
         elif key == "value" and dim is not None and isinstance(value, list):
@@ -313,10 +319,7 @@ def _parse_semilinear(raw, path: str) -> SemilinearConfig:
     name = _get(nl_raw, "name", nl_path, _string)
     _require_known(name, NONLINEARITIES, f"{nl_path}.name", "nonlinearity")
     keys, build = NONLINEARITIES[name]
-    # the name is a key of the section, not a parameter of the entry
-    _reject_unknown(nl_raw, {"name"} | keys, nl_path)
-    params = _registry_params({k: v for k, v in nl_raw.items() if k != "name"}, keys, nl_path,
-                              dim=dim)
+    params = _registry_params(nl_raw, keys, nl_path, name="name", dim=dim)
 
     return SemilinearConfig(
         dimension=dim,
@@ -396,6 +399,9 @@ def parse_config(text: str) -> ScenarioConfig:
     if low < 0:
         raise _err("config.growth.profile_params",
                    f"profile {profile_id!r} falls to {low} on the habitat; it must be >= 0")
+    if not math.isfinite(high):
+        raise _err("config.growth.profile_params",
+                   f"profile {profile_id!r} rises to {high} on the habitat; it must be finite")
     profile_sup = _get(growth_raw, "profile_sup", "config.growth", _number, required=False,
                        default=high, positive=True)
     if profile_sup < high:
@@ -441,10 +447,8 @@ def parse_config(text: str) -> ScenarioConfig:
     initial_raw = _get(raw, "initial", "config", _require_mapping)
     initial_id = _get(initial_raw, "id", "config.initial", _string)
     _require_known(initial_id, INITIAL_CONDITIONS, "config.initial.id", "initial condition")
-    keys = INITIAL_CONDITIONS[initial_id][0]
-    _reject_unknown(initial_raw, {"id"} | keys, "config.initial")
-    initial_params = _registry_params(
-        {k: v for k, v in initial_raw.items() if k != "id"}, keys, "config.initial", required=True)
+    initial_params = _registry_params(initial_raw, INITIAL_CONDITIONS[initial_id][0],
+                                      "config.initial", name="id", required=True)
 
     horizon = _get(raw, "horizon", "config", _integer, required=False, default=period + 1,
                    least=0)
@@ -494,12 +498,16 @@ def initial_condition(name: str, params: Mapping[str, Any], grid: Grid) -> GridF
     ``default`` is the boundary-heavy density 2 x^2 + 0.5 on [-1, 1] and
     2.5 elsewhere (continuous at |x| = 1); ``constant`` takes ``value``;
     ``custom-polynomial`` evaluates ``coefficients`` in ascending degree.
-    Parameters are checked as ``parse_config`` checks ``config.initial``.
+    Parameters are checked as ``parse_config`` checks ``config.initial``, and
+    a start value that is not finite at some node is refused.
     """
     _require_known(name, INITIAL_CONDITIONS, "initial.id", "initial condition")
     keys, build = INITIAL_CONDITIONS[name]
-    return GridFunction(grid, build(_registry_params(params, keys, "initial", required=True),
-                                    grid.nodes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = build(_registry_params(params, keys, "initial", required=True), grid.nodes)
+    if not np.isfinite(values).all():
+        raise _err("initial", f"the {name!r} start values are not finite at every node")
+    return GridFunction(grid, values)
 
 
 def build_scenario_grid(cfg: ScenarioConfig, nodes: int | None = None) -> Grid:

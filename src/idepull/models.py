@@ -251,7 +251,6 @@ class InhomogeneitySpec:
 
     amplitudes: tuple[float, ...]
     theta: int
-    variant: str | None = None
 
     def __post_init__(self):
         amps = tuple(float(v) for v in self.amplitudes)
@@ -271,7 +270,7 @@ class InhomogeneitySpec:
         if variant not in SEASON_PATTERNS:
             raise ValueError(f"unknown inhomogeneity variant {variant!r}")
         amps = tuple(levels[i] for i in SEASON_PATTERNS[variant])
-        return cls(amps, theta, variant)
+        return cls(amps, theta)
 
     def amplitude_at(self, t: int) -> float:
         """Amplitude of the season holding integer time ``t``.

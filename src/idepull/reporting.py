@@ -27,6 +27,7 @@ import numpy as np
 import orjson
 
 from .attractor import (
+    ContractionCertificate,
     ErrorBudget,
     apriori_distance_bound,
     certify_contraction,
@@ -42,7 +43,12 @@ from .config import (
     build_semilinear_system,
     initial_condition,
 )
-from .exceptions import BoundFormulaOutOfRangeError, ConfigError, NoContractionError
+from .exceptions import (
+    BoundFormulaOutOfRangeError,
+    ConfigError,
+    DivergentInputError,
+    NoContractionError,
+)
 from .grid import sup_norm, total_population
 from .models import SEASON_PATTERNS
 from .semilinear import PullbackReport, pullback_limit
@@ -209,10 +215,8 @@ def _attractor_on(op, cfg: ScenarioConfig, out_dir, started: float) -> RunReport
     )
     states = (fibers.fibers + extension[1:])[: cfg.horizon + 1]
 
-    # the states open with the fibers; a horizon shorter than the period
-    # leaves the last fibers' totals to compute here
-    written = _write_states_csv(out, "fibers", states, grid)
-    totals = written[: op.theta] + tuple(map(total_population, fibers.fibers[len(written):]))
+    _write_states_csv(out, "fibers", states, grid)
+    totals = tuple(map(total_population, fibers.fibers))
     sups = tuple(sup_norm(f) for f in fibers.fibers)
     report = RunReport(
         variant=cfg.variant or "custom",
@@ -300,8 +304,11 @@ def compare_inhomogeneities(cfg: ScenarioConfig, out_dir) -> ComparisonReport:
     return ComparisonReport(variants, means, best, reports)
 
 
-def lipschitz_report(cfg: ScenarioConfig, out_dir) -> dict:
-    """Closed-form versus quadrature step constants, plus the budget summary."""
+def lipschitz_report(
+    cfg: ScenarioConfig, out_dir
+) -> tuple[ContractionCertificate, ErrorBudget | None]:
+    """Closed-form versus quadrature step constants in lipschitz.csv; returns the
+    closed-form certificate and its budget, ``None`` for an invalid certificate."""
     out = Path(out_dir)
     op = build_operator(cfg)
     u0 = initial_condition(cfg.initial_id, cfg.initial_params, op.grid)
@@ -317,16 +324,7 @@ def lipschitz_report(cfg: ScenarioConfig, out_dir) -> dict:
         rows,
     )
 
-    summary = {
-        "contraction_factor": certificate.factor,
-        "valid": certificate.valid,
-        "closed_form_in_range": op.masses_closed_form,
-    }
-    if certificate.valid:
-        budget = _budget(op, u0, cfg, certificate.factor)
-        summary.update(distance_bound=budget.distance_bound, windows=budget.windows,
-                       total_steps=budget.total_steps)
-    return summary
+    return certificate, _budget(op, u0, cfg, certificate.factor) if certificate.valid else None
 
 
 def run_convergence(cfg: ScenarioConfig, out_dir) -> list[dict]:
@@ -354,7 +352,12 @@ def run_semilinear(
     sc = cfg.semilinear
     out = Path(out_dir)
     u0 = np.asarray(sc.initial, dtype=float) if sc.initial is not None else None
-    fibers, report = pullback_limit(system, sc.tolerance, u0)
+    # an overflow is refused as the divergence it leads to, so numpy stays quiet
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            fibers, report = pullback_limit(system, sc.tolerance, u0)
+    except DivergentInputError as exc:
+        raise ConfigError(f"config.semilinear: {exc}") from exc
 
     _write_csv(
         out / "fibers.csv",

@@ -95,9 +95,11 @@ def _norm_pairs(
     u = rng.normal(scale=3.0, size=(pairs, dim))
     v = rng.normal(scale=3.0, size=(pairs, dim))
     diff = np.empty_like(u)
-    for row, a, b in zip(diff, u, v):
-        row[...] = k(a)
-        row -= k(b)
+    # an overflow is refused below as a non-finite value, so numpy stays quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, a, b in zip(diff, u, v):
+            row[...] = k(a)
+            row -= k(b)
     num = np.max(np.abs(diff, out=diff), axis=1, initial=0.0)
     if not np.isfinite(num).all():
         raise ValueError("nonlinearity gave a non-finite value on sampled states")

@@ -464,7 +464,7 @@ class TestPullbackFibers:
     def test_invalid_certificate_rejected(self, seasonal_op):
         op, grid = seasonal_op
         cert = certify_contraction([1.2] * op.theta)
-        budget = ip.ErrorBudget(1.0, 1e-6, op.theta, 3, 3 * op.theta)
+        budget = ip.ErrorBudget(1.0, op.theta, 3)
         with pytest.raises(NoContractionError):
             pullback_fibers(op, cert, budget, GridFunction.constant(grid, 1.0))
 
@@ -474,7 +474,7 @@ class TestPullbackFibers:
         u0 = GridFunction.constant(grid, 1.0)
         lams = ip.step_constants_numeric(op)
         cert = certify_contraction(lams)
-        other = ip.ErrorBudget(1.0, 1e-6, op.theta + 1, 3, 3 * (op.theta + 1))
+        other = ip.ErrorBudget(1.0, op.theta + 1, 3)
         with pytest.raises(ValueError, match="period"):
             pullback_fibers(op, cert, other, u0)
 
@@ -520,11 +520,13 @@ class TestPullbackFibers:
     def test_certified_error_below_tolerance(self, seasonal_op):
         op, grid = seasonal_op
         fibers, cert = tight_fibers(op, grid, tol=1e-8)
+        bound = apriori_distance_bound(op, GridFunction.constant(grid, 1.0))
+        budget = required_iterations(cert.factor, bound, 1e-8, op.theta)
         assert fibers.certified_error <= 1e-8
         assert fibers.certified_error == (
-            cert.factor**fibers.budget.windows
+            cert.factor**budget.windows
             / (1 - cert.factor)
-            * fibers.budget.distance_bound
+            * budget.distance_bound
         )
 
     def test_certified_error_is_the_budgeted_number(self):
@@ -538,7 +540,7 @@ class TestPullbackFibers:
         budget = required_iterations(factor, bound, tol, 2)
         fibers = pullback_fibers(op, ip.ContractionCertificate(factor), budget,
                                  GridFunction.constant(grid, 1.0))
-        assert fibers.certified_error <= budget.tol
+        assert fibers.certified_error <= tol
         assert budget.windows == 15
         assert fibers.certified_error == float.fromhex("0x1.add1ac5fdb9e1p-6")
 
@@ -618,11 +620,12 @@ class TestPullbackFibers:
     def test_period_one_stops_at_fixed_point(self):
         op, grid = make_seasonal_operator(theta=1)
         u0 = GridFunction.constant(grid, 1.0)
-        fibers, _ = tight_fibers(op, grid, u0=u0)
-        assert fibers.steps_used == first_repeat_steps(op, u0, fibers.budget.total_steps)
-        assert fibers.steps_used < fibers.budget.total_steps
+        fibers, cert = tight_fibers(op, grid, u0=u0)
+        budget = required_iterations(cert.factor, apriori_distance_bound(op, u0), 1e-12, op.theta)
+        assert fibers.steps_used == first_repeat_steps(op, u0, budget.total_steps)
+        assert fibers.steps_used < budget.total_steps
         assert [f.values.tobytes() for f in fibers.fibers] == self.full_sweep_bits(
-            op, fibers.budget, u0)
+            op, budget, u0)
         assert op.step(0, fibers.fiber(0)).values.tobytes() == fibers.fiber(0).values.tobytes()
 
     def test_zero_windows_compares_no_step(self, seasonal_op):
@@ -632,7 +635,7 @@ class TestPullbackFibers:
         counting = CountingOperator(op)
         u0 = GridFunction.constant(grid, 1.0)
         cert = certify_contraction(ip.step_constants_numeric(op))
-        budget = ip.ErrorBudget(0.0, 1e-6, op.theta, 0, 0)
+        budget = ip.ErrorBudget(0.0, op.theta, 0)
         fibers = pullback_fibers(counting, cert, budget, u0)
         assert fibers.steps_used == counting.calls == op.theta - 1
         assert [f.values.tobytes() for f in fibers.fibers] == [
@@ -649,14 +652,14 @@ class TestPullbackFibers:
         u0 = GridFunction.constant(grid, float(theta * windows - 1))
         cert = certify_contraction([0.5] * theta)
         exhausted = theta * windows + theta - 1
-        budget = ip.ErrorBudget(1.0, 1e-6, theta, windows, theta * windows)
+        budget = ip.ErrorBudget(1.0, theta, windows)
         fibers = pullback_fibers(op, cert, budget, u0)
         assert op.calls == fibers.steps_used == exhausted
         assert fibers.steps_used == first_repeat_steps(op, u0, budget.total_steps)
         assert [f.values.tobytes() for f in fibers.fibers] == self.full_sweep_bits(op, budget, u0)
         assert all(np.all(f.values == 0.0) for f in fibers.fibers)
 
-        short = ip.ErrorBudget(1.0, 1e-6, theta, windows - 1, theta * (windows - 1))
+        short = ip.ErrorBudget(1.0, theta, windows - 1)
         fibers = pullback_fibers(Countdown(theta), cert, short, u0)
         assert fibers.steps_used == exhausted - theta
         assert [f.values.tobytes() for f in fibers.fibers] == self.full_sweep_bits(op, short, u0)
@@ -673,7 +676,7 @@ class TestPullbackFibers:
 
         op = Negate()
         u0 = GridFunction(grid, np.zeros(grid.n + 1))
-        budget = ip.ErrorBudget(1.0, 1e-6, 1, 10, 10)
+        budget = ip.ErrorBudget(1.0, 1, 10)
         fibers = pullback_fibers(op, certify_contraction([0.5]), budget, u0)
         assert fibers.steps_used == budget.total_steps
         assert [f.values.tobytes() for f in fibers.fibers] == self.full_sweep_bits(op, budget, u0)
@@ -683,7 +686,7 @@ class TestPullbackFibers:
         op, grid = seasonal_op
         u0 = GridFunction.constant(grid, 1.0)
         cert = certify_contraction(ip.step_constants_numeric(op))
-        budget = ip.ErrorBudget(1.0, 1e-2, op.theta, 3, 3 * op.theta)
+        budget = ip.ErrorBudget(1.0, op.theta, 3)
         fibers = pullback_fibers(op, cert, budget, u0)
         assert fibers.steps_used == budget.total_steps + op.theta - 1
         assert [f.values.tobytes() for f in fibers.fibers] == self.full_sweep_bits(op, budget, u0)
@@ -908,3 +911,37 @@ class TestFixedPointIterate:
         )
         with pytest.raises(DivergentInputError):
             fixed_point_iterate(problem, 1.0, 1e-6)
+
+
+def zero_horizon_rate():
+    op, grid = make_seasonal_operator(n=8, theta=2)
+    fibers, _ = tight_fibers(op, grid)
+    return attraction_rate(op, fibers, [fibers.fiber(0)], 0, horizon=0)
+
+
+# (id, a refused call, the exception type, its exact message)
+REFUSALS = [
+    ("negative-factor", lambda: required_iterations(-0.5, 1.0, 1e-6, 2), ValueError,
+     "contraction factor must be >= 0, got -0.5"),
+    ("infinite-bound", lambda: required_iterations(0.5, math.inf, 1e-6, 2), ValueError,
+     "distance bound must be finite and >= 0, got inf"),
+    ("nan-bound", lambda: required_iterations(0.5, math.nan, 1e-6, 2), ValueError,
+     "distance bound must be finite and >= 0, got nan"),
+    ("negative-bound", lambda: required_iterations(0.5, -1.0, 1e-6, 2), ValueError,
+     "distance bound must be finite and >= 0, got -1.0"),
+    ("zero-window", lambda: required_iterations(0.5, 1.0, 1e-6, 0), ValueError,
+     "window must be >= 1, got 0"),
+    ("zero-horizon", zero_horizon_rate, ValueError, "horizon must be >= 1, got 0"),
+    ("zero-order", lambda: fixed_point_iterate(IterateContractionProblem(
+        step=lambda x: x / 2, distance=lambda a, b: abs(a - b), order=0, factor=0.5),
+        1.0, 1e-6), ValueError, "iterate order must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in REFUSALS],
+                         ids=[row[0] for row in REFUSALS])
+def test_refusal_messages(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message

@@ -164,6 +164,9 @@ REFUSALS = [
     ("profile-negative-flat",
      edit("profile: vee", "profile: flat\n  profile_params: {value: -1.0}"),
      "config.growth.profile_params: profile 'flat' falls to -1.0 on the habitat; it must be >= 0"),
+    ("profile-overflow-vee",
+     edit("profile: vee", "profile: vee\n  profile_params: {offset: 1.0e+308, slope: 1.0e+308}"),
+     "config.growth.profile_params: profile 'vee' rises to inf on the habitat; it must be finite"),
     ("profile-sup-string", edit("profile: vee", "profile: vee\n  profile_sup: big"),
      "config.growth.profile_sup: expected a finite number, got 'big'"),
     ("profile-sup-zero", edit("profile: vee", "profile: vee\n  profile_sup: 0"),
@@ -657,7 +660,9 @@ class TestInitialCondition:
         ("constant", {"value": True}, "initial.value: expected a finite number, got True"),
         ("custom-polynomial", {"coefficients": []},
          "initial.coefficients: expected a nonempty list of numbers, got []"),
-    ], ids=["nan", "bool", "no-coefficients"])
+        ("custom-polynomial", {"coefficients": [1.0e308, 1.0e308]},
+         "initial: the 'custom-polynomial' start values are not finite at every node"),
+    ], ids=["nan", "bool", "no-coefficients", "overflow-at-nodes"])
     def test_parameter_values_checked(self, name, params, message):
         with pytest.raises(ConfigError) as err:
             initial_condition(name, params, self.grid)
@@ -677,8 +682,8 @@ def test_build_operator_variant_override():
     cfg = parse_config(GOOD)
     op_default = build_operator(cfg)
     op_h2 = build_operator(cfg, variant="h2")
-    assert op_default.inhomogeneity.variant == "h4"
-    assert op_h2.inhomogeneity.variant == "h2"
+    assert op_default.inhomogeneity.amplitudes == (2.0, 1.0, 2.0, 1.0)
+    assert op_h2.inhomogeneity.amplitudes == (1.0, 2.0, 1.0, 2.0)
     assert op_default.theta == 6
 
 
@@ -753,6 +758,12 @@ def test_profile_sup_is_exact_supremum():
     assert sup(GOOD.replace("profile: vee", "profile: flat\n  profile_params: "
                             "{value: 2.5}")) == 2.5
     assert sup(GOOD.replace("profile: vee", "profile: vee\n  profile_sup: 12.0")) == 12.0
+
+
+def test_profile_maximum_near_the_float_limit_is_finite():
+    # slope * L overflows here, slope * L/2 = 1.5e308 does not
+    text = edit("profile: vee", "profile: vee\n  profile_params: {offset: 0.0, slope: 5.0e+307}")
+    assert parse_config(text).profile_sup == 1.5e308
 
 
 def test_declared_profile_sup_not_below_exact_maximum():

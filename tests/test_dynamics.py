@@ -478,3 +478,26 @@ class TestPointwise:
                 v = GridFunction(grid, rng.normal(scale=2.0, size=grid.n + 1))
                 lhs = sup_distance(op.step(t, u), op.step(t, v))
                 assert lhs <= lam * sup_distance(u, v) + 1e-12
+
+
+def step_on_other_grid():
+    op = build_pointwise(np.ones_like, 1.0, build_grid(6.0, 4))
+    return op.step(0, GridFunction.constant(build_grid(6.0, 8), 1.0))
+
+
+# (id, a refused call, the exception type, its exact message)
+REFUSALS = [
+    ("pointwise-other-grid", step_on_other_grid, GridMismatchError,
+     "state lives on a different grid"),
+    ("negative-profile", lambda: build_pointwise(lambda x: x, 1.0, build_grid(6.0, 4)),
+     ValueError, "growth profile must be nonnegative on the habitat"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in REFUSALS],
+                         ids=[row[0] for row in REFUSALS])
+def test_refusal_messages(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message

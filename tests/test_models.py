@@ -24,6 +24,7 @@ from idepull import (
     step_constants_closed_form,
 )
 from idepull.cli import main
+from idepull.models import growth_curve
 
 
 def flat(value):
@@ -322,3 +323,46 @@ class TestLipschitzAndAmplitude:
         assert scales[0] == pytest.approx(2.0, abs=1e-15)
         assert scales[1] == pytest.approx(3.0, abs=1e-12)
         assert all(s > 0 for s in scales)
+
+
+# (id, a refused call, its exact ValueError message)
+REFUSALS = [
+    ("kernel-bound-zero-length", lambda: kernel_bound(KernelSpec("laplace", 1.0), 0, 0.0),
+     "length must be positive, got 0.0"),
+    ("kernel-bound-negative-length", lambda: kernel_bound(KernelSpec("gauss", 1.0), 0, -1.0),
+     "length must be positive, got -1.0"),
+    ("growth-unknown-family", lambda: GrowthSpec("gompertz", flat(1.0), (1.0,), 1.0),
+     "unknown growth family 'gompertz'"),
+    ("growth-infinite-profile-sup", lambda: GrowthSpec("logistic", flat(1.0), (1.0,), math.inf),
+     "profile_sup must be finite and >= 0, got inf"),
+    ("growth-negative-profile-sup", lambda: GrowthSpec("logistic", flat(1.0), (1.0,), -1.0),
+     "profile_sup must be finite and >= 0, got -1.0"),
+    ("growth-curve-unknown-family", lambda: growth_curve("gompertz", 1.0, 1.0),
+     "unknown growth family 'gompertz'"),
+    ("no-amplitudes", lambda: InhomogeneitySpec((), 4), "amplitudes must not be empty"),
+    ("negative-amplitude", lambda: InhomogeneitySpec((1.0, -0.5), 4),
+     "amplitudes must be finite and >= 0, got -0.5"),
+    ("inhomogeneity-zero-period", lambda: InhomogeneitySpec((1.0,), 0),
+     "period must be >= 1, got 0"),
+    ("unknown-variant", lambda: InhomogeneitySpec.from_variant("h9", 4),
+     "unknown inhomogeneity variant 'h9'"),
+    ("half-contraction-zero-period", lambda: half_contraction_amplitude(0, 2.0, 6.0, 9.0),
+     "period must be >= 1, got 0"),
+    ("half-contraction-zero-rate", lambda: half_contraction_amplitude(4, 0.0, 6.0, 9.0),
+     "rate, length, and profile_sup must be positive"),
+    ("half-contraction-negative-length", lambda: half_contraction_amplitude(4, 2.0, -6.0, 9.0),
+     "rate, length, and profile_sup must be positive"),
+    ("half-contraction-zero-profile-sup", lambda: half_contraction_amplitude(4, 2.0, 6.0, 0.0),
+     "rate, length, and profile_sup must be positive"),
+    ("seasonal-scales-zero-period", lambda: seasonal_scales(0, 1.0),
+     "period must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("call, message", [row[1:] for row in REFUSALS],
+                         ids=[row[0] for row in REFUSALS])
+def test_refusal_messages(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message

@@ -4,6 +4,7 @@ import math
 import tempfile
 import time
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -295,15 +296,25 @@ class TestCompare:
 
 class TestLipschitzAndConvergence:
     def test_lipschitz_table(self, small_cfg, tmp_path):
-        summary = lipschitz_report(small_cfg, tmp_path)
+        certificate, budget = lipschitz_report(small_cfg, tmp_path)
         header, rows = read_csv_rows(tmp_path / "lipschitz.csv")
         assert len(rows) == small_cfg.period
         lams_closed = [float(r[4]) for r in rows]
         cert = ip.certify_contraction(lams_closed)
-        assert summary["contraction_factor"] == cert.factor
-        assert summary["valid"]
+        assert certificate.factor == cert.factor
+        assert certificate.valid and budget is not None
         for r in rows:
             assert abs(float(r[4]) - float(r[5])) <= 5e-3
+
+    def test_invalid_certificate_has_no_budget(self, tmp_path, capsys):
+        text = SMALL.replace("alpha: 0.05", "alpha: 3.0")
+        certificate, budget = lipschitz_report(parse_config(text), tmp_path / "lib")
+        assert not certificate.valid and budget is None
+        (tmp_path / "cfg.yaml").write_text(text)
+        assert main(["lipschitz", "--config", str(tmp_path / "cfg.yaml"),
+                     "--out", str(tmp_path / "cli")]) == 0
+        assert capsys.readouterr().out == (
+            f"window contraction factor {certificate.factor:.10g} (valid: False)\n")
 
     @pytest.mark.parametrize("scenario", ["shipped-n40", "zero-growth"])
     def test_lipschitz_cells_are_the_deciding_functions(self, scenario, tmp_path):
@@ -398,6 +409,9 @@ class TestCsvCells:
                         assert cell == repr(float(cell)), (path, name, cell)
 
 
+OVERFLOWING_START = "{id: custom-polynomial, coefficients: [1.0e+308, 1.0e+308]}"
+
+
 class TestCliExitCodes:
     def write(self, tmp_path, text, name="cfg.yaml"):
         path = tmp_path / name
@@ -458,6 +472,7 @@ class TestCliExitCodes:
         ["attractor", "--tol", "nan"],
         ["attractor", "--tol", "inf"],
         ["semilinear", "--tol", "1e-3"],
+        ["attractor", "--nodes", "abc"],
     ])
     def test_bad_override_is_usage_error(self, tmp_path, capsys, argv):
         cfg = self.write(tmp_path, SEMI)
@@ -518,6 +533,33 @@ class TestCliExitCodes:
         stderr = capsys.readouterr().err
         assert "configuration error: config.semilinear" in stderr
         assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("command, old, new, path", [
+        ("attractor", "profile: vee",
+         "profile: vee\n  profile_params: {offset: 1.0e+308, slope: 1.0e+308}",
+         "config.growth.profile_params"),
+        ("attractor", "profile: vee\n  alpha: 0.05",
+         "profile: vee\n  profile_params: {offset: 1.0e+308, slope: 1.0e+308}\n  alpha: auto",
+         "config.growth.profile_params"),
+        ("attractor", "{id: default}", OVERFLOWING_START, "initial"),
+        ("simulate", "{id: default}", OVERFLOWING_START, "initial"),
+        ("lipschitz", "{id: default}", OVERFLOWING_START, "initial"),
+        ("semilinear", "value: [1.0, 1.0]", "value: 1.0e+308", "config.semilinear"),
+        # sampled kappas: the sampled differences overflow
+        ("semilinear", "{name: constant, value: [1.0, 1.0]}\n  kappas: [0.0, 0.0]",
+         "{name: bounded-sigmoid, scale: 1.0e+308}", "config.semilinear"),
+    ], ids=["profile", "profile-auto-alpha", "initial-attractor", "initial-simulate",
+            "initial-lipschitz", "semilinear-divergence", "semilinear-sampled-kappas"])
+    def test_overflowing_input_is_config_error(self, tmp_path, capsys, command, old, new, path):
+        # one stderr line and no numpy warning: warnings are raised as errors here
+        assert old in SEMI
+        cfg = self.write(tmp_path, SEMI.replace(old, new))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"configuration error: {path}: ")
+        assert stderr.count("\n") == 1
 
     @pytest.mark.parametrize("blocked", ["file", "file/below"])
     def test_unwritable_out_is_1_before_the_run(self, tmp_path, capsys, monkeypatch, blocked):

@@ -433,3 +433,32 @@ class TestPairSampler:
             with pytest.raises(ValueError, match=f"violated at slot {failing}"):
                 build_semilinear([0.5 * np.eye(dim)] * 3, k, kappas=kappas, rng=rng)
         assert rng.normal() == ref_rng.normal()
+
+
+def small_system():
+    return build_semilinear([0.5 * np.eye(2)], lambda u: np.zeros(2), kappas=(0.0,))
+
+
+# (id, a refused call, the exception type, its exact message)
+REFUSALS = [
+    ("no-matrices", lambda: build_semilinear([], lambda u: u), ValueError,
+     "need at least one matrix"),
+    ("unequal-shapes", lambda: build_semilinear([np.eye(2), np.eye(3)], lambda u: 0 * u),
+     ValueError, "matrices must share shape (2, 2), got (3, 3)"),
+    ("variation-of-constants-reversed",
+     lambda: variation_of_constants(small_system(), 0, 1, np.zeros(2)), TimeOrderError,
+     "target time 0 precedes initial time 1"),
+    ("gronwall-reversed", lambda: gronwall_bound(small_system(), 0, 1, 1.0), TimeOrderError,
+     "target time 0 precedes initial time 1"),
+    ("gronwall-negative-separation", lambda: gronwall_bound(small_system(), 1, 0, -1.0),
+     ValueError, "initial separation must be >= 0, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in REFUSALS],
+                         ids=[row[0] for row in REFUSALS])
+def test_refusal_messages(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message

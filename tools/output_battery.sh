@@ -193,6 +193,18 @@ semilinear:
   dimension: 2
   matrices: [1.0]
 YAML
+# Input values that overflow, each refused with exit 1 and one stderr line: a
+# profile whose maximum is inf, a start that is inf at the nodes (simulate
+# used to run on it and print nan) and a semilinear forcing that diverges.
+sed 's/^  profile_params: .*/  profile_params: {offset: 1.0e+308, slope: 1.0e+308}/' "$shipped" \
+    > "$out/inputs/config_error_profile_overflow.yaml"
+grep -q '^  profile_params: {offset: 1.0e+308' "$out/inputs/config_error_profile_overflow.yaml"
+sed 's/^  id: default .*/  id: custom-polynomial\n  coefficients: [1.0e+308, 1.0e+308]/' "$shipped" \
+    > "$out/inputs/config_error_initial_overflow.yaml"
+grep -q '^  coefficients: \[1.0e+308, 1.0e+308\]$' "$out/inputs/config_error_initial_overflow.yaml"
+sed 's/^    value: \[1.0, 1.0\]$/    value: 1.0e+308/' "$demo" \
+    > "$out/inputs/config_error_semilinear_overflow.yaml"
+grep -q '^    value: 1.0e+308$' "$out/inputs/config_error_semilinear_overflow.yaml"
 python3 - "$checkout/perfbench" "$out/inputs/gauss_periodic_draw3.yaml" <<'EOF'
 import sys
 
@@ -263,5 +275,10 @@ run config_error_kernel_family attractor --config "$out/inputs/config_error_kern
 run config_error_initial_key attractor --config "$out/inputs/config_error_initial_key.yaml"
 run config_error_semilinear_matrix semilinear \
     --config "$out/inputs/config_error_semilinear_matrix.yaml"
+run config_error_profile_overflow attractor \
+    --config "$out/inputs/config_error_profile_overflow.yaml"
+run config_error_initial_overflow simulate --config "$out/inputs/config_error_initial_overflow.yaml"
+run config_error_semilinear_overflow semilinear \
+    --config "$out/inputs/config_error_semilinear_overflow.yaml"
 
 find "$out" -name '*.csv' -exec sed -i '/^wall_time_s,/d' {} +
