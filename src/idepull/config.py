@@ -31,10 +31,6 @@ from .attractor import DEFAULT_MAX_STEPS, DISTANCE_BOUND_MODES
 from .semilinear import SemilinearSystem, build_semilinear
 
 __all__ = [
-    "SCHEMA_VERSION",
-    "PROFILES",
-    "NONLINEARITIES",
-    "INITIAL_CONDITIONS",
     "ScenarioConfig",
     "SemilinearConfig",
     "parse_config",
@@ -499,14 +495,18 @@ def initial_condition(name: str, params: Mapping[str, Any], grid: Grid) -> GridF
     2.5 elsewhere (continuous at |x| = 1); ``constant`` takes ``value``;
     ``custom-polynomial`` evaluates ``coefficients`` in ascending degree.
     Parameters are checked as ``parse_config`` checks ``config.initial``, and
-    a start value that is not finite at some node is refused.
+    start values that are not finite at some node, or whose quadrature total
+    is not finite, are refused.
     """
     _require_known(name, INITIAL_CONDITIONS, "initial.id", "initial condition")
     keys, build = INITIAL_CONDITIONS[name]
     with np.errstate(over="ignore", invalid="ignore"):
         values = build(_registry_params(params, keys, "initial", required=True), grid.nodes)
+        total = np.dot(grid.weights, values)
     if not np.isfinite(values).all():
         raise _err("initial", f"the {name!r} start values are not finite at every node")
+    if not np.isfinite(total):
+        raise _err("initial", f"the {name!r} start values have no finite total population")
     return GridFunction(grid, values)
 
 

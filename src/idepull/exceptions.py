@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GridMismatchError",
+    "BoundFormulaOutOfRangeError",
+    "TimeOrderError",
+    "NoContractionError",
+    "BudgetExceededError",
+    "DivergentInputError",
+    "ConfigError",
+]
+
 
 class GridMismatchError(ValueError):
     """Two grid functions live on different grids."""

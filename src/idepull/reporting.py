@@ -129,13 +129,9 @@ class RunReport:
     fiber_sup_norms: tuple[float, ...]
 
 
-def _write_report_csv(path: Path, command: str, report: RunReport) -> None:
-    rows = [("schema_version", 1), ("command", command)]
-    for field in fields(report):
-        value = getattr(report, field.name)
-        if not isinstance(value, tuple):
-            rows.append((field.name, value))
-    _write_csv(path, ("key", "value"), rows)
+def _write_report_csv(path: Path, command: str, rows) -> None:
+    """Write report.csv: ``schema_version``, ``command``, then the key/value ``rows``."""
+    _write_csv(path, ("key", "value"), [("schema_version", 1), ("command", command), *rows])
 
 
 def _write_states_csv(out: Path, name: str, states, grid) -> tuple[float, ...]:
@@ -242,7 +238,10 @@ def _attractor_on(op, cfg: ScenarioConfig, out_dir, started: float) -> RunReport
         fiber_totals=totals,
         fiber_sup_norms=sups,
     )
-    _write_report_csv(out / "report.csv", "attractor", report)
+    rows = ((field.name, getattr(report, field.name)) for field in fields(report))
+    _write_report_csv(
+        out / "report.csv", "attractor", [(k, v) for k, v in rows if not isinstance(v, tuple)]
+    )
     return report
 
 
@@ -364,11 +363,10 @@ def run_semilinear(
         ("t", "component", "value"),
         [(t, i, v) for t, fib in enumerate(fibers) for i, v in enumerate(fib.tolist())],
     )
-    _write_csv(
+    _write_report_csv(
         out / "report.csv",
-        ("key", "value"),
+        "semilinear",
         [
-            ("command", "semilinear"),
             ("dimension", sc.dimension),
             ("theta", system.theta),
             ("contraction_factor", report.factor),

@@ -388,6 +388,11 @@ class TestRequiredIterations:
         assert budget.windows == windows
         assert budget.total_steps == 3 * windows
 
+    def test_walks_down_from_the_log_guess(self):
+        # the log guess starts the search at 1993 windows; 0.5**1075 underflows
+        # to 0, while 1074 windows still leave about 9.9e-24 > tol
+        assert required_iterations(0.5, 1e300, 1e-300, 1).windows == 1075
+
     def test_no_contraction(self):
         with pytest.raises(NoContractionError):
             required_iterations(1.0, 1.0, 1e-6, window=2)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -667,6 +668,16 @@ class TestInitialCondition:
         with pytest.raises(ConfigError) as err:
             initial_condition(name, params, self.grid)
         assert str(err.value) == message
+
+    def test_total_must_be_finite(self):
+        # finite at every node, but the quadrature sum of 1e308 over length 6 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as err:
+                initial_condition("constant", {"value": 1.0e308}, self.grid)
+        assert str(err.value) == (
+            "initial: the 'constant' start values have no finite total population"
+        )
 
 
 def test_initial_params_must_match_id():

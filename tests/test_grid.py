@@ -66,6 +66,17 @@ def test_build_grid_accepts_integral_counts():
     assert build_grid(4.0, np.int64(3)).n == 3
 
 
+def test_grid_equals_only_grids():
+    assert (build_grid(6.0, 4) == "grid") is False
+    assert build_grid(6.0, 4) != build_grid(6.0, 5)
+
+
+def test_equal_grids_hash_alike():
+    a, b = build_grid(6.0, 4), build_grid(6.0, 4)
+    assert a is not b and hash(a) == hash(b)
+    assert {a: "first"}[b] == "first"
+
+
 def test_grid_function_length_check():
     g = build_grid(1.0, 4)
     with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import idepull as ip
-from idepull import build_grid, parse_config, reporting
+from idepull import build_grid, cli, parse_config, reporting
 from idepull.cli import main
 from idepull.reporting import (
     compare_inhomogeneities,
@@ -371,6 +374,11 @@ class TestSemilinearRun:
         parsed = read_report_csv(tmp_path / "report.csv")
         assert int(parsed["periods"]) == report.periods
 
+    def test_report_opens_with_schema_version(self, tmp_path):
+        run_semilinear(parse_config(SEMI), tmp_path)
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        assert lines[:3] == ["key,value", "schema_version,1", "command,semilinear"]
+
     def test_missing_section(self, small_cfg, tmp_path):
         with pytest.raises(ip.ConfigError):
             run_semilinear(small_cfg, tmp_path)
@@ -460,6 +468,25 @@ class TestCliExitCodes:
         bad = self.write(tmp_path, SMALL.replace("family: beverton_holt", "family: hassell"))
         assert main(["attractor", "--config", bad, "--out", str(tmp_path / "out")]) == 1
         assert "configuration error: config." in capsys.readouterr().err
+
+    def test_main_entry_exits_with_main(self, tmp_path, monkeypatch, capsys):
+        argv = ["idepull", "attractor", "--config", str(tmp_path / "nope.yaml"),
+                "--out", str(tmp_path / "out")]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as err:
+            cli.main_entry()
+        assert err.value.code == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+    def test_module_run_exits_with_main(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(ip.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "idepull.cli", "attractor",
+             "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("configuration error: ")
 
     def test_usage_error_is_1(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -195,13 +195,18 @@ semilinear:
 YAML
 # Input values that overflow, each refused with exit 1 and one stderr line: a
 # profile whose maximum is inf, a start that is inf at the nodes (simulate
-# used to run on it and print nan) and a semilinear forcing that diverges.
+# used to run on it and print nan), a start finite at the nodes whose total is
+# inf (simulate used to write it as day 0's total) and a semilinear forcing
+# that diverges.
 sed 's/^  profile_params: .*/  profile_params: {offset: 1.0e+308, slope: 1.0e+308}/' "$shipped" \
     > "$out/inputs/config_error_profile_overflow.yaml"
 grep -q '^  profile_params: {offset: 1.0e+308' "$out/inputs/config_error_profile_overflow.yaml"
 sed 's/^  id: default .*/  id: custom-polynomial\n  coefficients: [1.0e+308, 1.0e+308]/' "$shipped" \
     > "$out/inputs/config_error_initial_overflow.yaml"
 grep -q '^  coefficients: \[1.0e+308, 1.0e+308\]$' "$out/inputs/config_error_initial_overflow.yaml"
+sed 's/^  id: default .*/  id: constant\n  value: 1.0e+308/' "$shipped" \
+    > "$out/inputs/config_error_initial_total_overflow.yaml"
+grep -q '^  value: 1.0e+308$' "$out/inputs/config_error_initial_total_overflow.yaml"
 sed 's/^    value: \[1.0, 1.0\]$/    value: 1.0e+308/' "$demo" \
     > "$out/inputs/config_error_semilinear_overflow.yaml"
 grep -q '^    value: 1.0e+308$' "$out/inputs/config_error_semilinear_overflow.yaml"
@@ -278,6 +283,8 @@ run config_error_semilinear_matrix semilinear \
 run config_error_profile_overflow attractor \
     --config "$out/inputs/config_error_profile_overflow.yaml"
 run config_error_initial_overflow simulate --config "$out/inputs/config_error_initial_overflow.yaml"
+run config_error_initial_total_overflow simulate \
+    --config "$out/inputs/config_error_initial_total_overflow.yaml" --nodes 40
 run config_error_semilinear_overflow semilinear \
     --config "$out/inputs/config_error_semilinear_overflow.yaml"
 
