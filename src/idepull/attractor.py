@@ -39,7 +39,7 @@ from .exceptions import (
     GridMismatchError,
     NoContractionError,
 )
-from .grid import GridFunction, hausdorff_semidistance, sup_norm
+from .grid import GridFunction, sup_norm
 from .models import growth_lipschitz, growth_sup_bound
 from .dynamics import HammersteinOperator, orbit
 
@@ -54,7 +54,6 @@ __all__ = [
     "apriori_distance_bound",
     "required_iterations",
     "pullback_fibers",
-    "attraction_rate",
     "fixed_point_iterate",
 ]
 
@@ -246,7 +245,8 @@ def required_iterations(
 
     t = 0
     if factor > 0.0 and distance_bound > 0.0:
-        guess = (math.log(tol * (1.0 - factor)) - math.log(distance_bound)) / math.log(factor)
+        # a sum of logs: the product tol * (1 - factor) can underflow to 0
+        guess = (math.log(tol) + math.log1p(-factor) - math.log(distance_bound)) / math.log(factor)
         t = max(0, math.ceil(guess) - 2)
     while not met(t):
         t += 1
@@ -319,29 +319,6 @@ def pullback_fibers(
 
     certified = _apriori_error(certificate.factor, budget.windows, budget.distance_bound)
     return AttractorFibers(theta, tuple(ring), certified, steps)
-
-
-def attraction_rate(
-    op,
-    fibers: AttractorFibers,
-    starts: Sequence[GridFunction],
-    tau: int,
-    horizon: int,
-) -> np.ndarray:
-    """Distances from an evolving bounded set to the fibers.
-
-    Entry j is the Hausdorff semidistance of the set flowed from time
-    ``tau`` to ``tau + j`` to the single fiber at that time, for
-    j = 0, ..., horizon.  Each start flows through its own
-    :func:`~idepull.dynamics.orbit`, which makes ``horizon`` steps.
-    """
-    if not starts:
-        raise ValueError("attraction_rate needs a nonempty start set")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    sets = islice(zip(*(orbit(op, tau, s) for s in starts)), horizon + 1)
-    return np.array([hausdorff_semidistance(states, [fibers.fiber(tau + j)])
-                     for j, states in enumerate(sets)])
 
 
 @dataclass(frozen=True)

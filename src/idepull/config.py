@@ -511,7 +511,13 @@ def initial_condition(name: str, params: Mapping[str, Any], grid: Grid) -> GridF
 
 
 def build_scenario_grid(cfg: ScenarioConfig, nodes: int | None = None) -> Grid:
-    return build_grid(cfg.length, nodes if nodes is not None else cfg.nodes, cfg.rule)
+    """The scenario's grid, with ``nodes`` subintervals in place of ``cfg.nodes``
+    when given; a node count the grid refuses is a configuration error."""
+    nodes = cfg.nodes if nodes is None else nodes
+    try:
+        return build_grid(cfg.length, nodes, cfg.rule)
+    except ValueError as exc:
+        raise _err("config.grid.nodes", str(exc)) from exc
 
 
 def build_operator(

@@ -9,7 +9,7 @@ collocated dynamics ever evaluate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "total_population",
     "sup_norm",
     "sup_distance",
-    "hausdorff_semidistance",
 ]
 
 
@@ -41,6 +40,9 @@ def _trapezoid_nodes_weights(length: float, n: int) -> tuple[np.ndarray, np.ndar
 QUADRATURE_RULES: dict[str, Callable[[float, int], tuple[np.ndarray, np.ndarray]]] = {
     "trapezoid": _trapezoid_nodes_weights,
 }
+
+# one numpy array holds at most intp-max bytes, and a grid holds n + 1 floats
+_MAX_SUBINTERVALS = np.iinfo(np.intp).max // np.dtype(float).itemsize - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,14 +89,21 @@ def build_grid(length: float, n: int, rule: str = "trapezoid") -> Grid:
     length : float
         Habitat length; the domain is [-length/2, length/2].  Must be > 0.
     n : int
-        Number of subintervals, an integer (not a bool) of at least 1.
+        Number of subintervals, an integer (not a bool) of at least 1 whose
+        n + 1 nodes fit in one numpy array.
     rule : str
         Quadrature rule tag; only ``"trapezoid"`` is currently registered.
     """
     if not np.isfinite(length) or length <= 0:
         raise ValueError(f"grid length must be positive, got {length}")
-    if isinstance(n, (bool, np.bool_)) or not float(n).is_integer() or n < 1:
+    # an int is whole as it stands: float() of a huge one overflows
+    whole = not isinstance(n, (bool, np.bool_)) and (
+        isinstance(n, (int, np.integer)) or float(n).is_integer())
+    if not whole or n < 1:
         raise ValueError(f"subinterval count must be an integer >= 1, got {n!r}")
+    if n > _MAX_SUBINTERVALS:
+        raise ValueError(f"subinterval count {n} exceeds {_MAX_SUBINTERVALS}, "
+                         "the most whose nodes fit in one array")
     try:
         builder = QUADRATURE_RULES[rule]
     except KeyError:
@@ -148,16 +157,3 @@ def sup_distance(f: GridFunction, g: GridFunction) -> float:
     """Sup-norm distance between two functions on the same grid."""
     _require_same_grid(f, g)
     return float(np.max(np.abs(f.values - g.values)))
-
-
-def hausdorff_semidistance(
-    first: Sequence[GridFunction], second: Sequence[GridFunction]
-) -> float:
-    """One-sided Hausdorff distance between two finite sets of functions.
-
-    Returns ``max over a in first of min over b in second`` of their
-    sup-distance; zero whenever ``first`` is contained in ``second``.
-    """
-    if not first or not second:
-        raise ValueError("hausdorff semidistance needs nonempty sets")
-    return max(min(sup_distance(a, b) for b in second) for a in first)

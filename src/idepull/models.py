@@ -27,7 +27,6 @@ __all__ = [
     "kernel_eval",
     "kernel_bound",
     "kernel_bound_numeric",
-    "growth_eval",
     "growth_curve",
     "growth_sup_bound",
     "growth_lipschitz",
@@ -200,12 +199,6 @@ def growth_curve(family: str, b, z):
     if family == "ricker":
         return z * np.exp(-b * np.abs(z))
     raise ValueError(f"unknown growth family {family!r}")
-
-
-def growth_eval(spec: GrowthSpec, t: int, x, z):
-    """Evaluate g_t(x, z) = growth_curve(scale_t * profile(x), z)."""
-    b = spec.scale_at(t) * np.asarray(spec.profile(np.asarray(x, dtype=float)), dtype=float)
-    return growth_curve(spec.family, b, z)
 
 
 def growth_sup_bound(spec: GrowthSpec, t: int, profile_min: float) -> float:

@@ -64,8 +64,6 @@ __all__ = [
     "run_convergence",
     "run_semilinear",
     "read_csv_rows",
-    "read_report_csv",
-    "read_totals_csv",
     "read_fibers_csv",
 ]
 
@@ -82,18 +80,6 @@ def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
         reader = csv.reader(fh)
         header = next(reader)
         return header, [row for row in reader]
-
-
-def read_report_csv(path) -> dict[str, str]:
-    _, rows = read_csv_rows(path)
-    return {key: value for key, value in rows}
-
-
-def read_totals_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    _, rows = read_csv_rows(path)
-    t = np.array([int(r[0]) for r in rows])
-    totals = np.array([float(r[1]) for r in rows])
-    return t, totals
 
 
 def read_fibers_csv(path) -> list[tuple[int, int, float, float]]:

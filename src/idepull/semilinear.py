@@ -26,7 +26,6 @@ __all__ = [
     "SemilinearSystem",
     "PullbackReport",
     "build_semilinear",
-    "transition",
     "variation_of_constants",
     "gronwall_bound",
     "contraction_product",
@@ -232,16 +231,6 @@ def _check_kappas(nls, kappas, d: int, rng: np.random.Generator, samples: int = 
         lhs, den = _norm_pairs(k, d, rng, samples)
         if np.any(lhs > kappas[r] * den * _SLACK + 1e-15):
             raise ValueError(f"declared kappa {kappas[r]} violated at slot {r}")
-
-
-def transition(sys: SemilinearSystem, t: int, tau: int) -> np.ndarray:
-    """Transition matrix L_{t-1} ... L_tau, the identity when t == tau."""
-    if t < tau:
-        raise TimeOrderError(f"target time {t} precedes initial time {tau}")
-    phi = np.eye(sys.dim)
-    for s in range(tau, t):
-        phi = sys.matrices[s % sys.theta] @ phi
-    return phi
 
 
 def variation_of_constants(sys: SemilinearSystem, t: int, tau: int, u: np.ndarray) -> np.ndarray:

@@ -7,11 +7,11 @@ from idepull import (
     GridFunction,
     GridMismatchError,
     build_grid,
-    hausdorff_semidistance,
     sup_distance,
     sup_norm,
     total_population,
 )
+from oracles import hausdorff_semidistance
 
 
 def test_trapezoid_grid_small():
@@ -58,6 +58,13 @@ def test_build_grid_rejects_bad_arguments():
 def test_build_grid_rejects_non_integral_count(n):
     # 2.5 used to build 2 subintervals and True 1, without a word
     with pytest.raises(ValueError, match="integer"):
+        build_grid(4.0, n)
+
+
+@pytest.mark.parametrize("n", [10**20, int("1" * 401), 1e20], ids=["1e20", "401-digits", "float"])
+def test_build_grid_refuses_counts_no_array_holds(n):
+    # 401 digits used to overflow float(n), 10**20 to fail inside np.linspace
+    with pytest.raises(ValueError, match="fit in one array"):
         build_grid(4.0, n)
 
 

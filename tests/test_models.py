@@ -11,7 +11,6 @@ from idepull import (
     KernelSpec,
     build_grid,
     build_hammerstein,
-    growth_eval,
     growth_lipschitz,
     growth_sup_bound,
     half_contraction_amplitude,
@@ -25,6 +24,7 @@ from idepull import (
 )
 from idepull.cli import main
 from idepull.models import growth_curve
+from oracles import growth_eval
 
 
 def flat(value):

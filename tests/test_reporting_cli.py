@@ -23,14 +23,13 @@ from idepull.reporting import (
     lipschitz_report,
     read_csv_rows,
     read_fibers_csv,
-    read_report_csv,
-    read_totals_csv,
     run_attractor,
     run_convergence,
     run_semilinear,
     run_simulation,
 )
 from conftest import first_repeat_steps
+from oracles import read_report_csv, read_totals_csv
 
 SMALL = """
 schema_version: 1
@@ -575,8 +574,11 @@ class TestCliExitCodes:
         # sampled kappas: the sampled differences overflow
         ("semilinear", "{name: constant, value: [1.0, 1.0]}\n  kappas: [0.0, 0.0]",
          "{name: bounded-sigmoid, scale: 1.0e+308}", "config.semilinear"),
+        # more nodes than one numpy array holds: refused before any allocation
+        ("simulate", "nodes: 40", "nodes: 100000000000000000000", "config.grid.nodes"),
     ], ids=["profile", "profile-auto-alpha", "initial-attractor", "initial-simulate",
-            "initial-lipschitz", "semilinear-divergence", "semilinear-sampled-kappas"])
+            "initial-lipschitz", "semilinear-divergence", "semilinear-sampled-kappas",
+            "nodes-too-large"])
     def test_overflowing_input_is_config_error(self, tmp_path, capsys, command, old, new, path):
         # one stderr line and no numpy warning: warnings are raised as errors here
         assert old in SEMI
@@ -586,6 +588,19 @@ class TestCliExitCodes:
             assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         stderr = capsys.readouterr().err
         assert stderr.startswith(f"configuration error: {path}: ")
+        assert stderr.count("\n") == 1
+
+    # a count that float() cannot hold, and one above numpy's array size limit;
+    # both are refused before any allocation
+    @pytest.mark.parametrize("nodes", ["1" * 401, "100000000000000000000"],
+                             ids=["401-digits", "1e20"])
+    def test_nodes_flag_too_large_is_config_error(self, tmp_path, capsys, nodes):
+        cfg = self.write(tmp_path, SMALL)
+        assert main(["attractor", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--nodes", nodes]) == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("configuration error: config.grid.nodes: "
+                                 f"subinterval count {nodes} exceeds ")
         assert stderr.count("\n") == 1
 
     @pytest.mark.parametrize("blocked", ["file", "file/below"])

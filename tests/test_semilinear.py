@@ -15,12 +15,12 @@ from idepull import (
     general_solution,
     gronwall_bound,
     pullback_limit,
-    transition,
     variation_of_constants,
 )
 from idepull.cli import main
 from idepull.config import load_config
 from idepull.reporting import run_semilinear
+from oracles import transition
 
 
 def norm(v):

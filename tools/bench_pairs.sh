@@ -13,9 +13,17 @@
 # in both checkouts, the base first on odd i and the tree first on even i.
 # SECONDS defaults to `run_seconds` in BENCHMARK.json.  It then prints, for
 # each workload and end-to-end metric, both values of every pair, both
-# medians and how many pairs the tree won, and exits non-zero if any run
-# failed a check or gave no result.  The temporary directory is removed on
-# exit.
+# medians, how many pairs the tree won, the metric's bound from
+# BENCHMARK.json, the base's spread (q3 - q1 over its runs) and a verdict:
+#
+#   worse         the tree's median is worse than the base's by more than
+#                 the bound;
+#   unresolved    the base's spread exceeds the bound and not every tree run
+#                 beats every base run;
+#   within bound  otherwise.
+#
+# It exits non-zero if any run failed a check or gave no result, or if any
+# verdict is `worse`.  The temporary directory is removed on exit.
 set -euo pipefail
 
 if [ "$#" -lt 2 ] || [ "$#" -gt 3 ]; then
@@ -62,7 +70,7 @@ from pathlib import Path
 spec = json.loads(Path(sys.argv[1]).read_text(encoding="utf-8"))
 results, pairs = Path(sys.argv[2]), range(1, int(sys.argv[3]) + 1)
 
-metrics, bad = {}, []
+metrics, bad, worse = {}, [], []
 for side in ("base", "tree"):
     for i in pairs:
         lines = (results / f"{side}-{i}.out").read_text(encoding="utf-8").splitlines()
@@ -94,7 +102,24 @@ for workload in spec["workloads"]:
         medians = {s: f"{statistics.median(v):.6g}" if v else "none" for s, v in values.items()}
         print(f"  median: base {medians['base']}  tree {medians['tree']};"
               f" tree won {won} of {both} pairs")
+        base_runs, tree_runs = values["base"], values["tree"]
+        # statistics.quantiles needs two values; one run has no spread
+        q1, _, q3 = (statistics.quantiles(base_runs) if len(base_runs) > 1
+                     else (0.0, 0.0, 0.0))
+        spread, bound, verdict = q3 - q1, metric["bound"], "unresolved"
+        if base_runs and tree_runs:
+            gap = statistics.median(tree_runs) - statistics.median(base_runs)
+            beats = (max(tree_runs) < min(base_runs) if lower
+                     else min(tree_runs) > max(base_runs))
+            if (gap if lower else -gap) > bound:
+                verdict = "worse"
+                worse.append(key)
+            elif spread <= bound or beats:
+                verdict = "within bound"
+        print(f"  bound {bound:g}, base spread {spread:.6g}: {verdict}")
 for line in bad:
     print(f"FAILED: {line}")
-sys.exit(1 if bad else 0)
+for key in worse:
+    print(f"WORSE: {key}")
+sys.exit(1 if bad or worse else 0)
 EOF

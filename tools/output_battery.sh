@@ -210,6 +210,19 @@ grep -q '^  value: 1.0e+308$' "$out/inputs/config_error_initial_total_overflow.y
 sed 's/^    value: \[1.0, 1.0\]$/    value: 1.0e+308/' "$demo" \
     > "$out/inputs/config_error_semilinear_overflow.yaml"
 grep -q '^    value: 1.0e+308$' "$out/inputs/config_error_semilinear_overflow.yaml"
+# The least subnormal tolerance, where tol * (1 - factor) underflows to 0 for a
+# factor of at least 1/2: a period-1 copy of the shipped config (factor
+# 0.7497, run with --tol 5e-324) and the semilinear demo (factor 0.81).
+sed -e 's/^  nodes: 1000$/  nodes: 40/' -e 's/^  alpha: auto .*/  alpha: 0.0833/' \
+    -e 's/^period: 365$/period: 1/' "$shipped" > "$out/inputs/period_one.yaml"
+[ "$(grep -c '^  nodes: 40$\|^  alpha: 0.0833$\|^period: 1$' "$out/inputs/period_one.yaml")" = 3 ]
+sed 's/^  tolerance: 1.0e-12$/  tolerance: 5.0e-324/' "$demo" > "$out/inputs/semilinear_subnormal_tol.yaml"
+grep -q '^  tolerance: 5.0e-324$' "$out/inputs/semilinear_subnormal_tol.yaml"
+# More nodes than one numpy array holds, refused with exit 1 before any
+# allocation.
+sed 's/^  nodes: 1000$/  nodes: 100000000000000000000/' "$shipped" \
+    > "$out/inputs/config_error_nodes_too_large.yaml"
+grep -q '^  nodes: 100000000000000000000$' "$out/inputs/config_error_nodes_too_large.yaml"
 python3 - "$checkout/perfbench" "$out/inputs/gauss_periodic_draw3.yaml" <<'EOF'
 import sys
 
@@ -287,5 +300,8 @@ run config_error_initial_total_overflow simulate \
     --config "$out/inputs/config_error_initial_total_overflow.yaml" --nodes 40
 run config_error_semilinear_overflow semilinear \
     --config "$out/inputs/config_error_semilinear_overflow.yaml"
+run attractor_subnormal_tol attractor --config "$out/inputs/period_one.yaml" --tol 5e-324
+run semilinear_subnormal_tol semilinear --config "$out/inputs/semilinear_subnormal_tol.yaml"
+run config_error_nodes_too_large simulate --config "$out/inputs/config_error_nodes_too_large.yaml"
 
 find "$out" -name '*.csv' -exec sed -i '/^wall_time_s,/d' {} +
