@@ -27,6 +27,7 @@ of its 8 760 budgeted steps.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Callable, Sequence
@@ -200,9 +201,9 @@ def apriori_distance_bound(
 class ErrorBudget:
     """Iteration budget meeting a tolerance under a window contraction.
 
-    ``windows`` is the smallest t with factor**t / (1 - factor) *
-    distance_bound <= tol, evaluated left to right as the certified error
-    is; ``total_steps`` is window * windows.
+    ``windows`` is the least t whose certified error factor**t / (1 -
+    factor) * distance_bound, as :func:`_apriori_error` states it, is at
+    most tol; ``total_steps`` is window * windows.
     """
 
     distance_bound: float
@@ -224,16 +225,41 @@ def _require_contraction(factor: float, tol: float | None = None) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
+# Relative slack on each log term of an underflowed a-priori error: about
+# 2 000 times the few-ulp rounding of log, log1p, the product and the sum.
+_LOG_SLACK = 2.0**-40
+
+
 def _apriori_error(factor: float, windows: int, distance_bound: float) -> float:
-    """The certified error factor^windows / (1 - factor) * distance_bound."""
-    return factor**windows / (1.0 - factor) * distance_bound
+    """The certified error factor^windows / (1 - factor) * distance_bound.
+
+    Where ``factor**windows`` and the product are normal floats (or factor
+    or bound is 0) it is that product, evaluated left to right.  Where
+    either underflows below ``sys.float_info.min``, the product can fall
+    below the exact error, to 0 at worst; there it is
+    exp(windows log(factor) - log1p(-factor) + log(distance_bound)), its
+    exponent raised by ``_LOG_SLACK`` times the size of its three terms,
+    then one float up: never 0 and never below the exact error.  That
+    raise, about a relative 1e-9, can make the log form exceed the product
+    one window earlier where the factor is within about 1e-9 of 1; there
+    the count :func:`required_iterations` finds meets ``tol`` while its
+    predecessor does not, but need not be the least.
+    """
+    power = factor**windows
+    error = power / (1.0 - factor) * distance_bound
+    if factor > 0.0 and distance_bound > 0.0 and min(power, error) < sys.float_info.min:
+        logs = (windows * math.log(factor), -math.log1p(-factor), math.log(distance_bound))
+        exponent = math.fsum(logs) + _LOG_SLACK * sum(map(abs, logs))
+        return math.nextafter(math.exp(exponent), math.inf)
+    return error
 
 
 def required_iterations(
     factor: float, distance_bound: float, tol: float, window: int
 ) -> ErrorBudget:
-    """Smallest window count whose certified error, as :func:`pullback_fibers`
-    prints it, is at most ``tol``."""
+    """Least window count t whose certified error, as :func:`pullback_fibers`
+    prints it, is at most ``tol``: doubles t from 0 to a count that meets
+    ``tol``, then bisects until t meets it and t - 1 does not."""
     _require_contraction(factor, tol)
     if distance_bound < 0 or not math.isfinite(distance_bound):
         raise ValueError(f"distance bound must be finite and >= 0, got {distance_bound}")
@@ -243,16 +269,13 @@ def required_iterations(
     def met(t: int) -> bool:
         return _apriori_error(factor, t, distance_bound) <= tol
 
-    t = 0
-    if factor > 0.0 and distance_bound > 0.0:
-        # a sum of logs: the product tol * (1 - factor) can underflow to 0
-        guess = (math.log(tol) + math.log1p(-factor) - math.log(distance_bound)) / math.log(factor)
-        t = max(0, math.ceil(guess) - 2)
-    while not met(t):
-        t += 1
-    while t > 0 and met(t - 1):
-        t -= 1
-    return ErrorBudget(float(distance_bound), int(window), t)
+    miss, hit = -1, 0  # met(-1) is never asked
+    while not met(hit):
+        miss, hit = hit, 2 * hit + 1
+    while hit - miss > 1:
+        mid = (miss + hit) // 2
+        miss, hit = (miss, mid) if met(mid) else (mid, hit)
+    return ErrorBudget(float(distance_bound), int(window), hit)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import sys
+import time
 import tracemalloc
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ from idepull import (
     sup_norm,
     trajectory,
 )
+from idepull.attractor import _apriori_error
 from conftest import CountingOperator, first_repeat_steps, make_seasonal_operator
 from oracles import attraction_rate, hausdorff_semidistance
 
@@ -362,7 +366,37 @@ class TestKernelMasses:
         assert op.masses_closed_form == (not fallback)
 
 
+def _exact_error(factor: float, windows: int, bound: float) -> Decimal:
+    """factor^windows / (1 - factor) * bound in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        f = Decimal(factor)
+        return (f**windows if windows else Decimal(1)) / (1 - f) * Decimal(bound)
+
+
+def _assert_stated_from_above(factor: float, windows: int, bound: float) -> None:
+    """Where factor**windows or the product falls below the least normal float,
+    the stated error is at least the exact one; elsewhere it is the product,
+    within a few roundings of it."""
+    stated = Decimal(_apriori_error(factor, windows, bound))
+    exact = _exact_error(factor, windows, bound)
+    power = factor**windows
+    if min(power, power / (1.0 - factor) * bound) < sys.float_info.min:
+        assert stated >= exact > 0
+    else:
+        assert stated >= exact * (1 - Decimal(2) ** -50)
+
+
 class TestRequiredIterations:
+    # factors 1 - 1e-6 ... 1 - 1e-16, where a one-window walk would take up to
+    # about 1e19 steps
+    NEAR_ONE = [
+        (1.0 - gap, bound, tol)
+        for gap in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16)
+        for bound in (1.0, 1e300)
+        for tol in (5e-324, 1e-300, 1e-100, 1e-20, 1e-8)
+    ]
+
     def test_worked_example(self):
         budget = required_iterations(0.5, 1.0, 0.5, window=3)
         assert budget.windows == 2
@@ -383,15 +417,64 @@ class TestRequiredIterations:
         (0.999, 0.0, 1e-300, 0),
     ])
     def test_zero_factor_or_bound(self, factor, bound, tol, windows):
-        # no log guess: the search starts at 0 windows
+        # the search asks 0 windows first
         budget = required_iterations(factor, bound, tol, window=3)
         assert budget.windows == windows
         assert budget.total_steps == 3 * windows
 
-    def test_walks_down_from_the_log_guess(self):
-        # the log guess starts the search at 1993 windows; 0.5**1075 underflows
-        # to 0, while 1074 windows still leave about 9.9e-24 > tol
-        assert required_iterations(0.5, 1e300, 1e-300, 1).windows == 1075
+    @pytest.mark.parametrize("factor, bound, tol, windows, least", [
+        # 0.5**1075 underflows to 0, so the product read 1 075 windows, whose
+        # exact error is 4.9e-24
+        (0.5, 1e300, 1e-300, 1995, 1995),
+        # the product read 2 587 windows and a certified error of 0; the
+        # exact error first drops below 5e-324 at 2 597 windows, and the
+        # stated one is at least 5e-324, which needs an exact error below half
+        (0.7497, 10.0, 5e-324, 2600, 2597),
+    ])
+    def test_underflowed_power_is_stated_from_above(self, factor, bound, tol, windows, least):
+        budget = required_iterations(factor, bound, tol, 1)
+        assert budget.windows == windows
+        stated = _apriori_error(factor, windows, bound)
+        assert 0.0 < stated <= tol
+        assert Decimal(stated) >= _exact_error(factor, windows, bound)
+        assert _exact_error(factor, least, bound) <= tol < _exact_error(factor, least - 1, bound)
+
+    @pytest.mark.parametrize("factor, bound, tol", NEAR_ONE)
+    def test_near_one_factor_returns(self, factor, bound, tol):
+        started = time.perf_counter()
+        t = required_iterations(factor, bound, tol, window=1).windows
+        assert time.perf_counter() - started < 1.0
+        assert _apriori_error(factor, t, bound) <= tol
+        assert t == 0 or _apriori_error(factor, t - 1, bound) > tol
+
+    def test_small_counts_match_a_scan(self):
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            factor = float(rng.uniform(0.01, 0.99))
+            bound = math.ldexp(rng.uniform(1.0, 2.0), int(rng.integers(-1074, 1024)))
+            tol = math.ldexp(rng.uniform(1.0, 2.0), int(rng.integers(-1074, 1024)))
+            least = 0
+            while _apriori_error(factor, least, bound) > tol:
+                least += 1
+            assert required_iterations(factor, bound, tol, window=1).windows == least
+
+    def test_apriori_error_is_never_zero(self):
+        factors = (5e-324, 1e-300, 0.5, 0.7497, 1.0 - 1e-16)
+        bounds = (5e-324, 1e-300, 1.0, 1e300, sys.float_info.max)
+        for factor in factors:
+            for bound in bounds:
+                for windows in (0, 1, 2, 1075, 10**6, 2**64):
+                    assert _apriori_error(factor, windows, bound) > 0.0
+
+    def test_apriori_error_bounds_the_exact_error(self):
+        # windows on both sides of where factor**windows or the product
+        # leaves the normal floats
+        for factor in (1e-300, 0.1, 0.5, 0.7497, 0.99, 1.0 - 1e-6):
+            for bound in (5e-324, 1e-300, 1.0, 1e300, sys.float_info.max):
+                edge = math.log(sys.float_info.min) / math.log(factor)
+                for windows in {max(0, int(edge * s) + k) for s in (0.5, 1.0, 1.5)
+                                for k in range(-3, 4)}:
+                    _assert_stated_from_above(factor, windows, bound)
 
     def test_no_contraction(self):
         with pytest.raises(NoContractionError):
@@ -422,9 +505,10 @@ class TestRequiredIterations:
             tol = math.ldexp(rng.uniform(1.0, 2.0), int(rng.integers(-1074, 1024)))
             budget = required_iterations(factor, l2, tol, window=2)
             t = budget.windows
-            assert factor**t / (1 - factor) * l2 <= tol
+            assert _apriori_error(factor, t, l2) <= tol
             if t > 0:
-                assert factor ** (t - 1) / (1 - factor) * l2 > tol
+                assert _apriori_error(factor, t - 1, l2) > tol
+            _assert_stated_from_above(factor, t, l2)
 
 
 class Countdown:

@@ -57,6 +57,26 @@ semilinear:
   tolerance: 1.0e-12
 """
 
+# factor one float below 1, tolerance 1e-300, start 1e300: the a-priori
+# count is about 1.3e19 windows, and one period reaches the fixed point 0
+NEAR_ONE_SEMI = """
+schema_version: 1
+grid: {length: 6.0, nodes: 20}
+kernel: {family: laplace, dispersal: 2.0}
+growth: {family: beverton_holt, profile: vee, alpha: 0.05}
+inhomogeneity: {variant: h4}
+period: 1
+tolerance: 1.0e-8
+initial: {id: default}
+semilinear:
+  dimension: 1
+  matrices: [[[0.0]]]
+  nonlinearity: {name: zero}
+  kappas: [0.9999999999999999]
+  tolerance: 1.0e-300
+  initial: [1.0e+300]
+"""
+
 
 @pytest.fixture
 def small_cfg():
@@ -203,6 +223,20 @@ class TestStatesWriter:
         days = bits.view(np.float64).reshape(100, 1000)
         written, expected = self._written_bytes(tmp_path, days)
         assert written == expected
+
+    def test_one_pass_generator_matches_tuple(self, tmp_path):
+        grid = build_grid(3.0, 7)
+        days = np.random.default_rng(22).random((9, grid.n + 1)) * 3.0
+        days[:, ::3] = 1e-7  # exponent cells in every day
+        states = tuple(ip.GridFunction(grid, values) for values in days)
+        from_tuple = reporting._write_states_csv(tmp_path / "tuple", "fibers", states, grid)
+        from_generator = reporting._write_states_csv(
+            tmp_path / "generator", "fibers", (s for s in states), grid
+        )
+        assert from_generator == from_tuple
+        for name in ("fibers.csv", "totals.csv"):
+            assert ((tmp_path / "generator" / name).read_bytes()
+                    == (tmp_path / "tuple" / name).read_bytes())
 
     def test_holds_one_day_not_one_file(self, tmp_path):
         # a fibers.csv of 367 days at n = 1000 is about 15 MB, one day of it
@@ -693,6 +727,17 @@ class TestCliExitCodes:
     def test_semilinear_command(self, tmp_path):
         cfg = self.write(tmp_path, SEMI)
         assert main(["semilinear", "--config", cfg, "--out", str(tmp_path / "sl")]) == 0
+
+    def test_semilinear_near_one_factor(self, tmp_path):
+        cfg = self.write(tmp_path, NEAR_ONE_SEMI)
+        env = dict(os.environ, PYTHONPATH=str(Path(ip.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "idepull.cli", "semilinear",
+             "--config", cfg, "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "tail_bound,0.0" in (tmp_path / "out" / "report.csv").read_text().splitlines()
 
     @pytest.mark.parametrize("command, config, flags, stdout", [
         ("simulate", "configs/seasonal_beverton_holt.yaml", ["--variant", "h1", "--nodes", "40"],

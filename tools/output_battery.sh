@@ -6,9 +6,11 @@
 #
 # Each run writes its CSV files to OUT/<name>/, its stdout, followed by an
 # "exit <code>" line, to OUT/<name>.stdout, and its stderr to
-# OUT/<name>.stderr.  The `wall_time_s` rows are deleted afterwards, as they
-# are the only cells that differ between two runs of the same code.  BLAS runs on one thread so that the floating-point
-# summation order is fixed.  Generated configs go to OUT/inputs/.
+# OUT/<name>.stderr.  A run is stopped after 120 s and then records
+# "exit 124", so the battery ends on a checkout that hangs.  The
+# `wall_time_s` rows are deleted afterwards, as they are the only cells that
+# differ between two runs of the same code.  BLAS runs on one thread so that
+# the floating-point summation order is fixed.  Generated configs go to OUT/inputs/.
 #
 # Compare two checkouts:
 #   tools/output_battery.sh ../parent /tmp/battery-parent
@@ -218,6 +220,26 @@ sed -e 's/^  nodes: 1000$/  nodes: 40/' -e 's/^  alpha: auto .*/  alpha: 0.0833/
 [ "$(grep -c '^  nodes: 40$\|^  alpha: 0.0833$\|^period: 1$' "$out/inputs/period_one.yaml")" = 3 ]
 sed 's/^  tolerance: 1.0e-12$/  tolerance: 5.0e-324/' "$demo" > "$out/inputs/semilinear_subnormal_tol.yaml"
 grep -q '^  tolerance: 5.0e-324$' "$out/inputs/semilinear_subnormal_tol.yaml"
+# A contraction factor one float below 1 with a tolerance of 1e-300 from a
+# start of 1e300: the a-priori count is about 1.3e19 windows, while one
+# period reaches the fixed point 0.
+cat > "$out/inputs/semilinear_near_one_factor.yaml" <<'YAML'
+schema_version: 1
+grid: {length: 6.0, nodes: 20}
+kernel: {family: laplace, dispersal: 2.0}
+growth: {family: beverton_holt, profile: vee, alpha: 0.05}
+inhomogeneity: {variant: h4}
+period: 1
+tolerance: 1.0e-8
+initial: {id: default}
+semilinear:
+  dimension: 1
+  matrices: [[[0.0]]]
+  nonlinearity: {name: zero}
+  kappas: [0.9999999999999999]
+  tolerance: 1.0e-300
+  initial: [1.0e+300]
+YAML
 # More nodes than one numpy array holds, refused with exit 1 before any
 # allocation.
 sed 's/^  nodes: 1000$/  nodes: 100000000000000000000/' "$shipped" \
@@ -243,8 +265,8 @@ run() {
     local name=$1
     shift
     local code=0
-    python3 -m idepull.cli "$@" --out "$out/$name" > "$out/$name.stdout" \
-        2> "$out/$name.stderr" || code=$?
+    timeout 120 python3 -m idepull.cli "$@" --out "$out/$name" \
+        > "$out/$name.stdout" 2> "$out/$name.stderr" || code=$?
     echo "exit $code" >> "$out/$name.stdout"
 }
 
@@ -302,6 +324,7 @@ run config_error_semilinear_overflow semilinear \
     --config "$out/inputs/config_error_semilinear_overflow.yaml"
 run attractor_subnormal_tol attractor --config "$out/inputs/period_one.yaml" --tol 5e-324
 run semilinear_subnormal_tol semilinear --config "$out/inputs/semilinear_subnormal_tol.yaml"
+run semilinear_near_one_factor semilinear --config "$out/inputs/semilinear_near_one_factor.yaml"
 run config_error_nodes_too_large simulate --config "$out/inputs/config_error_nodes_too_large.yaml"
 
 find "$out" -name '*.csv' -exec sed -i '/^wall_time_s,/d' {} +
