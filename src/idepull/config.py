@@ -528,9 +528,9 @@ def build_operator(
     """Assemble the collocated operator for a scenario.
 
     ``grid`` defaults to the scenario grid; a ``variant`` given here replaces
-    ``cfg.variant`` as a ``--variant`` override does.  A config with
-    ``inhomogeneity.amplitudes`` takes its support from the amplitudes
-    whatever the variant, which then only names the run in its reports.
+    ``cfg.variant`` as a ``--variant`` override does.  The support is
+    :func:`build_inhomogeneity`'s, which refuses a config that names both
+    a variant and amplitudes.
     """
     if variant is not None:
         cfg = replace(cfg, variant=variant)
@@ -545,9 +545,13 @@ def build_inhomogeneity(cfg: ScenarioConfig) -> InhomogeneitySpec:
     """The scenario's seasonal support, as :func:`build_operator` takes it.
 
     From ``inhomogeneity.amplitudes`` where the config has them, otherwise
-    from ``cfg.variant`` and the configured levels.
+    from ``cfg.variant`` and the configured levels.  A config with both,
+    such as an amplitudes config given ``--variant``, raises ``ConfigError``
+    as ``parse_config`` refuses a file naming both.
     """
     if cfg.amplitudes is not None:
+        if cfg.variant is not None:
+            raise _err("config.inhomogeneity", "give exactly one of 'variant' or 'amplitudes'")
         return InhomogeneitySpec(cfg.amplitudes, cfg.period)
     return InhomogeneitySpec.from_variant(cfg.variant, cfg.period, cfg.levels)
 

@@ -322,10 +322,6 @@ class PointwiseOperator:
     grid: Grid
     profile_values: np.ndarray
 
-    @property
-    def theta(self) -> int:
-        return self.growth.period
-
     def sup_rate(self, t: int) -> float:
         """Node-max of b_t, the contraction constant of the step."""
         return growth_lipschitz(self.growth, t)

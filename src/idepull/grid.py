@@ -77,9 +77,6 @@ class Grid:
             and self.rule == other.rule
         )
 
-    def __hash__(self) -> int:
-        return hash((self.length, self.n, self.rule))
-
 
 def build_grid(length: float, n: int, rule: str = "trapezoid") -> Grid:
     """Construct a quadrature grid with ``n`` subintervals.
@@ -128,10 +125,6 @@ class GridFunction:
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
 
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "GridFunction":

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, fields, replace
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +53,7 @@ from .exceptions import (
 from .grid import sup_norm, total_population
 from .models import SEASON_PATTERNS
 from .semilinear import PullbackReport, pullback_limit
-from .dynamics import orbit, trajectory
+from .dynamics import orbit
 
 __all__ = [
     "RunReport",
@@ -149,8 +149,8 @@ def _write_states_csv(out: Path, name: str, states, grid) -> tuple[float, ...]:
     Writes the bytes ``csv.writer`` would (``repr`` cells, ``\\r\\n`` line
     ends) to a binary file, one :func:`_states_day` per day.  ``states`` is
     read once, taking each day's total population as the day is written,
-    so a lazy orbit has only one day held at a time.  Returns the total
-    population of each day.
+    so the lazy streams that ``simulate`` and ``attractor`` pass have one
+    streamed day held at a time.  Returns the total population of each day.
     """
     out.mkdir(parents=True, exist_ok=True)
     nodes = grid.nodes.tolist()
@@ -188,6 +188,9 @@ def run_attractor(cfg: ScenarioConfig, out_dir) -> RunReport:
 def _attractor_on(op, cfg: ScenarioConfig, out_dir, started: float) -> RunReport:
     """``run_attractor`` on the assembled operator ``op`` of ``cfg``.
 
+    ``fibers.csv`` holds days 0..horizon: the theta fibers, then the orbit
+    stepped on from the last fiber at time theta - 1, one lazy step per
+    day past the period, so one continuation state is held at a time.
     ``started`` is the ``time.perf_counter()`` that ``wall_time_s`` counts from.
     """
     out = Path(out_dir)
@@ -204,11 +207,8 @@ def _attractor_on(op, cfg: ScenarioConfig, out_dir, started: float) -> RunReport
     budget = _budget(op, u0, cfg, certificate.factor)
     fibers = pullback_fibers(op, certificate, budget, u0, cfg.max_steps)
 
-    extension = trajectory(
-        op, op.theta - 1, max(0, cfg.horizon + 1 - op.theta), fibers.fibers[-1]
-    )
-    states = (fibers.fibers + extension[1:])[: cfg.horizon + 1]
-
+    continuation = islice(orbit(op, op.theta - 1, fibers.fibers[-1]), 1, None)
+    states = islice(chain(fibers.fibers, continuation), cfg.horizon + 1)
     _write_states_csv(out, "fibers", states, grid)
     totals = tuple(map(total_population, fibers.fibers))
     sups = tuple(sup_norm(f) for f in fibers.fibers)
@@ -359,7 +359,7 @@ def run_semilinear(
     _write_csv(
         out / "fibers.csv",
         ("t", "component", "value"),
-        [(t, i, v) for t, fib in enumerate(fibers) for i, v in enumerate(fib.tolist())],
+        ((t, i, v) for t, fib in enumerate(fibers) for i, v in enumerate(fib.tolist())),
     )
     _write_report_csv(
         out / "report.csv",

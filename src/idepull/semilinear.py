@@ -36,6 +36,9 @@ Nonlinearity = Callable[[np.ndarray], np.ndarray]
 
 _SLACK = 1.0 + 1e-9
 
+# most periods pullback_limit applies before it raises BudgetExceededError
+MAX_PERIODS = 100_000
+
 
 def _mat_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, ord=np.inf))
@@ -296,7 +299,6 @@ def pullback_limit(
     sys: SemilinearSystem,
     tol: float,
     u0: np.ndarray | None = None,
-    max_periods: int = 100_000,
 ) -> tuple[tuple[np.ndarray, ...], PullbackReport]:
     """Periodic fibers by deepening the pullback one period at a time.
 
@@ -305,7 +307,9 @@ def pullback_limit(
     theta fibers of one period is iterated by :func:`fixed_point_iterate`
     with factor gamma * q in the largest per-class max-norm, so it stops
     once the tail gamma q / (1 - gamma q) * last_update is at most ``tol``
-    and reports that tail.  gamma * q >= 1 raises ``NoContractionError``.
+    and reports that tail.  gamma * q >= 1 raises ``NoContractionError``,
+    and a sweep that has not settled after ``MAX_PERIODS`` periods raises
+    ``BudgetExceededError``.
     """
     theta = sys.theta
     q = contraction_product(sys)
@@ -313,9 +317,9 @@ def pullback_limit(
 
     def period(start: np.ndarray) -> tuple[np.ndarray, ...]:
         nonlocal periods
-        if periods >= max_periods:
+        if periods >= MAX_PERIODS:
             raise BudgetExceededError(
-                f"pullback limit did not settle within {max_periods} periods (q = {q})"
+                f"pullback limit did not settle within {MAX_PERIODS} periods (q = {q})"
             )
         periods += 1
         return trajectory(sys, 0, theta - 1, start)

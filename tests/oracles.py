@@ -3,14 +3,17 @@
 Each one is independent of the run pipeline: a one-sided Hausdorff distance
 between finite sets of grid functions, the growth stage evaluated from its
 spec, the forward attraction rate of a finite start set, the semilinear
-transition matrix as a plain matrix product, and readers of the report and
-totals CSV files.  ``tests/test_exports.py`` keeps in the package only the
-public names that some caller outside the tests needs.
+transition matrix as a plain matrix product, readers of the report and
+totals CSV files, and the fenced code blocks of README.md.
+``tests/test_exports.py`` keeps in the package only the public names and
+members that some caller outside the tests needs.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import islice
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -86,3 +89,13 @@ def read_totals_csv(path) -> tuple[np.ndarray, np.ndarray]:
     t = np.array([int(r[0]) for r in rows])
     totals = np.array([float(r[1]) for r in rows])
     return t, totals
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(lang: str) -> str:
+    """The one ```lang fenced block of README.md."""
+    (block,) = re.findall(rf"^```{lang}\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                          flags=re.M | re.S)
+    return block

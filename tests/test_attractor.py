@@ -116,7 +116,7 @@ class TestDistanceBound:
 
     def test_upper_bound_formula(self, seasonal_op):
         op, grid = seasonal_op
-        u0 = GridFunction.from_callable(grid, lambda x: np.cos(x) + 1.0)
+        u0 = GridFunction(grid, np.cos(grid.nodes) + 1.0)
         got = apriori_distance_bound(op, u0, "upper-bound")
         manual = sup_norm(u0) + max(
             ip.kernel_bound(op.kernel, r, grid.length)
@@ -230,7 +230,7 @@ class TestTrajectoryBoundBlocks:
     def test_matches_stepwise_oracle(self, family, theta, periodic):
         rate = tuple(1.5 + 0.5 * r for r in range(theta)) if periodic else 2.0
         op, grid = make_seasonal_operator(n=40, theta=theta, rate=rate, family=family)
-        u0 = GridFunction.from_callable(grid, lambda x: 0.6 + 0.4 * np.cos(x))
+        u0 = GridFunction(grid, 0.6 + 0.4 * np.cos(grid.nodes))
         got = apriori_distance_bound(op, u0, "trajectory")
         expected = stepwise_trajectory_bound(op, u0)
         # a GEMM column of step_block need not add as step's GEMV does, so

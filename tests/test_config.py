@@ -578,6 +578,9 @@ def test_variant_xor_amplitudes():
         parse_config(GOOD.replace("{variant: h4}", "{variant: h4, amplitudes: [1, 2]}"))
     cfg = parse_config(GOOD.replace("{variant: h4}", "{amplitudes: [1.0, 2.0, 0.5]}"))
     assert cfg.amplitudes == (1.0, 2.0, 0.5)
+    # a variant set after parsing, as --variant sets it, is refused the same way
+    with pytest.raises(ConfigError, match="exactly one"):
+        build_operator(cfg, variant="h2")
 
 
 def test_alpha_forms():

@@ -40,7 +40,7 @@ class TestHammersteinApply:
 
     def test_zero_growth_returns_forcing(self):
         op, grid = zero_growth()
-        u = GridFunction.from_callable(grid, lambda x: np.cos(x) + 2)
+        u = GridFunction(grid, np.cos(grid.nodes) + 2)
         for t in range(4):
             v = op.step(t, u)
             assert np.array_equal(v.values, op.forcing[t])
@@ -456,7 +456,7 @@ class TestPointwise:
     def test_step_and_rate_are_the_written_out_law(self, rng):
         scales = (0.9, 1.4, 0.3)
         op, grid = self.make(scales=scales)
-        assert op.theta == 3
+        assert op.growth.period == 3
         u = rng.normal(scale=2.0, size=grid.n + 1)
         for t in range(-1, 4):
             b = scales[t % 3] * op.profile_values

@@ -140,6 +140,44 @@ class TestRunAttractor:
         _, totals = read_totals_csv(tmp_path / "short" / "totals.csv")
         assert tuple(totals) == full.fiber_totals[:3]
 
+    def test_days_past_the_period_match_the_trajectory_tuple(
+        self, small_cfg, tmp_path, monkeypatch
+    ):
+        # the lazy continuation writes what the fibers followed by
+        # trajectory's tuple from the last fiber write
+        swept = []
+
+        def recording(*args):
+            swept.append(ip.pullback_fibers(*args))
+            return swept[-1]
+
+        monkeypatch.setattr(reporting, "pullback_fibers", recording)
+        cfg = replace(small_cfg, horizon=3 * small_cfg.period + 2)
+        run_attractor(cfg, tmp_path / "stream")
+        op = ip.build_operator(cfg)
+        fibers = swept[0].fibers
+        tail = ip.trajectory(op, op.theta - 1, cfg.horizon + 1 - op.theta, fibers[-1])
+        reporting._write_states_csv(tmp_path / "tuple", "fibers", fibers + tail[1:], op.grid)
+        for name in ("fibers.csv", "totals.csv"):
+            assert ((tmp_path / "stream" / name).read_bytes()
+                    == (tmp_path / "tuple" / name).read_bytes())
+
+    def test_days_past_the_period_are_not_held(self, small_cfg, tmp_path):
+        # each day keeps only its total (about 40 bytes with the list and
+        # the returned tuple); holding its state would keep at least its
+        # node values, 8 (n + 1) bytes
+        horizons = (2 * small_cfg.period, 1000 * small_cfg.period)
+        peaks = []
+        for horizon in horizons:
+            tracemalloc.start()
+            try:
+                run_attractor(replace(small_cfg, horizon=horizon), tmp_path / str(horizon))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_day = (peaks[1] - peaks[0]) / (horizons[1] - horizons[0])
+        assert per_day < 8 * (small_cfg.nodes + 1) / 4
+
     def test_mean_matches_totals_recomputation(self, small_cfg, tmp_path):
         report = run_attractor(small_cfg, tmp_path)
         _, totals = read_totals_csv(tmp_path / "totals.csv")
@@ -496,6 +534,16 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "config.inhomogeneity.amplitudes" in err
         assert list((tmp_path / "cmp").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["attractor", "simulate"])
+    def test_variant_on_amplitudes_is_1(self, tmp_path, capsys, command):
+        # the support comes from the amplitudes, so a variant would only mislabel the run
+        cfg = self.write(tmp_path, SMALL.replace("{variant: h4}", "{amplitudes: [1.0, 2.0]}"))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), "--variant", "h2"]) == 1
+        assert capsys.readouterr().err == ("configuration error: config.inhomogeneity: give "
+                                           "exactly one of 'variant' or 'amplitudes'\n")
+        assert list(out.iterdir()) == []
 
     def test_bad_registry_value_is_config_error(self, tmp_path, capsys):
         bad = self.write(tmp_path, SMALL.replace("family: beverton_holt", "family: hassell"))

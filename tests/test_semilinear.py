@@ -239,10 +239,11 @@ class TestPullbackLimit:
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             pullback_limit(sys, tol)
 
-    def test_max_periods_guard(self):
+    def test_max_periods_guard(self, monkeypatch):
+        monkeypatch.setattr(semilinear, "MAX_PERIODS", 5)
         sys = build_semilinear([np.array([[0.9]])], lambda u: np.array([1.0]), kappas=(0.0,))
-        with pytest.raises(BudgetExceededError):
-            pullback_limit(sys, 1e-10, max_periods=5)
+        with pytest.raises(BudgetExceededError, match="did not settle within 5 periods"):
+            pullback_limit(sys, 1e-10)
 
     def test_shipped_demo_settles_after_15_periods(self, tmp_path):
         _, report = run_semilinear(load_config("configs/semilinear_demo.yaml"), tmp_path)

@@ -115,6 +115,35 @@ tolerance: 1.0e-8
 initial: {id: default}
 horizon: 4
 YAML
+# Ricker growth, whose branches of growth_curve, growth_sup_bound and
+# growth_lipschitz no other run reaches.  On a zero profile the upper-bound
+# distance bound is out of range, so that run exits 1 and names the
+# trajectory bound, under which the same config runs.
+cat > "$out/inputs/ricker_vee.yaml" <<'YAML'
+schema_version: 1
+grid: {length: 6.0, nodes: 40}
+kernel: {family: laplace, dispersal: 2.0}
+growth: {family: ricker, profile: vee, alpha: 0.5}
+inhomogeneity: {variant: h4}
+period: 6
+tolerance: 1.0e-6
+initial: {id: default}
+horizon: 7
+YAML
+sed 's/^growth: .*/growth: {family: ricker, profile: flat, profile_params: {value: 0.0}, alpha: 0.5}/' \
+    "$out/inputs/ricker_vee.yaml" > "$out/inputs/ricker_zero_profile.yaml"
+grep -q '^growth: {family: ricker, profile: flat' "$out/inputs/ricker_zero_profile.yaml"
+{ cat "$out/inputs/ricker_zero_profile.yaml"; echo "distance_bound: trajectory"; } \
+    > "$out/inputs/ricker_zero_profile_trajectory.yaml"
+# Support from an amplitude list, run to the end (compare_amplitudes is
+# refused before it reads the amplitudes); with --variant it is refused as a
+# file naming both is.
+sed -e 's/^growth: .*/growth: {family: beverton_holt, profile: vee, alpha: 0.05}/' \
+    -e 's/^inhomogeneity: .*/inhomogeneity: {amplitudes: [1.0, 2.0, 0.5]}/' \
+    -e 's/^tolerance: .*/tolerance: 1.0e-8/' \
+    "$out/inputs/ricker_vee.yaml" > "$out/inputs/attractor_amplitudes.yaml"
+[ "$(grep -c '^growth: {family: beverton_holt\|^inhomogeneity: {amplitudes\|^tolerance: 1.0e-8$' \
+    "$out/inputs/attractor_amplitudes.yaml")" = 3 ]
 # Periodic Laplace and tent rates: 64 matrices each, kept as tables of
 # distinct (distance, weight) pairs and gathered per step
 # (dynamics.DISTANCE_TABLE_MIN_RATES; gauss draw 3 covers the third family,
@@ -326,5 +355,12 @@ run attractor_subnormal_tol attractor --config "$out/inputs/period_one.yaml" --t
 run semilinear_subnormal_tol semilinear --config "$out/inputs/semilinear_subnormal_tol.yaml"
 run semilinear_near_one_factor semilinear --config "$out/inputs/semilinear_near_one_factor.yaml"
 run config_error_nodes_too_large simulate --config "$out/inputs/config_error_nodes_too_large.yaml"
+run ricker_vee attractor --config "$out/inputs/ricker_vee.yaml"
+run ricker_zero_profile attractor --config "$out/inputs/ricker_zero_profile.yaml"
+run ricker_zero_profile_trajectory attractor \
+    --config "$out/inputs/ricker_zero_profile_trajectory.yaml"
+run attractor_amplitudes attractor --config "$out/inputs/attractor_amplitudes.yaml"
+run config_error_variant_on_amplitudes attractor \
+    --config "$out/inputs/attractor_amplitudes.yaml" --variant h2
 
 find "$out" -name '*.csv' -exec sed -i '/^wall_time_s,/d' {} +
