@@ -3,20 +3,19 @@
 The Hammerstein step replaces the dispersal integral by the quadrature sum
 and collocates at the nodes, so one step is a dense matrix-vector product
 against the weighted kernel matrix of one distinct rate value; a block of
-states at one time steps as one matrix product.  With fewer than
-``DISTANCE_TABLE_MIN_RATES`` distinct rates each matrix is evaluated
-directly on the node grid and stored dense.  With more, the operator
-stores each rate's weighted kernel values on the table of distinct
-(distance, weight) pairs and gathers a matrix from it, with the same bits,
-whenever a step needs one.  Both kernel masses of each matrix are decided
-once, when it is assembled, and the operator carries them per time class.
+states at one time steps as one matrix product.  Each entry of the
+operator's ``matrices`` applies itself, as ``K @ x``.  With fewer than
+``DISTANCE_TABLE_MIN_RATES`` distinct rates each entry is a dense matrix
+evaluated directly on the node grid.  With more, each entry holds its
+rate's weighted kernel values on the table of distinct (distance, weight)
+pairs and gathers its matrix from them, with the same bits, whenever it is
+applied.  Both kernel masses of each matrix are decided once, when it is
+assembled, and the operator carries them per time class.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import count, islice
 from typing import Callable, Iterator
@@ -47,36 +46,36 @@ __all__ = [
 ]
 
 # fewest distinct kernel rates whose matrices are kept as weighted values on
-# the table of distinct (distance, weight) pairs and gathered when a step
-# needs one; with fewer they stay dense, since a gather costs more than the
+# the table of distinct (distance, weight) pairs and gathered when one is
+# applied; with fewer they stay dense, since a gather costs more than the
 # product it feeds: about 1.1 ms against 0.66 ms at n = 1000, one BLAS
 # thread (see build_hammerstein)
 DISTANCE_TABLE_MIN_RATES = 64
 
 
-class GatheredMatrices(Sequence):
-    """Read-only sequence of kernel matrices kept as weighted pair tables.
+class _PairTableKernel:
+    """One rate's weighted kernel matrix, kept on the grid's pair table.
 
-    ``index`` maps every entry (i, j) of an (n+1) x (n+1) matrix to its
-    (|x_i - x_j|, w_j) pair, and ``values[k]`` holds the weighted kernel
-    values of the k-th distinct rate on those pairs.  Item ``k`` is gathered
-    by one ``np.take``: a fresh read-only matrix with the bits of the dense
-    one.
+    ``index`` maps every entry (i, j) of the (n+1) x (n+1) matrix to its
+    (|x_i - x_j|, w_j) pair and is shared by every rate; ``values`` holds
+    this rate's weighted kernel values on those pairs.  ``K @ x`` gathers
+    the matrix by one ``np.take``, with the bits of the dense one, and
+    multiplies: a GEMV for a vector, a GEMM for a block.
     """
 
     __slots__ = ("_index", "_values")
 
-    def __init__(self, index: np.ndarray, values: tuple[np.ndarray, ...]):
+    def __init__(self, index: np.ndarray, values: np.ndarray):
         self._index = index
         self._values = values
 
-    def __len__(self) -> int:
-        return len(self._values)
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
+        return np.take(self._values, self._index) @ other
 
-    def __getitem__(self, k: int) -> np.ndarray:
-        mat = np.take(self._values[operator.index(k)], self._index)
-        mat.setflags(write=False)
-        return mat
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the values held; the shared pair index is not counted."""
+        return self._values.nbytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +84,10 @@ class HammersteinOperator:
 
     One application computes K_t @ g_t(u) + h_t at the nodes, where K_t is
     the weighted kernel matrix of the time class t mod theta.  ``matrices``
-    holds one matrix per distinct rate, ``matrix_index`` the one of each
-    class: a tuple of dense matrices, or with at least
-    ``DISTANCE_TABLE_MIN_RATES`` distinct rates a :class:`GatheredMatrices`
-    that gathers each one from its table when it is asked for.  Forcing
+    holds one kernel per distinct rate, ``matrix_index`` the one of each
+    class, and each entry of ``matrices`` applies itself, as ``K @ x``: a
+    dense matrix, or with at least ``DISTANCE_TABLE_MIN_RATES`` distinct
+    rates a pair table that gathers its matrix when it is applied.  Forcing
     vectors and the growth profile samples are precomputed; the operator is
     immutable.
 
@@ -100,12 +99,11 @@ class HammersteinOperator:
     ``masses_closed_form`` tells whether every class has its closed form.
     """
 
-    kernel: KernelSpec
     growth: GrowthSpec
     inhomogeneity: InhomogeneitySpec
     grid: Grid
     theta: int
-    matrices: Sequence[np.ndarray]
+    matrices: tuple[np.ndarray | _PairTableKernel, ...]
     matrix_index: tuple[int, ...]
     forcing: tuple[np.ndarray, ...]
     profile_values: np.ndarray
@@ -122,11 +120,11 @@ class HammersteinOperator:
         """Step an (n+1) x m block whose columns are states at time ``t``.
 
         Returns the block of next states at time ``t + 1``, through one
-        ``@`` with the kernel matrix of ``t``, gathered once per call when the
-        matrices are tables.  ``step`` is the block of one column, a
-        matrix-vector product (GEMV).  A block of several columns is a GEMM,
-        which adds in another order and may differ from ``step`` in the last
-        digits.
+        ``@`` with the kernel of ``t``: each entry of ``matrices`` applies
+        itself, and a pair table gathers its matrix once per call.  ``step``
+        is the block of one column, a matrix-vector product (GEMV).  A block
+        of several columns is a GEMM, which adds in another order and may
+        differ from ``step`` in the last digits.
         """
         if values.ndim != 2 or values.shape[0] != self.grid.n + 1:
             raise ValueError(f"block of shape {values.shape} does not hold states on the grid")
@@ -171,7 +169,7 @@ def build_hammerstein(
     grid: Grid,
     theta: int | None = None,
 ) -> HammersteinOperator:
-    """Assemble the collocated operator, one matrix per distinct rate.
+    """Assemble the collocated operator, one kernel per distinct rate.
 
     The kernels depend on |x - y| alone and :func:`~idepull.models.kernel_eval`
     is elementwise, and entry (i, j) of a matrix is fl(k(|x_i - x_j|) w_j).
@@ -183,10 +181,11 @@ def build_hammerstein(
     by one (n+1) x (n+1) intp array.  Each rate is evaluated on the distance
     table and its weighted values on the pairs are kept: 40 KB per rate at
     n = 400 against 1.3 MB dense, so 365 rates hold 14 MB rather than
-    470 MB.  A matrix gathered from them (:class:`GatheredMatrices`) has the
-    bits of the direct evaluation.  Assembly gathers each matrix once, for
-    its row sums, into one buffer that every rate reuses; each step gathers
-    the matrix of its class.
+    470 MB.  Each entry of ``matrices`` applies itself, as ``K @ x``: a
+    dense matrix, or a pair table that gathers a matrix with the bits of the
+    direct evaluation whenever it is applied.  Assembly gathers each matrix
+    once, for its row sums, into one buffer that every rate reuses; each
+    step gathers the matrix of its class.
     Few rates stay dense because every step would then pay a gather, which
     costs more than the product: about 1.1 ms against 0.66 ms at n = 1000.
     The sort is paid once and allocates about 49 MB at its peak at
@@ -234,7 +233,7 @@ def build_hammerstein(
             if gather:
                 values = kernel_eval(kernel, r, table, 0.0)[pair_distance] * pair_weight
                 values.setflags(write=False)
-                stored.append(values)
+                stored.append(_PairTableKernel(pair_index, values))
                 # the indices are in range; "clip" skips the copy "raise" makes
                 np.take(values, pair_index, out=mat, mode="clip")
             else:
@@ -253,12 +252,11 @@ def build_hammerstein(
         index.append(distinct[a])
 
     return HammersteinOperator(
-        kernel=kernel,
         growth=growth,
         inhomogeneity=inhomogeneity,
         grid=grid,
         theta=int(theta),
-        matrices=GatheredMatrices(pair_index, tuple(stored)) if gather else tuple(stored),
+        matrices=tuple(stored),
         matrix_index=tuple(index),
         forcing=_forcing(inhomogeneity, grid, theta),
         profile_values=profile_values,

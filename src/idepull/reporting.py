@@ -113,7 +113,6 @@ class RunReport:
     sup_norm_max: float
     wall_time_s: float
     fiber_totals: tuple[float, ...]
-    fiber_sup_norms: tuple[float, ...]
 
 
 def _write_report_csv(path: Path, command: str, rows) -> None:
@@ -234,7 +233,6 @@ def _attractor_on(op, cfg: ScenarioConfig, out_dir, started: float) -> RunReport
         sup_norm_max=max(sups),
         wall_time_s=time.perf_counter() - started,
         fiber_totals=totals,
-        fiber_sup_norms=sups,
     )
     rows = ((field.name, getattr(report, field.name)) for field in fields(report))
     _write_report_csv(

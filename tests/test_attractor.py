@@ -118,8 +118,9 @@ class TestDistanceBound:
         op, grid = seasonal_op
         u0 = GridFunction(grid, np.cos(grid.nodes) + 1.0)
         got = apriori_distance_bound(op, u0, "upper-bound")
+        kernel = ip.KernelSpec("laplace", 2.0)  # the kernel of seasonal_op
         manual = sup_norm(u0) + max(
-            ip.kernel_bound(op.kernel, r, grid.length)
+            ip.kernel_bound(kernel, r, grid.length)
             * ip.growth_sup_bound(op.growth, r, float(np.min(op.profile_values)))
             for r in range(op.theta)
         ) + op.forcing_sup()
@@ -334,10 +335,11 @@ class TestKernelMasses:
 
     def test_closed_form_or_row_sum_per_class(self, tent_op):
         op, _ = tent_op
+        kernel = ip.KernelSpec("tent", (0.2, 1.0))  # the kernel of tent_op
         lams = ip.step_constants_closed_form(op)
-        assert lams[0] == op.growth.beta(0) * ip.kernel_bound(op.kernel, 0, 6.0)
+        assert lams[0] == op.growth.beta(0) * ip.kernel_bound(kernel, 0, 6.0)
         assert lams[1] == ip.step_constants_numeric(op)[1]
-        assert op.kernel_masses[0] == ip.kernel_bound(op.kernel, 0, 6.0)
+        assert op.kernel_masses[0] == ip.kernel_bound(kernel, 0, 6.0)
         assert op.kernel_masses[1] == op.row_sum_masses[1]
         assert not op.masses_closed_form
 
@@ -351,6 +353,7 @@ class TestKernelMasses:
         )
         op, grid = make_seasonal_operator(n=40, theta=6, rate=(0.1, 0.5, 4.0),
                                           kernel_family=family)
+        kernel = ip.KernelSpec(family, (0.1, 0.5, 4.0))
         assert len(calls) == 3
         fallback = False
         for r in range(op.theta):
@@ -358,7 +361,7 @@ class TestKernelMasses:
             row_sum = float(np.max(np.sum(np.abs(matrix), axis=1)))
             assert op.row_sum_masses[r] == row_sum
             try:
-                assert op.kernel_masses[r] == ip.kernel_bound(op.kernel, r, grid.length)
+                assert op.kernel_masses[r] == ip.kernel_bound(kernel, r, grid.length)
             except ip.BoundFormulaOutOfRangeError:
                 assert op.kernel_masses[r] == row_sum
                 fallback = True

@@ -77,9 +77,10 @@ class TestHammersteinApply:
 
     def test_boundedness(self, seasonal_op, rng):
         op, grid = seasonal_op
+        kernel = ip.KernelSpec("laplace", 2.0)  # the kernel of seasonal_op
         for t in range(op.theta):
             bound = (
-                ip.kernel_bound_numeric(op.kernel, t, grid)
+                ip.kernel_bound_numeric(kernel, t, grid)
                 * ip.growth_sup_bound(op.growth, t, float(np.min(op.profile_values)))
                 + float(np.max(np.abs(op.forcing[t])))
             )
@@ -163,6 +164,23 @@ def distinct_rates(count, first=1.0):
     return tuple(first + 0.25 * i for i in range(count))
 
 
+def assert_applies_direct_bits(op, kernel, grid, rng):
+    """Check every class's kernel as perfbench applies it.
+
+    ``op.matrices[op.matrix_index[r]] @ g`` must have the bits of the
+    directly evaluated matrix's product for a vector, a block and the
+    identity block, which keeps every entry, subnormals included.
+    """
+    x, y = grid.nodes[:, None], grid.nodes[None, :]
+    vector = rng.uniform(0.0, 3.0, size=grid.n + 1)
+    blocks = (vector, block_of(rng, grid, 3), np.eye(grid.n + 1))
+    for r in range(op.theta):
+        direct = ip.models.kernel_eval(kernel, r, x, y) * grid.weights
+        applied = op.matrices[op.matrix_index[r]]
+        for g in blocks:
+            assert (applied @ g).tobytes() == (direct @ g).tobytes()
+
+
 def recorded_shapes(monkeypatch):
     """Record the shapes of the x and y arguments of every kernel evaluation."""
     shapes = []
@@ -178,42 +196,45 @@ def recorded_shapes(monkeypatch):
 class TestAssembly:
     @pytest.mark.parametrize("n", [1, 7, 40])
     @pytest.mark.parametrize("family", sorted(PERIODIC_RATES))
-    def test_gathered_matrices_keep_direct_bits(self, family, n):
+    def test_gathered_matrices_keep_direct_bits(self, family, n, rng):
         # the edge rates, then enough larger rates for the distance table
         edge = PERIODIC_RATES[family]
         extra = ip.dynamics.DISTANCE_TABLE_MIN_RATES - len(set(edge))
         rates = edge + distinct_rates(extra, first=2 * max(edge))
         op, grid = make_seasonal_operator(n=n, theta=len(rates), rate=rates,
                                           kernel_family=family)
+        kernel = ip.KernelSpec(family, rates)
         assert len(op.matrices) == ip.dynamics.DISTANCE_TABLE_MIN_RATES
+        assert_applies_direct_bits(op, kernel, grid, rng)
+        # the edge rates give the zero and subnormal entries the tables keep
         x, y = grid.nodes[:, None], grid.nodes[None, :]
-        for r in range(op.theta):
-            direct = ip.models.kernel_eval(op.kernel, r, x, y) * grid.weights
-            gathered = op.matrices[op.matrix_index[r]]
-            assert gathered.shape == direct.shape
-            assert gathered.tobytes() == direct.tobytes()
-            assert gathered.flags.writeable is False
-        # a read-only sequence: negative indices, the end, iteration
-        last = len(op.matrices) - 1
-        assert op.matrices[-1].tobytes() == op.matrices[last].tobytes()
-        assert op.matrices[-len(op.matrices)].tobytes() == op.matrices[0].tobytes()
-        with pytest.raises(IndexError):
-            op.matrices[len(op.matrices)]
-        with pytest.raises(IndexError):
-            op.matrices[-len(op.matrices) - 1]
-        with pytest.raises(TypeError):
-            op.matrices[0:2]
-        with pytest.raises(TypeError):
-            op.matrices[0] = op.matrices[1]
-        listed = list(op.matrices)
-        assert [m.tobytes() for m in listed] == [op.matrices[k].tobytes()
-                                                 for k in range(len(op.matrices))]
-        assert all(m.flags.writeable is False for m in listed)
-        widest = op.matrices[op.matrix_index[len(edge) - 1]]
+        widest = ip.models.kernel_eval(kernel, len(edge) - 1, x, y) * grid.weights
         if family != "laplace":
             assert np.any(widest == 0.0)
         if family == "gauss" and n == 40:
             assert np.any((widest > 0.0) & (widest < np.finfo(float).tiny))
+
+    @pytest.mark.parametrize("count", [6, ip.dynamics.DISTANCE_TABLE_MIN_RATES])
+    def test_perfbench_reads_of_the_store(self, count, rng):
+        # perfbench reads the store as len(op.matrices), the sum of the
+        # entries' nbytes and op.matrices[op.matrix_index[r]] @ g; the
+        # schedule repeats two rates, so there are two more classes than rates
+        rates = distinct_rates(count)
+        rates += rates[:2]
+        op, grid = make_seasonal_operator(theta=len(rates), rate=rates)
+        assert type(op.matrices) is tuple
+        assert len(op.matrices) == count
+        n1 = grid.n + 1
+        if count < ip.dynamics.DISTANCE_TABLE_MIN_RATES:
+            held = n1 * n1
+        else:
+            # the distinct (|x_i - x_j|, w_j) pairs that occur on the grid
+            distances = np.abs(grid.nodes[:, None] - grid.nodes[None, :])
+            weights = np.broadcast_to(grid.weights, (n1, n1))
+            held = len(set(zip(distances.ravel().tolist(), weights.ravel().tolist())))
+            assert held < n1 * n1
+        assert sum(m.nbytes for m in op.matrices) == count * held * 8
+        assert_applies_direct_bits(op, ip.KernelSpec("laplace", rates), grid, rng)
 
     @pytest.mark.parametrize("count", [2, "below"])
     def test_few_rates_evaluate_the_node_grid(self, monkeypatch, count):
@@ -384,7 +405,7 @@ class TestStepBlock:
                             + op.forcing[r])
                 assert op.step(t, GridFunction(grid, v)).values.tobytes() == expected.tobytes()
                 assert op.step_block(t, block)[:, 0].tobytes() == expected.tobytes()
-        assert isinstance(gathered[0].matrices, ip.dynamics.GatheredMatrices)
+        assert not isinstance(gathered[0].matrices[0], np.ndarray)
 
     @pytest.mark.parametrize("theta", [6, 1])
     def test_shared_matrix_block_near_step(self, theta, rng):

@@ -1,11 +1,13 @@
 """Export consistency: each module's ``__all__`` names exist, the package
 binds exactly the names its republished modules list, and every public name
-and every public member of a public class has a caller outside the unit
-tests."""
+and every public member or field of a public class has a caller outside the
+unit tests."""
 
 import ast
+import dataclasses
 import importlib
 import types
+import typing
 from pathlib import Path
 
 import idepull
@@ -66,18 +68,38 @@ def test_every_public_name_has_a_caller():
     assert uncalled == []
 
 
-def test_every_public_member_has_a_caller():
-    # a method, property or classmethod of a public class is used where its
-    # name is an attribute; the README quick start is a caller too
-    used = {node.attr for node in _caller_nodes(readme_block("python"))
-            if isinstance(node, ast.Attribute)}
-    members = (types.FunctionType, property, classmethod, staticmethod)
-    uncalled = []
+def _public_classes():
     for name in REPUBLISHED + ("reporting",):
         module = importlib.import_module(f"idepull.{name}")
-        for cls in (getattr(module, n) for n in module.__all__):
-            if isinstance(cls, type):
-                uncalled += [f"{cls.__name__}.{member}" for member, value in vars(cls).items()
-                             if not member.startswith("_") and isinstance(value, members)
-                             and member not in used]
+        yield from (value for value in (getattr(module, n) for n in module.__all__)
+                    if isinstance(value, type))
+
+
+def _used_attributes():
+    # a member or field of a public class is used where its name is an
+    # attribute; the README quick start is a caller too
+    return {node.attr for node in _caller_nodes(readme_block("python"))
+            if isinstance(node, ast.Attribute)}
+
+
+def test_every_public_member_has_a_caller():
+    used = _used_attributes()
+    members = (types.FunctionType, property, classmethod, staticmethod)
+    uncalled = [f"{cls.__name__}.{member}" for cls in _public_classes()
+                for member, value in vars(cls).items()
+                if not member.startswith("_") and isinstance(value, members)
+                and member not in used]
+    assert uncalled == []
+
+
+def test_every_public_field_has_a_caller():
+    # report.csv writes each non-tuple RunReport field as a row, through
+    # dataclasses.fields, so those fields are read
+    hints = typing.get_type_hints(importlib.import_module("idepull.reporting").RunReport)
+    rows = {f"RunReport.{name}" for name, hint in hints.items()
+            if typing.get_origin(hint) is not tuple}
+    used = _used_attributes()
+    fields = (f"{cls.__name__}.{field.name}" for cls in _public_classes()
+              if dataclasses.is_dataclass(cls) for field in dataclasses.fields(cls))
+    uncalled = [f for f in fields if f.split(".")[1] not in used and f not in rows]
     assert uncalled == []

@@ -14,13 +14,18 @@
 # SECONDS defaults to `run_seconds` in BENCHMARK.json.  It then prints, for
 # each workload and end-to-end metric, both values of every pair, both
 # medians, how many pairs the tree won, the metric's bound from
-# BENCHMARK.json, the base's spread (q3 - q1 over its runs) and a verdict:
+# BENCHMARK.json, and as shares of the base's median the gap
+# (median(tree) - median(base)) / median(base) and the base's spread
+# (q3 - q1 over its runs) / median(base), with a verdict:
 #
-#   worse         the tree's median is worse than the base's by more than
-#                 the bound;
-#   unresolved    the base's spread exceeds the bound and not every tree run
-#                 beats every base run;
+#   worse         the gap, signed so that positive is worse, exceeds the
+#                 bound;
+#   unresolved    the spread exceeds the bound and not every tree run beats
+#                 every base run;
 #   within bound  otherwise.
+#
+# BENCHMARK.json defines each bound as a share of the median, so 0.05 on
+# a 51 MB peak is 2.6 MB.
 #
 # It exits non-zero if any run failed a check or gave no result, or if any
 # verdict is `worse`.  The temporary directory is removed on exit.
@@ -106,9 +111,11 @@ for workload in spec["workloads"]:
         # statistics.quantiles needs two values; one run has no spread
         q1, _, q3 = (statistics.quantiles(base_runs) if len(base_runs) > 1
                      else (0.0, 0.0, 0.0))
-        spread, bound, verdict = q3 - q1, metric["bound"], "unresolved"
+        bound, verdict, shares = metric["bound"], "unresolved", ""
         if base_runs and tree_runs:
-            gap = statistics.median(tree_runs) - statistics.median(base_runs)
+            centre = statistics.median(base_runs)
+            gap = (statistics.median(tree_runs) - centre) / centre
+            spread = (q3 - q1) / centre
             beats = (max(tree_runs) < min(base_runs) if lower
                      else min(tree_runs) > max(base_runs))
             if (gap if lower else -gap) > bound:
@@ -116,7 +123,8 @@ for workload in spec["workloads"]:
                 worse.append(key)
             elif spread <= bound or beats:
                 verdict = "within bound"
-        print(f"  bound {bound:g}, base spread {spread:.6g}: {verdict}")
+            shares = f", gap {gap:+.4f}, base spread {spread:.4f} of the base median"
+        print(f"  bound {bound:g}{shares}: {verdict}")
 for line in bad:
     print(f"FAILED: {line}")
 for key in worse:
