@@ -162,8 +162,11 @@ def apriori_distance_bound(
       132 860 column steps to under 18 000.
 
     The supremum over all integer times collapses to one period by
-    periodicity.
+    periodicity.  In either mode a ``u0`` on another grid than ``op``'s
+    raises ``GridMismatchError``.
     """
+    if u0.grid != op.grid:
+        raise GridMismatchError("state lives on a different grid")
     forcing_sup = op.forcing_sup()
     theta = op.theta
     masses = op.kernel_masses
@@ -172,8 +175,6 @@ def apriori_distance_bound(
         profile_min = float(np.min(op.profile_values))
         l1 = max(masses[r] * growth_sup_bound(op.growth, r, profile_min) for r in range(theta))
     elif mode == "trajectory":
-        if u0.grid != op.grid:
-            raise GridMismatchError("state lives on a different grid")
         # column s holds start s, which is at time t for s - theta <= t <= s - 1;
         # the live columns [t + 1, lead) equal column lead and are not stepped
         block = np.empty((op.grid.n + 1, theta))
@@ -259,10 +260,13 @@ def required_iterations(
 ) -> ErrorBudget:
     """Least window count t whose certified error, as :func:`pullback_fibers`
     prints it, is at most ``tol``: doubles t from 0 to a count that meets
-    ``tol``, then bisects until t meets it and t - 1 does not."""
+    ``tol``, then bisects until t meets it and t - 1 does not.  ``window``
+    is an int or numpy integer (not a bool) of at least 1."""
     _require_contraction(factor, tol)
     if distance_bound < 0 or not math.isfinite(distance_bound):
         raise ValueError(f"distance bound must be finite and >= 0, got {distance_bound}")
+    if isinstance(window, (bool, np.bool_)) or not isinstance(window, (int, np.integer)):
+        raise ValueError(f"window must be an integer, got {window!r}")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
 

@@ -8,6 +8,7 @@ collocated dynamics ever evaluate.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -94,7 +95,7 @@ def build_grid(length: float, n: int, rule: str = "trapezoid") -> Grid:
     if not np.isfinite(length) or length <= 0:
         raise ValueError(f"grid length must be positive, got {length}")
     # an int is whole as it stands: float() of a huge one overflows
-    whole = not isinstance(n, (bool, np.bool_)) and (
+    whole = isinstance(n, numbers.Real) and not isinstance(n, (bool, np.bool_)) and (
         isinstance(n, (int, np.integer)) or float(n).is_integer())
     if not whole or n < 1:
         raise ValueError(f"subinterval count must be an integer >= 1, got {n!r}")

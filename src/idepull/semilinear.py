@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -36,6 +36,9 @@ Nonlinearity = Callable[[np.ndarray], np.ndarray]
 
 _SLACK = 1.0 + 1e-9
 
+# random pairs per slot that the declared-kappa check draws
+_CHECK_PAIRS = 200
+
 # most periods pullback_limit applies before it raises BudgetExceededError
 MAX_PERIODS = 100_000
 
@@ -55,10 +58,8 @@ class SemilinearSystem:
     ``gamma`` and ``alphas`` bound the transition operators via
     ||Phi(t, tau)|| <= gamma * prod alpha_r on windows of at most theta
     steps (t - tau <= theta), so a longer window takes one factor gamma
-    per piece of at most theta steps; ``kappas`` are per-slot Lipschitz
-    constants of the nonlinearities.  ``estimated`` names the constants
-    that were sampled rather than declared or exact, which only
-    ``kappas`` can be.
+    per piece of at most theta steps; ``kappas`` are the declared per-slot
+    Lipschitz constants of the nonlinearities.
     """
 
     matrices: tuple[np.ndarray, ...]
@@ -66,7 +67,8 @@ class SemilinearSystem:
     kappas: tuple[float, ...]
     gamma: float
     alphas: tuple[float, ...]
-    estimated: frozenset[str]
+    # no constant is sampled; report.csv's estimated row and perfbench read it (ROADMAP item 18)
+    estimated: ClassVar[frozenset[str]] = frozenset()
 
     @property
     def theta(self) -> int:
@@ -109,12 +111,6 @@ def _norm_pairs(
     return num, np.max(np.abs(u, out=u), axis=1, initial=0.0)
 
 
-def _sampled_kappa(num: np.ndarray, den: np.ndarray) -> float:
-    """Largest difference quotient num / den over the pairs with den > 0 (0.0 if none)."""
-    moved = den > 0
-    return float(np.max(num[moved] / den[moved], initial=0.0))
-
-
 def _per_slot(values, theta: int, what: str) -> tuple:
     """``values`` with one entry per period slot; a single entry is broadcast."""
     values = tuple(values)
@@ -129,26 +125,23 @@ def build_semilinear(
     matrices: Sequence[np.ndarray],
     nonlinearities: Sequence[Nonlinearity] | Nonlinearity,
     *,
-    kappas: Sequence[float] | None = None,
+    kappas: Sequence[float],
     gamma: float | None = None,
     alphas: Sequence[float] | None = None,
     rng: np.random.Generator | None = None,
 ) -> SemilinearSystem:
     """Normalize inputs, fill in missing constants, and check given ones.
 
-    Defaults: alpha_r is the row-sum norm of L_r, gamma the largest ratio
-    ||Phi(t, tau)|| / prod alpha_r over the windows of one period (at
-    least 1), and kappa_r the largest difference quotient of K_r over
-    random pairs.  When every alpha_r >= ||L_r||, as the default alphas
-    are, that ratio is at most 1 because the induced norm is
-    submultiplicative, so gamma is 1 and no window product is formed; the
-    windows are multiplied out only when some alpha_r is below its
-    matrix's norm.  Default alphas and gamma are exact; sampled kappas
-    are recorded in ``estimated`` and are not certificates, so they are
-    not checked again.  A declared gamma below that ratio, or a declared
-    kappa_r below a sampled difference quotient, raises ``ValueError``, as
-    does a non-finite matrix entry, declared constant or nonlinearity
-    value.
+    ``kappas`` is required.  Defaults: alpha_r is the row-sum norm of L_r
+    and gamma the largest ratio ||Phi(t, tau)|| / prod alpha_r over the
+    windows of one period (at least 1).  When every alpha_r >= ||L_r||, as
+    the default alphas are, that ratio is at most 1 because the induced
+    norm is submultiplicative, so gamma is 1 and no window product is
+    formed; the windows are multiplied out only when some alpha_r is below
+    its matrix's norm.  Default alphas and gamma are exact.  A declared
+    gamma below that ratio, or a declared kappa_r below a difference
+    quotient of K_r over random pairs, raises ``ValueError``, as does a
+    non-finite matrix entry, declared constant or nonlinearity value.
     """
     mats = tuple(np.array(m, dtype=float) for m in matrices)
     if not mats:
@@ -165,10 +158,6 @@ def build_semilinear(
     nls = _per_slot([nonlinearities] if callable(nonlinearities) else nonlinearities,
                     theta, "nonlinearities")
 
-    rng = np.random.default_rng(0) if rng is None else rng
-    sampled = kappas is None
-    if sampled:
-        kappas = tuple(_sampled_kappa(*_norm_pairs(k, d, rng, 10_000)) for k in nls)
     kappas = _per_slot((float(k) for k in kappas), theta, "kappas")
     if not all(0 <= k < math.inf for k in kappas):
         raise ValueError(f"kappas must be finite and nonnegative, got {kappas}")
@@ -196,10 +185,8 @@ def build_semilinear(
             f"||Phi|| / prod alpha = {ratio} > gamma = {gamma}"
         )
 
-    if not sampled:
-        _check_kappas(nls, kappas, d, rng)
-    return SemilinearSystem(mats, nls, kappas, gamma, alphas,
-                            frozenset({"kappas"} if sampled else ()))
+    _check_kappas(nls, kappas, d, np.random.default_rng(0) if rng is None else rng)
+    return SemilinearSystem(mats, nls, kappas, gamma, alphas)
 
 
 def _worst_transition_ratio(mats, alphas) -> tuple[float, tuple[int, int] | None]:
@@ -229,9 +216,9 @@ def _worst_transition_ratio(mats, alphas) -> tuple[float, tuple[int, int] | None
     return worst, window
 
 
-def _check_kappas(nls, kappas, d: int, rng: np.random.Generator, samples: int = 200) -> None:
+def _check_kappas(nls, kappas, d: int, rng: np.random.Generator) -> None:
     for r, k in enumerate(nls):
-        lhs, den = _norm_pairs(k, d, rng, samples)
+        lhs, den = _norm_pairs(k, d, rng, _CHECK_PAIRS)
         if np.any(lhs > kappas[r] * den * _SLACK + 1e-15):
             raise ValueError(f"declared kappa {kappas[r]} violated at slot {r}")
 

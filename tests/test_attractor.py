@@ -266,10 +266,12 @@ class TestTrajectoryBoundBlocks:
         assert peak < 4 * (op.grid.n + 1) * op.theta * 8
 
     def test_grid_mismatch(self, seasonal_op):
+        # the upper bound never steps u0, yet it reads ||u0||, so it refuses too
         op, _ = seasonal_op
-        with pytest.raises(ip.GridMismatchError):
-            apriori_distance_bound(op, GridFunction.constant(ip.build_grid(6.0, 12), 1.0),
-                                   "trajectory")
+        for mode in ("upper-bound", "trajectory"):
+            with pytest.raises(ip.GridMismatchError, match="different grid"):
+                apriori_distance_bound(op, GridFunction.constant(ip.build_grid(6.0, 12), 1.0),
+                                       mode)
 
     @pytest.mark.parametrize("variant", ["h1", "h2", "h3", "h4"])
     def test_merged_starts_step_once(self, variant, monkeypatch):
@@ -1025,6 +1027,11 @@ REFUSALS = [
      "distance bound must be finite and >= 0, got -1.0"),
     ("zero-window", lambda: required_iterations(0.5, 1.0, 1e-6, 0), ValueError,
      "window must be >= 1, got 0"),
+    # int() would truncate 2.7 to a window of 2, and True would pass as 1
+    ("fractional-window", lambda: required_iterations(0.5, 1.0, 1e-6, 2.7), ValueError,
+     "window must be an integer, got 2.7"),
+    ("bool-window", lambda: required_iterations(0.5, 1.0, 1e-6, True), ValueError,
+     "window must be an integer, got True"),
     ("zero-horizon", zero_horizon_rate, ValueError, "horizon must be >= 1, got 0"),
     ("zero-order", lambda: fixed_point_iterate(IterateContractionProblem(
         step=lambda x: x / 2, distance=lambda a, b: abs(a - b), order=0, factor=0.5),

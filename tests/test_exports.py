@@ -1,11 +1,13 @@
 """Export consistency: each module's ``__all__`` names exist, the package
-binds exactly the names its republished modules list, and every public name
+binds exactly the names its republished modules list, every public name
 and every public member or field of a public class has a caller outside the
-unit tests."""
+unit tests, and so does every parameter default of a public function or
+method: some such call leaves the parameter out."""
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import types
 import typing
 from pathlib import Path
@@ -102,4 +104,47 @@ def test_every_public_field_has_a_caller():
     fields = (f"{cls.__name__}.{field.name}" for cls in _public_classes()
               if dataclasses.is_dataclass(cls) for field in dataclasses.fields(cls))
     uncalled = [f for f in fields if f.split(".")[1] not in used and f not in rows]
+    assert uncalled == []
+
+
+def _public_callables():
+    # (label, name a call spells, parameters a call passes) of every public
+    # function, and of every public method, classmethod or staticmethod of a
+    # public class, whose self a call does not pass
+    for name in REPUBLISHED + ("reporting",):
+        module = importlib.import_module(f"idepull.{name}")
+        for n in module.__all__:
+            value = getattr(module, n)
+            if isinstance(value, types.FunctionType):
+                yield f"{name}.{n}", n, list(inspect.signature(value).parameters.values())
+    for cls in _public_classes():
+        for member, raw in vars(cls).items():
+            if not member.startswith("_") and isinstance(
+                    raw, (types.FunctionType, classmethod, staticmethod)):
+                params = list(inspect.signature(getattr(cls, member)).parameters.values())
+                if isinstance(raw, types.FunctionType):
+                    params = params[1:]
+                yield f"{cls.__name__}.{member}", member, params
+
+
+def _leaves_out(call: ast.Call, index: int, param: inspect.Parameter) -> bool:
+    # a call with *args or **kwargs passes everything
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return False
+    if any(k.arg == param.name for k in call.keywords):
+        return False
+    return param.kind is param.KEYWORD_ONLY or len(call.args) <= index
+
+
+def test_every_public_default_has_a_caller():
+    calls = {}
+    for node in _caller_nodes(readme_block("python")):
+        if isinstance(node, ast.Call):
+            func = node.func
+            spelled = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls.setdefault(spelled, []).append(node)
+    uncalled = [f"{label}({p.name})" for label, spelled, params in _public_callables()
+                for index, p in enumerate(params) if p.default is not p.empty
+                and not any(_leaves_out(call, index, p) for call in calls.get(spelled, ()))]
     assert uncalled == []

@@ -54,9 +54,10 @@ def test_build_grid_rejects_bad_arguments():
         build_grid(1.0, 4, rule="simpson")
 
 
-@pytest.mark.parametrize("n", [2.5, True, np.True_, math.nan, math.inf])
+@pytest.mark.parametrize("n", [2.5, True, np.True_, math.nan, math.inf, "5", None])
 def test_build_grid_rejects_non_integral_count(n):
-    # 2.5 used to build 2 subintervals and True 1, without a word
+    # 2.5 used to build 2 subintervals and True 1, without a word; "5" and
+    # None used to raise a TypeError from a comparison or from float()
     with pytest.raises(ValueError, match="integer"):
         build_grid(4.0, n)
 

@@ -252,14 +252,6 @@ class TestPullbackLimit:
 
 
 class TestBuilder:
-    def test_estimated_constants_are_flagged(self, rng):
-        mats = [rng.normal(scale=0.2, size=(3, 3))]
-        sys = build_semilinear(mats, lambda u: 0.1 * np.tanh(u), rng=rng)
-        # default alphas are the exact norms and gamma is exactly 1: not sampled
-        assert {"kappas"} == set(sys.estimated)
-        assert sys.gamma >= 1.0
-        assert sys.kappas[0] <= 0.1 + 1e-12
-
     def test_declared_constants_not_flagged(self, rng):
         mats = [rng.normal(scale=0.2, size=(2, 2))]
         alphas = (float(np.linalg.norm(mats[0], ord=np.inf)),)
@@ -278,15 +270,22 @@ class TestBuilder:
                 prod *= sys.alphas[s % 3]
                 assert np.linalg.norm(phi, ord=np.inf) <= sys.gamma * prod * (1 + 1e-12)
 
-    def test_sampled_kappa_not_rechecked(self):
-        # a sampled kappa is a lower estimate, so a fresh sample may exceed it
-        sys = build_semilinear([0.3 * np.eye(3)] * 8, lambda u: 0.2 * np.tanh(u))
-        assert "kappas" in sys.estimated
-
     def test_wrong_kappa_rejected(self, rng):
         mats = [np.eye(2) * 0.5]
         with pytest.raises(ValueError):
             build_semilinear(mats, lambda u: 5.0 * np.tanh(u), kappas=(0.1,), rng=rng)
+
+    def test_per_slot_nonlinearities(self):
+        # K_0 = 0.1 tanh has constant 0.1 and K_1 = 0.4 sin has 0.4
+        mats = [0.5 * np.eye(2)] * 2
+        nls = [lambda u: 0.1 * np.tanh(u), lambda u: 0.4 * np.sin(u)]
+        sys = build_semilinear(mats, nls, kappas=(0.1, 0.4))
+        u = np.array([0.3, -1.2])
+        assert np.array_equal(sys.step(0, u), 0.5 * u + 0.1 * np.tanh(u))
+        assert np.array_equal(sys.step(1, u), 0.5 * u + 0.4 * np.sin(u))
+        assert np.array_equal(sys.step(2, u), sys.step(0, u))
+        with pytest.raises(ValueError, match="violated at slot 1"):
+            build_semilinear(mats, nls, kappas=(0.1, 0.1))
 
     def test_declared_gamma_must_bound_transitions(self):
         # ||Phi|| / prod alpha = 2 / 0.5 = 4 on the one-step window
@@ -322,7 +321,7 @@ class TestBuilder:
         with pytest.raises(ValueError, match=f"{key[:5]}.* must be finite"):
             build_semilinear([0.5 * np.eye(2)], lambda u: np.zeros(2), **declared)
 
-    @pytest.mark.parametrize("kappas", [(0.0,), None], ids=["declared", "sampled"])
+    @pytest.mark.parametrize("kappas", [(0.0,)], ids=["declared"])
     def test_nan_nonlinearity_refused(self, kappas):
         with pytest.raises(ValueError, match="non-finite value on sampled states"):
             build_semilinear([0.5 * np.eye(2)], lambda u: np.full(2, np.nan), kappas=kappas)
@@ -399,19 +398,6 @@ NONLINEARITIES = {
 
 class TestPairSampler:
     @pytest.mark.parametrize("name", NONLINEARITIES)
-    def test_sampled_kappa_matches_per_pair_loop(self, name):
-        dim, k = NONLINEARITIES[name]
-        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-        sys = build_semilinear([0.5 * np.eye(dim)] * 2, [k, k], rng=rng)
-        expected = tuple(
-            max((num / den for num, den in reference_pairs(k, dim, ref_rng, 10_000) if den > 0),
-                default=0.0)
-            for _ in range(2)
-        )
-        assert sys.kappas == expected
-        assert rng.normal() == ref_rng.normal()
-
-    @pytest.mark.parametrize("name", NONLINEARITIES)
     @pytest.mark.parametrize("shrink", [1.0, 1.0 - 1e-6])
     def test_declared_check_matches_per_pair_loop(self, name, shrink):
         # kappas at the worst quotient the check draws pass (its slack admits
@@ -442,10 +428,14 @@ def small_system():
 
 # (id, a refused call, the exception type, its exact message)
 REFUSALS = [
-    ("no-matrices", lambda: build_semilinear([], lambda u: u), ValueError,
+    ("no-matrices", lambda: build_semilinear([], lambda u: u, kappas=(0.0,)), ValueError,
      "need at least one matrix"),
-    ("unequal-shapes", lambda: build_semilinear([np.eye(2), np.eye(3)], lambda u: 0 * u),
+    ("unequal-shapes",
+     lambda: build_semilinear([np.eye(2), np.eye(3)], lambda u: 0 * u, kappas=(0.0,)),
      ValueError, "matrices must share shape (2, 2), got (3, 3)"),
+    # no kappa is sampled, so every call declares them
+    ("kappas-missing", lambda: build_semilinear([np.eye(2)], lambda u: 0 * u), TypeError,
+     "build_semilinear() missing 1 required keyword-only argument: 'kappas'"),
     ("variation-of-constants-reversed",
      lambda: variation_of_constants(small_system(), 0, 1, np.zeros(2)), TimeOrderError,
      "target time 0 precedes initial time 1"),
