@@ -216,6 +216,14 @@ class ErrorBudget:
         return self.window * self.windows
 
 
+def _require_count(value, name: str) -> None:
+    """Refuse ``value`` unless it is an int or numpy integer (not a bool) of at least 1."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _require_contraction(factor: float, tol: float | None = None) -> None:
     """Refuse a factor outside [0, 1) and, when given, a tolerance outside (0, inf)."""
     if not 0.0 <= factor:
@@ -265,10 +273,7 @@ def required_iterations(
     _require_contraction(factor, tol)
     if distance_bound < 0 or not math.isfinite(distance_bound):
         raise ValueError(f"distance bound must be finite and >= 0, got {distance_bound}")
-    if isinstance(window, (bool, np.bool_)) or not isinstance(window, (int, np.integer)):
-        raise ValueError(f"window must be an integer, got {window!r}")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    _require_count(window, "window")
 
     def met(t: int) -> bool:
         return _apriori_error(factor, t, distance_bound) <= tol
@@ -373,10 +378,10 @@ def fixed_point_iterate(
     order).windows``.  Returns x_k and the smaller of that a-posteriori
     bound and the a-priori error factor**k / (1 - factor) * d(x0, x1),
     which the budget compared with ``tol``; with no window to run (k = 0)
-    it returns x0 and that a-priori error alone.
+    it returns x0 and that a-priori error alone.  ``problem.order`` is an
+    int or numpy integer (not a bool) of at least 1.
     """
-    if problem.order < 1:
-        raise ValueError(f"iterate order must be >= 1, got {problem.order}")
+    _require_count(problem.order, "iterate order")
     _require_contraction(problem.factor, tol)
 
     def advance(state):

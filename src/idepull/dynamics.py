@@ -42,7 +42,6 @@ __all__ = [
     "build_pointwise",
     "orbit",
     "general_solution",
-    "trajectory",
 ]
 
 # fewest distinct kernel rates whose matrices are kept as weighted values on
@@ -373,10 +372,3 @@ def general_solution(op, t: int, tau: int, u: GridFunction) -> GridFunction:
     if t < tau:
         raise TimeOrderError(f"target time {t} precedes initial time {tau}")
     return next(islice(orbit(op, tau, u), t - tau, None))
-
-
-def trajectory(op, tau: int, steps: int, u0: GridFunction) -> tuple[GridFunction, ...]:
-    """Forward solution states u_tau, ..., u_{tau+steps} through ``(tau, u0)``."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    return tuple(islice(orbit(op, tau, u0), steps + 1))

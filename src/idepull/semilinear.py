@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from itertools import islice
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
 from .attractor import IterateContractionProblem, fixed_point_iterate
-from .dynamics import trajectory
+from .dynamics import orbit
 from .exceptions import BudgetExceededError, TimeOrderError
 
 __all__ = [
@@ -226,7 +227,7 @@ def _check_kappas(nls, kappas, d: int, rng: np.random.Generator) -> None:
 def variation_of_constants(sys: SemilinearSystem, t: int, tau: int, u: np.ndarray) -> np.ndarray:
     """Solution via Phi(t,tau) u + sum_s Phi(t, s+1) K_s(phi(s, tau, u)).
 
-    The inner states are the stepwise solution; the transition factors are
+    The inner states are read off ``orbit``; the transition factors are
     accumulated backward so the assembly is a genuinely different
     computational route than plain iteration (they agree to rounding).
     """
@@ -236,7 +237,7 @@ def variation_of_constants(sys: SemilinearSystem, t: int, tau: int, u: np.ndarra
     if t == tau:
         return u.copy()
 
-    inner = trajectory(sys, tau, t - 1 - tau, u)
+    inner = tuple(islice(orbit(sys, tau, u), t - tau))
 
     acc = np.zeros(sys.dim)
     back = np.eye(sys.dim)  # Phi(t, s+1), built from s = t-1 downward
@@ -257,19 +258,19 @@ def gronwall_bound(sys: SemilinearSystem, t: int, tau: int, delta0: float) -> fl
         raise TimeOrderError(f"target time {t} precedes initial time {tau}")
     if delta0 < 0:
         raise ValueError(f"initial separation must be >= 0, got {delta0}")
-    prod = 1.0
-    for r in range(tau, t):
-        prod *= sys.alphas[r % sys.theta] + sys.gamma * sys.kappas[r % sys.theta]
     pieces = max(1, math.ceil((t - tau) / sys.theta))
-    return sys.gamma**pieces * delta0 * prod
+    return sys.gamma**pieces * delta0 * _window_product(sys, tau, t)
 
 
 def contraction_product(sys: SemilinearSystem) -> float:
     """Per-period product prod_r (alpha_r + gamma * kappa_r)."""
-    prod = 1.0
-    for r in range(sys.theta):
-        prod *= sys.alphas[r] + sys.gamma * sys.kappas[r]
-    return prod
+    return _window_product(sys, 0, sys.theta)
+
+
+def _window_product(sys: SemilinearSystem, tau: int, t: int) -> float:
+    """prod (alpha_r + gamma * kappa_r) over r in [tau, t), left to right from 1.0."""
+    return math.prod((sys.alphas[r % sys.theta] + sys.gamma * sys.kappas[r % sys.theta]
+                      for r in range(tau, t)), start=1.0)
 
 
 @dataclass(frozen=True)
@@ -290,26 +291,27 @@ def pullback_limit(
     """Periodic fibers by deepening the pullback one period at a time.
 
     Starting ever further in the past is, by periodicity, the same as
-    applying one more period to the previous sweep.  The tuple of the
-    theta fibers of one period is iterated by :func:`fixed_point_iterate`
-    with factor gamma * q in the largest per-class max-norm, so it stops
-    once the tail gamma q / (1 - gamma q) * last_update is at most ``tol``
-    and reports that tail.  gamma * q >= 1 raises ``NoContractionError``,
-    and a sweep that has not settled after ``MAX_PERIODS`` periods raises
-    ``BudgetExceededError``.
+    applying one more period to the previous sweep, so each period steps
+    one forward :func:`~idepull.dynamics.orbit` on from the last fiber.
+    The tuple of the theta fibers of one period is iterated by
+    :func:`fixed_point_iterate` with factor gamma * q in the largest
+    per-class max-norm, so it stops once the tail gamma q / (1 - gamma q)
+    * last_update is at most ``tol`` and reports that tail.  gamma * q >= 1
+    raises ``NoContractionError``, and a sweep that has not settled after
+    ``MAX_PERIODS`` periods raises ``BudgetExceededError``.
     """
     theta = sys.theta
     q = contraction_product(sys)
     periods, last_update = 0, math.nan
 
-    def period(start: np.ndarray) -> tuple[np.ndarray, ...]:
+    def period(states: Iterator[np.ndarray]) -> tuple[np.ndarray, ...]:
         nonlocal periods
         if periods >= MAX_PERIODS:
             raise BudgetExceededError(
                 f"pullback limit did not settle within {MAX_PERIODS} periods (q = {q})"
             )
         periods += 1
-        return trajectory(sys, 0, theta - 1, start)
+        return tuple(states)
 
     def update(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> float:
         nonlocal last_update
@@ -317,8 +319,8 @@ def pullback_limit(
         return last_update
 
     problem = IterateContractionProblem(
-        lambda fibers: period(sys.step(theta - 1, fibers[-1])), update, 1, sys.gamma * q
-    )
+        lambda fibers: period(islice(orbit(sys, theta - 1, fibers[-1]), 1, theta + 1)),
+        update, 1, sys.gamma * q)
     start = np.zeros(sys.dim) if u0 is None else np.array(u0, dtype=float)
-    fibers, tail = fixed_point_iterate(problem, period(start), tol)
+    fibers, tail = fixed_point_iterate(problem, period(islice(orbit(sys, 0, start), theta)), tol)
     return fibers, PullbackReport(periods, last_update, tail, q)

@@ -4,6 +4,7 @@ import sys
 import time
 import tracemalloc
 from decimal import Decimal, localcontext
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,11 @@ from idepull import (
     certify_contraction,
     fixed_point_iterate,
     general_solution,
+    orbit,
     pullback_fibers,
     required_iterations,
     sup_distance,
     sup_norm,
-    trajectory,
 )
 from idepull.attractor import _apriori_error
 from conftest import CountingOperator, first_repeat_steps, make_seasonal_operator
@@ -735,7 +736,7 @@ class TestPullbackFibers:
         fibers = pullback_fibers(counting, cert, budget, u0)
         assert fibers.steps_used == counting.calls == op.theta - 1
         assert [f.values.tobytes() for f in fibers.fibers] == [
-            f.values.tobytes() for f in trajectory(op, 0, op.theta - 1, u0)]
+            f.values.tobytes() for f in islice(orbit(op, 0, u0), op.theta)]
 
     @pytest.mark.parametrize("theta", [1, 3])
     def test_match_on_last_budgeted_step(self, theta):
@@ -1036,6 +1037,13 @@ REFUSALS = [
     ("zero-order", lambda: fixed_point_iterate(IterateContractionProblem(
         step=lambda x: x / 2, distance=lambda a, b: abs(a - b), order=0, factor=0.5),
         1.0, 1e-6), ValueError, "iterate order must be >= 1, got 0"),
+    # without the integer check, True passes order >= 1 and 2.5 reaches range()
+    ("bool-order", lambda: fixed_point_iterate(IterateContractionProblem(
+        step=lambda x: x / 2, distance=lambda a, b: abs(a - b), order=True, factor=0.5),
+        1.0, 1e-6), ValueError, "iterate order must be an integer, got True"),
+    ("fractional-order", lambda: fixed_point_iterate(IterateContractionProblem(
+        step=lambda x: x / 2, distance=lambda a, b: abs(a - b), order=2.5, factor=0.5),
+        1.0, 1e-6), ValueError, "iterate order must be an integer, got 2.5"),
 ]
 
 

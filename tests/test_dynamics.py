@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from idepull import (
     general_solution,
     sup_distance,
     sup_norm,
-    trajectory,
 )
 from idepull.dynamics import orbit
 from conftest import CountingOperator, make_seasonal_operator
@@ -342,27 +342,20 @@ class TestGeneralSolution:
         assert np.array_equal(a.values, b.values)
 
 
-class TestTrajectory:
+class TestOrbit:
     def test_zero_steps(self, seasonal_op):
         op, grid = seasonal_op
         u = GridFunction.constant(grid, 1.0)
-        states = trajectory(op, 3, 0, u)
+        states = tuple(islice(orbit(op, 3, u), 1))
         assert len(states) == 1
         assert states[0] is u
 
     def test_one_step(self, seasonal_op):
         op, grid = seasonal_op
         u = GridFunction.constant(grid, 1.0)
-        states = trajectory(op, 2, 1, u)
+        states = tuple(islice(orbit(op, 2, u), 2))
         assert np.array_equal(states[1].values, op.step(2, u).values)
 
-    def test_negative_steps_rejected(self, seasonal_op):
-        op, grid = seasonal_op
-        with pytest.raises(ValueError):
-            trajectory(op, 0, -1, GridFunction.constant(grid, 0.0))
-
-
-class TestOrbit:
     def test_steps_only_on_demand(self, seasonal_op):
         # k + 1 states cost k steps, through each consumer
         op, grid = seasonal_op
@@ -372,8 +365,8 @@ class TestOrbit:
         assert next(states) is u and counting.calls == 0
         next(states)
         assert counting.calls == 1
-        for consume, steps in [(lambda o: trajectory(o, 2, 5, u), 5),
-                               (lambda o: trajectory(o, 2, 0, u), 0),
+        for consume, steps in [(lambda o: tuple(islice(orbit(o, 2, u), 6)), 5),
+                               (lambda o: tuple(islice(orbit(o, 2, u), 1)), 0),
                                (lambda o: general_solution(o, 9, 2, u), 7),
                                (lambda o: general_solution(o, 2, 2, u), 0)]:
             counting = CountingOperator(op)

@@ -2,7 +2,8 @@
 binds exactly the names its republished modules list, every public name
 and every public member or field of a public class has a caller outside the
 unit tests, and so does every parameter default of a public function or
-method: some such call leaves the parameter out."""
+method: some such call leaves the parameter out.  In the package only the
+loops that are meant to step call ``step`` or ``step_block``."""
 
 import ast
 import dataclasses
@@ -148,3 +149,33 @@ def test_every_public_default_has_a_caller():
                 for index, p in enumerate(params) if p.default is not p.empty
                 and not any(_leaves_out(call, index, p) for call in calls.get(spelled, ()))]
     assert uncalled == []
+
+
+# (where, what) of every step or step_block read the package allows: the lazy
+# forward orbit, the self-map of fixed_point_iterate, the one-column block
+# step and the trajectory distance bound's block flow
+STEPPERS = {
+    ("dynamics.orbit", "op.step"),
+    ("attractor.fixed_point_iterate", "problem.step"),
+    ("dynamics.HammersteinOperator.step", "self.step_block"),
+    ("attractor.apriori_distance_bound", "op.step_block"),
+}
+
+
+def _stepping_reads():
+    # a nested function or lambda counts as the module function or method
+    # it sits in
+    for path in sorted(PACKAGE.glob("*.py")):
+        pending = [(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+        while pending:
+            node, where = pending.pop()
+            if isinstance(node, ast.Attribute) and node.attr in ("step", "step_block"):
+                yield where, ast.unparse(node)
+            for child in ast.iter_child_nodes(node):
+                named = isinstance(node, (ast.Module, ast.ClassDef)) and isinstance(
+                    child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                pending.append((child, f"{where}.{child.name}" if named else where))
+
+
+def test_only_the_stepping_loops_step():
+    assert sorted(set(_stepping_reads()) ^ STEPPERS) == []

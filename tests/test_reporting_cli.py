@@ -9,6 +9,7 @@ import time
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -145,8 +146,8 @@ class TestRunAttractor:
     def test_days_past_the_period_match_the_trajectory_tuple(
         self, small_cfg, tmp_path, monkeypatch
     ):
-        # the lazy continuation writes what the fibers followed by
-        # trajectory's tuple from the last fiber write
+        # the lazy continuation writes what the fibers followed by the
+        # tuple of the orbit's states after the last fiber write
         swept = []
 
         def recording(*args):
@@ -158,8 +159,9 @@ class TestRunAttractor:
         run_attractor(cfg, tmp_path / "stream")
         op = ip.build_operator(cfg)
         fibers = swept[0].fibers
-        tail = ip.trajectory(op, op.theta - 1, cfg.horizon + 1 - op.theta, fibers[-1])
-        reporting._write_states_csv(tmp_path / "tuple", "fibers", fibers + tail[1:], op.grid)
+        tail = tuple(islice(ip.orbit(op, op.theta - 1, fibers[-1]), 1,
+                            cfg.horizon + 2 - op.theta))
+        reporting._write_states_csv(tmp_path / "tuple", "fibers", fibers + tail, op.grid)
         for name in ("fibers.csv", "totals.csv"):
             assert ((tmp_path / "stream" / name).read_bytes()
                     == (tmp_path / "tuple" / name).read_bytes())
@@ -446,6 +448,8 @@ class TestSemilinearRun:
         assert np.max(np.abs(np.asarray(fibers[0]) - state)) <= 1e-10
         parsed = read_report_csv(tmp_path / "report.csv")
         assert int(parsed["periods"]) == report.periods
+        # every constant is declared, so none is named as estimated
+        assert parsed["estimated"] == "none"
 
     def test_report_opens_with_schema_version(self, tmp_path):
         run_semilinear(parse_config(SEMI), tmp_path)

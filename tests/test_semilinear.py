@@ -18,7 +18,7 @@ from idepull import (
     variation_of_constants,
 )
 from idepull.cli import main
-from idepull.config import load_config
+from idepull.config import build_semilinear_system, load_config
 from idepull.reporting import run_semilinear
 from oracles import transition
 
@@ -249,6 +249,18 @@ class TestPullbackLimit:
         _, report = run_semilinear(load_config("configs/semilinear_demo.yaml"), tmp_path)
         assert report.periods == 15
         assert report.tail_bound <= 1e-12
+
+    def test_periods_continue_one_orbit(self):
+        # each period steps on from the last fiber, so fiber c of the last
+        # period is the forward state at (periods - 1) theta + c from 0
+        cfg = load_config("configs/semilinear_demo.yaml")
+        sys = build_semilinear_system(cfg)
+        fibers, report = pullback_limit(sys, cfg.semilinear.tolerance)
+        assert (sys.theta, report.periods) == (2, 15)
+        zeros = np.zeros(sys.dim)
+        for c, fiber in enumerate(fibers):
+            t = (report.periods - 1) * sys.theta + c
+            assert fiber.tobytes() == general_solution(sys, t, 0, zeros).tobytes()
 
 
 class TestBuilder:

@@ -319,7 +319,7 @@ run trajectory_bound_no_merge attractor --config "$out/inputs/trajectory_bound_n
     --nodes 200
 run gauss_periodic_draw3 attractor --config "$out/inputs/gauss_periodic_draw3.yaml"
 run lipschitz_gauss_periodic_draw3 lipschitz --config "$out/inputs/gauss_periodic_draw3.yaml"
-# 365 gathered matrices stepped one state at a time through trajectory
+# 365 gathered matrices stepped one state at a time through orbit
 run simulate_gauss_periodic_draw3 simulate --config "$out/inputs/gauss_periodic_draw3.yaml"
 run mixed_tent attractor --config "$out/inputs/mixed_tent.yaml"
 run lipschitz_mixed_tent lipschitz --config "$out/inputs/mixed_tent.yaml"
