@@ -113,7 +113,9 @@ def step_constants_numeric(op: HammersteinOperator) -> tuple[float, ...]:
     """Per-step Lipschitz constants of the discretized operator itself.
 
     The growth Lipschitz constant times ``op.row_sum_masses``, so no kernel
-    re-evaluation is needed.
+    re-evaluation is needed.  A pair table's mass comes from the first
+    matrix it gathered; read before a table has been applied, it gathers
+    that table's matrix once.
     """
     return tuple(growth_lipschitz(op.growth, r) * m for r, m in enumerate(op.row_sum_masses))
 

@@ -9,8 +9,11 @@ operator's ``matrices`` applies itself, as ``K @ x``.  With fewer than
 evaluated directly on the node grid.  With more, each entry holds its
 rate's weighted kernel values on the table of distinct (distance, weight)
 pairs and gathers its matrix from them, with the same bits, whenever it is
-applied.  Both kernel masses of each matrix are decided once, when it is
-assembled, and the operator carries them per time class.
+applied.  The certified mass of each matrix is decided when it is
+assembled, and so is a dense matrix's row-sum mass.  A pair table takes its
+row-sum mass from the first matrix it gathers, usually in a step, so
+assembly gathers a matrix only for a class that certifies with its row-sum
+mass.  The operator reads both masses per time class.
 """
 
 from __future__ import annotations
@@ -47,9 +50,18 @@ __all__ = [
 # fewest distinct kernel rates whose matrices are kept as weighted values on
 # the table of distinct (distance, weight) pairs and gathered when one is
 # applied; with fewer they stay dense, since a gather costs more than the
-# product it feeds: about 1.1 ms against 0.66 ms at n = 1000, one BLAS
-# thread (see build_hammerstein)
+# product it feeds: medians of 1.6 ms against 0.39 ms at n = 1000 on one
+# CPU with one OpenBLAS thread (see build_hammerstein)
 DISTANCE_TABLE_MIN_RATES = 64
+
+
+def _row_sum_mass(matrix: np.ndarray) -> float:
+    """Largest row sum of a weighted kernel matrix, the mass of its step.
+
+    The registered kernels and the weights are nonnegative, so the plain row
+    sums are the absolute row sums.
+    """
+    return float(np.max(np.sum(matrix, axis=1)))
 
 
 class _PairTableKernel:
@@ -59,17 +71,32 @@ class _PairTableKernel:
     (|x_i - x_j|, w_j) pair and is shared by every rate; ``values`` holds
     this rate's weighted kernel values on those pairs.  ``K @ x`` gathers
     the matrix by one ``np.take``, with the bits of the dense one, and
-    multiplies: a GEMV for a vector, a GEMM for a block.
+    multiplies: a GEMV for a vector, a GEMM for a block.  The row-sum mass
+    is taken from the first matrix gathered and kept.
     """
 
-    __slots__ = ("_index", "_values")
+    __slots__ = ("_index", "_values", "_row_sum_mass")
 
     def __init__(self, index: np.ndarray, values: np.ndarray):
         self._index = index
         self._values = values
+        self._row_sum_mass: float | None = None
 
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        return np.take(self._values, self._index) @ other
+        return self._gather() @ other
+
+    def _gather(self) -> np.ndarray:
+        matrix = np.take(self._values, self._index)
+        if self._row_sum_mass is None:
+            self._row_sum_mass = _row_sum_mass(matrix)
+        return matrix
+
+    @property
+    def row_sum_mass(self) -> float:
+        """Row-sum mass of the matrix; read before any product, it gathers one."""
+        if self._row_sum_mass is None:
+            self._gather()
+        return self._row_sum_mass
 
     @property
     def nbytes(self) -> int:
@@ -92,10 +119,15 @@ class HammersteinOperator:
 
     Per time class, ``row_sum_masses`` is the mass of the discretized
     operator itself, the largest absolute row sum of the class's matrix.
-    ``kernel_masses`` is the certified mass bound sup_x int |k_t(x, y)| dy:
-    the closed form :func:`~idepull.models.kernel_bound` or, where that is
-    out of range (tent kernels on wide supports), the row-sum mass.
-    ``masses_closed_form`` tells whether every class has its closed form.
+    A dense store's masses are taken when it is assembled, one per matrix;
+    a pair table takes its own from the first matrix it gathers, usually in
+    a step, so a read of ``row_sum_masses`` gathers only the tables that
+    have not yet been applied.  ``kernel_masses`` is the certified mass
+    bound sup_x int |k_t(x, y)| dy: the closed form
+    :func:`~idepull.models.kernel_bound` or, where that is out of range
+    (tent kernels on wide supports), the row-sum mass, taken when the
+    operator is built.  ``masses_closed_form`` tells whether every class
+    has its closed form.
     """
 
     growth: GrowthSpec
@@ -107,8 +139,14 @@ class HammersteinOperator:
     forcing: tuple[np.ndarray, ...]
     profile_values: np.ndarray
     kernel_masses: tuple[float, ...]
-    row_sum_masses: tuple[float, ...]
     masses_closed_form: bool
+    # one per dense matrix; empty for a store of pair tables
+    _dense_row_sums: tuple[float, ...]
+
+    @property
+    def row_sum_masses(self) -> tuple[float, ...]:
+        masses = self._dense_row_sums or tuple(k.row_sum_mass for k in self.matrices)
+        return tuple(masses[i] for i in self.matrix_index)
 
     def step(self, t: int, u: GridFunction) -> GridFunction:
         if u.grid != self.grid:
@@ -146,7 +184,8 @@ class HammersteinOperator:
     def with_inhomogeneity(self, inhomogeneity: InhomogeneitySpec) -> "HammersteinOperator":
         """The same step with another seasonal support.
 
-        The kernel matrices, the masses and the growth samples are shared;
+        The kernel matrices, with the row-sum masses the pair tables have
+        taken or will take, the masses and the growth samples are shared;
         only the forcing vectors are built anew, as ``build_hammerstein``
         builds them, so the result equals a fresh build bit for bit.
         """
@@ -182,15 +221,19 @@ def build_hammerstein(
     n = 400 against 1.3 MB dense, so 365 rates hold 14 MB rather than
     470 MB.  Each entry of ``matrices`` applies itself, as ``K @ x``: a
     dense matrix, or a pair table that gathers a matrix with the bits of the
-    direct evaluation whenever it is applied.  Assembly gathers each matrix
-    once, for its row sums, into one buffer that every rate reuses; each
-    step gathers the matrix of its class.
+    direct evaluation whenever it is applied.  Each step gathers the matrix
+    of its class, and a pair table takes its row-sum mass from the first
+    one it gathers, so assembly gathers none but the one exception below.
     Few rates stay dense because every step would then pay a gather, which
-    costs more than the product: about 1.1 ms against 0.66 ms at n = 1000.
+    costs more than the product: medians of 1.6 ms against 0.39 ms for the
+    GEMV at n = 1000, on one CPU with one OpenBLAS thread.
     The sort is paid once and allocates about 49 MB at its peak at
     n = 1000.
 
-    Both masses of each matrix are taken right after it is assembled.
+    The certified mass of each matrix is taken right after it is assembled,
+    and so is a dense matrix's row-sum mass.  A class whose closed form is
+    out of range certifies with its row-sum mass, so its pair table gathers
+    once here.
     ``theta`` defaults to the least common multiple of the component
     periods; an explicit value must be a positive common multiple of them.
     The profile must be finite and nonnegative at the nodes and at most
@@ -219,12 +262,11 @@ def build_hammerstein(
     gather = len(set(rates)) >= DISTANCE_TABLE_MIN_RATES
     if gather:
         table, pair_distance, pair_weight, pair_index = _pair_table(grid)
-        mat = np.empty(pair_index.shape)
     else:
         x = grid.nodes[:, None]
         y = grid.nodes[None, :]
     distinct: dict[float, int] = {}
-    stored, row_sums, bounds, index = [], [], [], []
+    stored, dense_row_sums, bounds, index = [], [], [], []
     closed = True
     for r, a in enumerate(rates):
         if a not in distinct:
@@ -233,20 +275,16 @@ def build_hammerstein(
                 values = kernel_eval(kernel, r, table, 0.0)[pair_distance] * pair_weight
                 values.setflags(write=False)
                 stored.append(_PairTableKernel(pair_index, values))
-                # the indices are in range; "clip" skips the copy "raise" makes
-                np.take(values, pair_index, out=mat, mode="clip")
             else:
                 mat = kernel_eval(kernel, r, x, y)
                 mat *= grid.weights
                 mat.setflags(write=False)
                 stored.append(mat)
-            # the registered kernels and the weights are nonnegative, so the
-            # plain row sums are the absolute row sums
-            row_sums.append(float(np.max(np.sum(mat, axis=1))))
+                dense_row_sums.append(_row_sum_mass(mat))
             try:
                 bounds.append(kernel_bound(kernel, r, grid.length))
             except BoundFormulaOutOfRangeError:
-                bounds.append(row_sums[-1])
+                bounds.append(stored[-1].row_sum_mass if gather else dense_row_sums[-1])
                 closed = False
         index.append(distinct[a])
 
@@ -260,8 +298,8 @@ def build_hammerstein(
         forcing=_forcing(inhomogeneity, grid, theta),
         profile_values=profile_values,
         kernel_masses=tuple(bounds[i] for i in index),
-        row_sum_masses=tuple(row_sums[i] for i in index),
         masses_closed_form=closed,
+        _dense_row_sums=tuple(dense_row_sums),
     )
 
 

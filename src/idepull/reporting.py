@@ -198,13 +198,14 @@ def _attractor_on(op, cfg: ScenarioConfig, out_dir, started: float) -> RunReport
 
     certificate = certify_contraction(step_constants_closed_form(op))
     source = "closed-form" if op.masses_closed_form else "numeric"
-    numeric_factor = certify_contraction(step_constants_numeric(op)).factor
     if not certificate.valid:
         raise NoContractionError(
             f"window contraction factor {certificate.factor} is not below 1"
         )
     budget = _budget(op, u0, cfg, certificate.factor)
     fibers = pullback_fibers(op, certificate, budget, u0, cfg.max_steps)
+    # after the sweep, whose gathers have taken the pair tables' row-sum masses
+    numeric_factor = certify_contraction(step_constants_numeric(op)).factor
 
     continuation = islice(orbit(op, op.theta - 1, fibers.fibers[-1]), 1, None)
     states = islice(chain(fibers.fibers, continuation), cfg.horizon + 1)

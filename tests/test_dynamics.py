@@ -277,6 +277,89 @@ class TestAssembly:
         assert all(len(sx) == 1 and sx[0] < 31 * 31 and sy == () for sx, sy in shapes)
 
 
+# 64 distinct rates, the fewest kept as pair tables, with one class more per
+# family that repeats a rate; on length 6 the tent's closed form covers
+# a L <= 2, so its last two distinct rates are out of range
+TABLE_RATES = {
+    "laplace": distinct_rates(64) + (1.0,),
+    "gauss": distinct_rates(64) + (1.0,),
+    "tent": tuple(0.005 * (i + 1) for i in range(62)) + (0.4, 2.0, 2.0),
+}
+
+
+def recorded_gathers(monkeypatch):
+    """Record every pair-table gather as (kernel, gathered matrix)."""
+    gathers = []
+    real = ip.dynamics._PairTableKernel._gather
+
+    def recording_gather(kernel):
+        matrix = real(kernel)
+        gathers.append((kernel, matrix))
+        return matrix
+
+    monkeypatch.setattr(ip.dynamics._PairTableKernel, "_gather", recording_gather)
+    return gathers
+
+
+class TestRowSumMasses:
+    @pytest.mark.parametrize("family", sorted(TABLE_RATES))
+    def test_assembly_gathers_only_certified_row_sums(self, family, monkeypatch):
+        # a class out of the closed form's range certifies with its row-sum
+        # mass, so its table gathers once when the operator is built; no
+        # other table gathers then
+        rates = TABLE_RATES[family]
+        gathers = recorded_gathers(monkeypatch)
+        op, grid = make_seasonal_operator(n=30, theta=len(rates), rate=rates,
+                                          kernel_family=family)
+        assert len(op.matrices) == ip.dynamics.DISTANCE_TABLE_MIN_RATES
+        kernel = ip.KernelSpec(family, rates)
+        out_of_range = []
+        for r in range(op.theta):
+            try:
+                ip.kernel_bound(kernel, r, grid.length)
+            except ip.BoundFormulaOutOfRangeError:
+                if op.matrix_index[r] not in out_of_range:
+                    out_of_range.append(op.matrix_index[r])
+        assert len(out_of_range) == (2 if family == "tent" else 0)
+        assert [k for k, _ in gathers] == [op.matrices[i] for i in out_of_range]
+
+    @pytest.mark.parametrize("first", ["read", "sweep"])
+    @pytest.mark.parametrize("family", sorted(TABLE_RATES))
+    def test_masses_are_first_gather_row_sums(self, family, first, monkeypatch):
+        rates = TABLE_RATES[family]
+        gathers = recorded_gathers(monkeypatch)
+        op, grid = make_seasonal_operator(n=30, theta=len(rates), rate=rates,
+                                          kernel_family=family)
+        if first == "sweep":
+            u0 = GridFunction.constant(grid, 2.0)
+            certificate = ip.certify_contraction(ip.step_constants_closed_form(op))
+            budget = ip.required_iterations(
+                certificate.factor, ip.apriori_distance_bound(op, u0), 1e-6, op.theta)
+            fibers = ip.pullback_fibers(op, certificate, budget, u0)
+            # every class has stepped, so every table has gathered
+            assert fibers.steps_used >= op.theta
+            swept = len(gathers)
+        masses = op.row_sum_masses
+        if first == "sweep":
+            assert len(gathers) == swept
+        else:
+            # each table gathered once: at assembly or in this read
+            assert sorted(id(k) for k, _ in gathers) == sorted(map(id, op.matrices))
+        taken = {}
+        for k, matrix in gathers:
+            taken.setdefault(id(k), matrix)
+        for r in range(op.theta):
+            matrix = taken[id(op.matrices[op.matrix_index[r]])]
+            assert masses[r].hex() == float(np.max(np.sum(matrix, axis=1))).hex()
+        # a second read, and the operators that share the kernels, gather nothing
+        before = len(gathers)
+        swapped = op.with_inhomogeneity(ip.InhomogeneitySpec.from_variant("h1", op.theta))
+        assert op.row_sum_masses == masses
+        assert swapped.row_sum_masses == masses
+        assert ip.step_constants_numeric(swapped) == ip.step_constants_numeric(op)
+        assert len(gathers) == before
+
+
 class TestForcing:
     @pytest.mark.parametrize("levels", [(1.0, 2.0), (0.0, -0.0), (1.5, 1.5)])
     @pytest.mark.parametrize("variant", ["h1", "h2", "h3", "h4"])

@@ -27,6 +27,12 @@
 # BENCHMARK.json defines each bound as a share of the median, so 0.05 on
 # a 51 MB peak is 2.6 MB.
 #
+# A second line per metric applies the rule for claiming a gain: it reads
+# `gain` when at least ten pairs have both values, the tree won at least
+# nine tenths of them, ties counting for neither, and its median beats the
+# base's by more than the base's q3 - q1, and `no gain` otherwise.  The
+# claim line does not change the verdict or the exit code.
+#
 # It exits non-zero if any run failed a check or gave no result, or if any
 # verdict is `worse`.  The temporary directory is removed on exit.
 set -euo pipefail
@@ -125,6 +131,15 @@ for workload in spec["workloads"]:
                 verdict = "within bound"
             shares = f", gap {gap:+.4f}, base spread {spread:.4f} of the base median"
         print(f"  bound {bound:g}{shares}: {verdict}")
+        claim = "no gain"
+        if base_runs and tree_runs:
+            better = statistics.median(base_runs) - statistics.median(tree_runs)
+            better = better if lower else -better
+            if both >= 10 and 10 * won >= 9 * both and better > q3 - q1:
+                claim = "gain"
+            claim += (f" (won {won} of {both}, medians apart by {better:.6g}"
+                      f" in the better direction, base q3 - q1 {q3 - q1:.6g})")
+        print(f"  claim rule: {claim}")
 for line in bad:
     print(f"FAILED: {line}")
 for key in worse:
